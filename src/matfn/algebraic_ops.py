@@ -22,6 +22,7 @@ from .spectral import (
     analyze,
     as_square_matrix,
     hs_norm,
+    merge_clusters,
 )
 from .tensor import OperatorTensor, contract_pair, trace_slot
 
@@ -85,13 +86,12 @@ class DerivedSpectrum:
     mult_bounds: tuple[int, ...]
     alg_mults: tuple[int, ...]
 
-    def as_spectral_data(self, dim: int, cluster_tol: float) -> SpectralData:
+    def as_spectral_data(self, dim: int) -> SpectralData:
         return SpectralData(
             eigenvalues=self.values,
             alg_mult=self.alg_mults,
             min_mult=self.mult_bounds,
             dim=dim,
-            cluster_tol=cluster_tol,
         )
 
 
@@ -119,26 +119,11 @@ def derived_spectrum(
 
     scale = max(1.0, max(abs(v) for v, _, _ in raw))
     threshold = cluster_tol * scale
-    clusters: list[list[tuple[complex, int, int]]] = [[entry] for entry in raw]
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        cents = [sum(v for v, _, _ in c) / len(c) for c in clusters]
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if abs(cents[i] - cents[j]) <= threshold:
-                    clusters[i].extend(clusters[j])
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
-
     rows = []
-    for c in clusters:
-        value = sum(v for v, _, _ in c) / len(c)
-        bound = max(b for _, b, _ in c)
-        weight = sum(w for _, _, w in c)
+    for g in merge_clusters([v for v, _, _ in raw], threshold):
+        value = sum(raw[i][0] for i in g) / len(g)
+        bound = max(raw[i][1] for i in g)
+        weight = sum(raw[i][2] for i in g)
         rows.append((value, bound, weight))
     rows.sort(key=lambda r: (r[0].real, r[0].imag))
     return DerivedSpectrum(
@@ -187,10 +172,7 @@ def compose_identity_check(
         T = f_otimes(fq, grp, spectra=specs)
         bars.append(T.as_matrix())
         derived.append(derived_spectrum(fq, specs, cluster_tol))
-    outer_spectra = [
-        ds.as_spectral_data(bar.shape[0], cluster_tol)
-        for ds, bar in zip(derived, bars)
-    ]
+    outer_spectra = [ds.as_spectral_data(bar.shape[0]) for ds, bar in zip(derived, bars)]
     lhs = f_otimes(g, bars, spectra=outer_spectra).as_matrix()
 
     h = compose(g, inner_fields)

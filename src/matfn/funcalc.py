@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .spectral import (
     as_square_matrix,
 )
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
+
+_LETTERS = string.ascii_letters
 
 
 def _slot_matrices(f: ScalarField, mats) -> list[np.ndarray]:
@@ -124,16 +127,11 @@ def f_otimes_diagonalizable(
         values[idx] = f(*point)
 
     # T[i1, j1, ..., ik, jk] = sum_m values[m] prod_l V_l[i_l, m_l] W_l[m_l, j_l]
-    shape = []
-    for d in dims:
-        shape.extend([d, d])
-    total = np.zeros(tuple(shape), dtype=complex)
-    for idx in itertools.product(*(range(d) for d in dims)):
-        term = None
-        for l, m in enumerate(idx):
-            outer = np.multiply.outer(vmats[l][:, m], wmats[l][m, :])
-            term = outer if term is None else np.multiply.outer(term, outer)
-        total += values[idx] * term
+    m, i, j = _LETTERS[:k], _LETTERS[k : 2 * k], _LETTERS[2 * k : 3 * k]
+    inputs = [m] + [a + b for a, b in zip(i, m)] + [b + c for b, c in zip(m, j)]
+    out = "".join(a + c for a, c in zip(i, j))
+    spec = ",".join(inputs) + "->" + out
+    total = np.einsum(spec, values, *vmats, *wmats, optimize=True)
     return OperatorTensor(total)
 
 

@@ -49,24 +49,6 @@ class HermiteBasis:
     def functionals(self) -> list[tuple[int, int]]:
         return [(m, j) for m, (_, r) in enumerate(self.nodes) for j in range(r)]
 
-    def coeff_vector(self, m: int, j: int) -> np.ndarray:
-        pos = 0
-        for mm, (_, r) in enumerate(self.nodes):
-            if mm == m:
-                if j >= r:
-                    raise ValueError(f"order {j} out of range for node {m} (order {r})")
-                return self.coeff[:, pos + j]
-            pos += r
-        raise ValueError(f"node index {m} out of range")
-
-    def polynomials(self) -> list[MultiPoly]:
-        out = []
-        for t in range(self.size):
-            out.append(
-                MultiPoly(1, {(n,): c for n, c in enumerate(self.coeff[:, t]) if c != 0})
-            )
-        return out
-
 
 def _confluent_vandermonde(nodes) -> np.ndarray:
     n_total = sum(r for _, r in nodes)
@@ -123,11 +105,13 @@ def interpolate(grid: dict, bases: list[HermiteBasis]) -> MultiPoly:
     if k == 0:
         raise ValueError("at least one variable is required")
 
-    required = set()
-    for combo in itertools.product(*(b.functionals for b in bases)):
-        m_t = tuple(m for m, _ in combo)
-        j_t = tuple(j for _, j in combo)
-        required.add((m_t, j_t))
+    # The product of the slots' functionals, in row-major order, is the
+    # element order of the grid tensor G below.
+    keys = [
+        (tuple(m for m, _ in combo), tuple(j for _, j in combo))
+        for combo in itertools.product(*(b.functionals for b in bases))
+    ]
+    required = set(keys)
     given = set(grid)
     missing = required - given
     if missing:
@@ -141,50 +125,34 @@ def interpolate(grid: dict, bases: list[HermiteBasis]) -> MultiPoly:
         raise InterpolationError(f"derivative grid has unknown keys, e.g. {sample}")
 
     shape = tuple(b.size for b in bases)
-    dense = np.zeros(shape, dtype=complex)
-    for (m_t, j_t), val in grid.items():
-        term = None
-        for l in range(k):
-            vec = bases[l].coeff_vector(m_t[l], j_t[l])
-            term = vec if term is None else np.multiply.outer(term, vec)
-        dense = dense + complex(val) * term
-
-    _verify_against_grid(dense, grid, bases)
-
-    coeffs = {}
-    for alpha in np.ndindex(*shape):
-        c = dense[alpha]
-        if c != 0:
-            coeffs[alpha] = c
-    return MultiPoly(k, coeffs)
+    G = np.array([complex(grid[key]) for key in keys], dtype=complex).reshape(shape)
+    dense = _along_axes(G, [b.coeff for b in bases])
+    _verify_against_grid(dense, G, bases)
+    return MultiPoly(k, {alpha: dense[alpha] for alpha in np.ndindex(*shape)})
 
 
-def _verify_against_grid(dense: np.ndarray, grid: dict, bases: list[HermiteBasis]):
+def _along_axes(T: np.ndarray, mats) -> np.ndarray:
+    """Apply ``mats[l]`` to axis l of ``T``, for every axis.
+
+    Each tensordot consumes the leading axis and appends the new one, so
+    after one round the axes are back in their original order.
+    """
+    for A in mats:
+        T = np.tensordot(T, A, axes=(0, 1))
+    return T
+
+
+def _verify_against_grid(dense: np.ndarray, G: np.ndarray, bases: list[HermiteBasis]):
     # Applying each variable's confluent Vandermonde matrix to the
     # coefficient tensor evaluates every grid functional at once.
-    values = dense
-    for l, b in enumerate(bases):
-        A = _confluent_vandermonde(b.nodes)
-        values = np.moveaxis(np.tensordot(A, values, axes=(1, l)), 0, l)
-
-    k = len(bases)
-    positions = []
-    for b in bases:
-        pos = {}
-        for t, (m, j) in enumerate(b.functionals):
-            pos[(m, j)] = t
-        positions.append(pos)
-
-    scale = max(1.0, max(abs(complex(v)) for v in grid.values()))
+    values = _along_axes(dense, [_confluent_vandermonde(b.nodes) for b in bases])
+    scale = max(1.0, float(np.max(np.abs(G))))
     kappa = 1.0
     for b in bases:
         kappa *= max(b.condition, 1.0)
     allowed = max(1e-10 * kappa * scale, 1e-12)
 
-    worst = 0.0
-    for (m_t, j_t), val in grid.items():
-        idx = tuple(positions[l][(m_t[l], j_t[l])] for l in range(k))
-        worst = max(worst, abs(values[idx] - complex(val)))
+    worst = float(np.max(np.abs(values - G)))
     if worst > allowed:
         raise InterpolationError(
             f"interpolant misses its defining grid by {worst:.3e} "

@@ -51,7 +51,6 @@ class SpectralData:
     alg_mult: tuple[int, ...]
     min_mult: tuple[int, ...]
     dim: int
-    cluster_tol: float
 
     def __post_init__(self):
         if not (len(self.eigenvalues) == len(self.alg_mult) == len(self.min_mult)):
@@ -69,6 +68,30 @@ class SpectralData:
     def grid_entries(self) -> list[tuple[complex, int]]:
         """(eigenvalue, multiplicity) pairs in the stored order."""
         return list(zip(self.eigenvalues, self.min_mult))
+
+
+def merge_clusters(values, threshold: float) -> list[list[int]]:
+    """Index groups of ``values`` whose centroids are pairwise beyond ``threshold``.
+
+    Starting from singletons, the first pair of clusters (in index order)
+    whose centroids lie within ``threshold`` is merged and the scan
+    restarts, until no pair is that close.
+    """
+    groups = [[i] for i in range(len(values))]
+    merged = True
+    while merged and len(groups) > 1:
+        merged = False
+        cents = [sum(values[i] for i in g) / len(g) for g in groups]
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                if abs(cents[a] - cents[b]) <= threshold:
+                    groups[a].extend(groups[b])
+                    del groups[b]
+                    merged = True
+                    break
+            if merged:
+                break
+    return groups
 
 
 def eigen_cluster(M, tol: float = DEFAULT_CLUSTER_TOL) -> tuple[tuple[complex, ...], tuple[int, ...]]:
@@ -89,23 +112,9 @@ def eigen_cluster(M, tol: float = DEFAULT_CLUSTER_TOL) -> tuple[tuple[complex, .
         ) from exc
     threshold = float(tol) * hs_norm(A)
 
-    clusters = [[z] for z in w]
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        cents = [sum(c) / len(c) for c in clusters]
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if abs(cents[i] - cents[j]) <= threshold:
-                    clusters[i].extend(clusters[j])
-                    del clusters[j]
-                    merged = True
-                    break
-            if merged:
-                break
-
+    groups = merge_clusters(w, threshold)
     pairs = sorted(
-        ((sum(c) / len(c), len(c)) for c in clusters),
+        ((sum(w[i] for i in g) / len(g), len(g)) for g in groups),
         key=lambda p: (p[0].real, p[0].imag),
     )
     values = tuple(complex(v) for v, _ in pairs)
@@ -206,7 +215,6 @@ def analyze(
         alg_mult=counts,
         min_mult=mins,
         dim=A.shape[0],
-        cluster_tol=float(cluster_tol),
     )
 
 

@@ -117,24 +117,18 @@ def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
         raise ValueError(
             f"polynomial in {poly.arity} variables but {len(arrs)} matrices given"
         )
-    k = len(arrs)
-    max_deg = [poly.degree(l) for l in range(k)]
-    powers = []
-    for l, M in enumerate(arrs):
-        table = [np.eye(M.shape[0], dtype=complex)]
-        for _ in range(max(max_deg[l], 0)):
-            table.append(table[-1] @ M)
-        powers.append(table)
-    shape = []
-    for M in arrs:
-        shape.extend([M.shape[0]] * 2)
-    total = np.zeros(tuple(shape), dtype=complex)
-    for alpha in sorted(poly.coeffs):
-        term = None
-        for l, a in enumerate(alpha):
-            P = powers[l][a]
-            term = P if term is None else np.multiply.outer(term, P)
-        total += poly.coeffs[alpha] * term
+    degs = [max(poly.degree(l), 0) for l in range(len(arrs))]
+    total = np.zeros(tuple(n + 1 for n in degs), dtype=complex)
+    for alpha, c in poly.coeffs.items():
+        total[alpha] = c
+    # Each tensordot sums the leading exponent axis against the slot's
+    # stack (I, M, M^2, ...) and appends that slot's (up, down) pair, so
+    # the result ends in (i1, j1, ..., ik, jk) order.
+    for M, n in zip(arrs, degs):
+        stack = [np.eye(M.shape[0], dtype=complex)]
+        for _ in range(n):
+            stack.append(stack[-1] @ M)
+        total = np.tensordot(total, np.array(stack), axes=(0, 0))
     return OperatorTensor(total)
 
 

@@ -119,6 +119,23 @@ def test_interp_route_matches_diagonalizable_route():
         assert np.allclose(a.data, b.data, atol=1e-8 * max(1.0, b.hs_norm()))
 
 
+@pytest.mark.parametrize("text,d", [("1/(x1+x2+x3)", 5), ("1/(x1+x2+x3+x4)", 4)])
+def test_interp_route_accurate_on_normal_inputs(text, d):
+    # Summing the expanded monomials M_1^a1 (x) ... (x) M_k^ak adds large
+    # terms that cancel and loses about 4 digits here; the bound needs the
+    # sum to cancel one slot at a time.
+    f = parse_field(text)
+    lam = np.linspace(1, 3, d) + 0.25j * np.arange(d)
+    local = np.random.default_rng(5)
+    mats = []
+    for _ in range(f.arity):
+        Q, _ = np.linalg.qr(local.normal(size=(d, d)) + 1j * local.normal(size=(d, d)))
+        mats.append(Q @ np.diag(lam) @ Q.conj().T)
+    got = f_otimes(f, mats).data
+    want = f_otimes_diagonalizable(f, mats).data
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_diag_route_refuses_defective_input():
     J = jordan_matrix([(1.0, 2)])
     with pytest.raises(NotDiagonalizableError):

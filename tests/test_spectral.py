@@ -108,7 +108,7 @@ def test_eigenvectors_swap_matrix():
 def test_spectral_data_invariants():
     with pytest.raises(ValueError):
         SpectralData(
-            eigenvalues=(1.0 + 0j,), alg_mult=(1,), min_mult=(2,), dim=1, cluster_tol=1e-8
+            eigenvalues=(1.0 + 0j,), alg_mult=(1,), min_mult=(2,), dim=1
         )
     with pytest.raises(ValueError):
         SpectralData(
@@ -116,7 +116,6 @@ def test_spectral_data_invariants():
             alg_mult=(1, 1),
             min_mult=(1, 1),
             dim=3,
-            cluster_tol=1e-8,
         )
 
 

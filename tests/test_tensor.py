@@ -166,10 +166,17 @@ def test_contract_adjacent_through_product():
 def test_poly_tensor_eval():
     A = rng.normal(size=(2, 2))
     B = rng.normal(size=(3, 3))
-    p = MultiPoly(2, {(2, 1): 1.0, (0, 0): -4.0})
-    T = poly_tensor_eval(p, [A, B])
-    want = np.kron(A @ A, B) - 4.0 * np.kron(np.eye(2), np.eye(3))
-    assert np.allclose(T.as_matrix(), want)
+    I2, I3 = np.eye(2), np.eye(3)
+    cases = [
+        (MultiPoly(2, {(2, 1): 1.0, (0, 0): -4.0}), np.kron(A @ A, B) - 4.0 * np.kron(I2, I3)),
+        (MultiPoly(2), np.zeros((6, 6))),
+        # slot 1 has degree 0, so its power stack is the identity alone
+        (MultiPoly(2, {(1, 0): 2.0, (3, 0): 1j}), np.kron(2.0 * A + 1j * A @ A @ A, I3)),
+    ]
+    for p, want in cases:
+        T = poly_tensor_eval(p, [A, B])
+        assert T.slot_dims == (2, 3)
+        assert np.allclose(T.as_matrix(), want)
 
 
 def test_apply_vectors():
