@@ -3,7 +3,8 @@
 Pairing the extension of a symmetric function against the antisymmetric
 projector turns sums over distinct eigenvalue index tuples into a single
 contraction, and restricting to the antisymmetric subspace diagonalizes
-the extension over increasing index combinations. The determinant
+the extension over increasing index combinations. Both rest on the
+orthonormal wedge basis B, whose projector is B B^H. The determinant
 expansion in power-sum traces drops out of the top exterior power.
 """
 
@@ -42,31 +43,48 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def antisym_projector(dim: int, k: int) -> OperatorTensor:
-    """Orthogonal projector of (C^dim)^(x k) onto the antisymmetric part.
+def wedge_basis(dim: int, k: int) -> np.ndarray:
+    """Orthonormal wedge vectors as columns, one per increasing tuple.
 
-    Idempotent, self-adjoint in the matrix view, with trace binom(dim, k);
-    identically zero for k > dim.
+    Column order is lexicographic in the index tuples; each column lives
+    in C^(dim^k) with the row index running over plain product tuples.
+    For k > dim there are no increasing tuples and the shape is
+    (dim^k, 0).
     """
     if dim < 1 or k < 1:
         raise ValueError("dim and k must be positive")
-    n = dim**k
-    G = np.zeros((n, n), dtype=complex)
     strides = [dim ** (k - 1 - l) for l in range(k)]
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        inv = [0] * k
-        for l, pl in enumerate(perm):
-            inv[pl] = l
-        for P in itertools.product(range(dim), repeat=k):
-            # row P, column Q with q_m = p_{perm^{-1}(m)}... the pairing
-            # delta(p_l, q_{perm(l)}) fixes Q from P.
-            row = sum(p * s for p, s in zip(P, strides))
-            Q = tuple(P[inv[m]] for m in range(k))
-            col = sum(q * s for q, s in zip(Q, strides))
-            G[row, col] += sign
-    G /= math.factorial(k)
-    return from_matrix(G, (dim,) * k)
+    norm = 1.0 / math.sqrt(math.factorial(k))
+    perms = [(perm, _perm_sign(perm)) for perm in itertools.permutations(range(k))]
+    B = np.zeros((dim**k, math.comb(dim, k)), dtype=complex)
+    for col, combo in enumerate(itertools.combinations(range(dim), k)):
+        for perm, sign in perms:
+            B[sum(combo[p] * s for p, s in zip(perm, strides)), col] = sign * norm
+    return B
+
+
+def antisym_projector(dim: int, k: int) -> OperatorTensor:
+    """Orthogonal projector of (C^dim)^(x k) onto the antisymmetric part.
+
+    Built as B B^H from the orthonormal columns B of :func:`wedge_basis`.
+    Idempotent, self-adjoint in the matrix view, with trace binom(dim, k);
+    identically zero for k > dim.
+    """
+    B = wedge_basis(dim, k)
+    return from_matrix(B @ B.conj().T, (dim,) * k)
+
+
+def _wedge_block(f: ScalarField, A: np.ndarray, k: int, cluster_tol, rank_tol):
+    """B^H T B: the extension T of f at k copies of A, on the wedge basis B.
+
+    The projector is B B^H and fixes B, so this is also B^H Pi T Pi B.
+    """
+    if f.arity != k:
+        raise ValueError(f"field arity {f.arity} does not match k = {k}")
+    sd = analyze(A, cluster_tol, rank_tol)
+    T = f_otimes(f, [A] * k, spectra=[sd] * k)
+    B = wedge_basis(A.shape[0], k)
+    return B.conj().T @ T.as_matrix() @ B
 
 
 def distinct_tuple_sum(
@@ -82,39 +100,12 @@ def distinct_tuple_sum(
     Eigenvalues are counted with algebraic multiplicity and the indices,
     not the values, are pairwise distinct. Computed as k! times the full
     pairing of the tensor extension at k copies of M with the
-    antisymmetric projector.
+    antisymmetric projector, which is k! tr(B^H T B) for the columns B of
+    :func:`wedge_basis`; 0 for k > dim.
     """
     A = as_square_matrix(M)
-    if f.arity != k:
-        raise ValueError(f"field arity {f.arity} does not match k = {k}")
-    sd = analyze(A, cluster_tol, rank_tol)
-    T = f_otimes(f, [A] * k, spectra=[sd] * k)
-    Pi = antisym_projector(A.shape[0], k)
-    return math.factorial(k) * complex(np.trace(T.as_matrix() @ Pi.as_matrix()))
-
-
-def _increasing_tuples(dim: int, k: int):
-    return itertools.combinations(range(dim), k)
-
-
-def wedge_basis(dim: int, k: int) -> np.ndarray:
-    """Orthonormal wedge vectors as columns, one per increasing tuple.
-
-    Column order is lexicographic in the index tuples; each column lives
-    in C^(dim^k) with the row index running over plain product tuples.
-    """
-    n = dim**k
-    cols = []
-    strides = [dim ** (k - 1 - l) for l in range(k)]
-    norm = 1.0 / math.sqrt(math.factorial(k))
-    for combo in _increasing_tuples(dim, k):
-        v = np.zeros(n, dtype=complex)
-        for perm in itertools.permutations(range(k)):
-            sign = _perm_sign(perm)
-            idx = sum(combo[perm[l]] * strides[l] for l in range(k))
-            v[idx] += sign * norm
-        cols.append(v)
-    return np.column_stack(cols)
+    W = _wedge_block(f, A, k, cluster_tol, rank_tol)
+    return math.factorial(k) * complex(np.trace(W))
 
 
 def wedge_restrict(
@@ -133,15 +124,9 @@ def wedge_restrict(
     tuples.
     """
     A = as_square_matrix(M)
-    if f.arity != k:
-        raise ValueError(f"field arity {f.arity} does not match k = {k}")
     if k > A.shape[0]:
         raise ValueError(f"k = {k} exceeds the dimension {A.shape[0]}")
-    sd = analyze(A, cluster_tol, rank_tol)
-    T = f_otimes(f, [A] * k, spectra=[sd] * k)
-    Pi = antisym_projector(A.shape[0], k).as_matrix()
-    B = wedge_basis(A.shape[0], k)
-    return B.conj().T @ Pi @ T.as_matrix() @ Pi @ B
+    return _wedge_block(f, A, k, cluster_tol, rank_tol)
 
 
 def det_from_traces(M) -> complex:

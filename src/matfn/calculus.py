@@ -282,6 +282,11 @@ def projector_derivative(
     lams, projs = _simple_spectrum_frame(A, cluster_tol, rank_tol)
     if not 0 <= which < len(lams):
         raise ValueError(f"eigenvalue index {which} out of range")
+    return _projector_series(lams, projs, Hm, which, n)
+
+
+def _projector_series(lams, projs, Hm, which: int, n: int) -> np.ndarray:
+    """The order-n projector derivative from a simple-spectrum frame."""
     if n == 0:
         return projs[which]
     anchor = lams[which]
@@ -313,7 +318,8 @@ def eigenvalue_derivative(
 ) -> complex:
     """d^n/dz^n of the ``which``-th eigenvalue along M + zH at z = ``at``.
 
-    Requires a simple spectrum. Order n >= 1 uses the order n-1 kernel:
+    Requires a simple spectrum. Order n >= 1 is the trace of the order
+    n-1 projector derivative against H:
     (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
     Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H).
     """
@@ -324,18 +330,4 @@ def eigenvalue_derivative(
         raise ValueError(f"eigenvalue index {which} out of range")
     if n == 0:
         return complex(lams[which])
-    anchor = lams[which]
-    u = u_function(anchor, n - 1)
-    d = len(lams)
-    total = 0j
-    for ks in itertools.product(range(d), repeat=n):
-        if which not in ks:
-            continue
-        coeff = u(*(lams[k] for k in ks))
-        if coeff == 0:
-            continue
-        term = projs[ks[0]]
-        for k in ks[1:]:
-            term = term @ Hm @ projs[k]
-        total += coeff * complex(np.trace(term @ Hm))
-    return math.factorial(n - 1) * total
+    return complex(np.trace(_projector_series(lams, projs, Hm, which, n - 1) @ Hm))

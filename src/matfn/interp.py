@@ -126,6 +126,10 @@ def interpolate(grid: dict, bases: list[HermiteBasis]) -> MultiPoly:
 
     shape = tuple(b.size for b in bases)
     G = np.array([complex(grid[key]) for key in keys], dtype=complex).reshape(shape)
+    if not np.all(np.isfinite(G)):
+        # NaN compares false against any allowance, so the self-check
+        # below would let it through
+        raise InterpolationError("derivative grid holds a non-finite value")
     dense = _along_axes(G, [b.coeff for b in bases])
     _verify_against_grid(dense, G, bases)
     return MultiPoly(k, {alpha: dense[alpha] for alpha in np.ndindex(*shape)})

@@ -661,13 +661,6 @@ def min_const(f: ScalarField, bound: float) -> ScalarField:
     return ScalarField(f.arity, MinConst(f.root, float(bound)))
 
 
-def with_arity(f: ScalarField, arity: int) -> ScalarField:
-    """The same expression viewed as a field of more variables."""
-    if arity < f.arity:
-        raise ValueError("cannot shrink arity")
-    return ScalarField(arity, f.root)
-
-
 # ---------------------------------------------------------------------------
 # variable plumbing: substitution, merging, composition
 
@@ -946,48 +939,6 @@ def poly_to_field(poly: MultiPoly) -> ScalarField:
             term = _mul(term, _pow(Var(var), a))
         total = _add(total, term)
     return ScalarField(poly.arity, total)
-
-
-def field_is_poly(f: ScalarField) -> MultiPoly | None:
-    """The polynomial equal to ``f``, or None if ``f`` is not polynomial."""
-
-    def walk(node: Node) -> MultiPoly | None:
-        if isinstance(node, Const):
-            return MultiPoly(f.arity, {(0,) * f.arity: node.value})
-        if isinstance(node, Var):
-            alpha = tuple(1 if i == node.index else 0 for i in range(f.arity))
-            return MultiPoly(f.arity, {alpha: 1.0})
-        if isinstance(node, (Add, Sub)):
-            a, b = walk(node.lhs), walk(node.rhs)
-            if a is None or b is None:
-                return None
-            return a + b if isinstance(node, Add) else a - b
-        if isinstance(node, Neg):
-            a = walk(node.arg)
-            return None if a is None else (-1) * a
-        if isinstance(node, Mul):
-            a, b = walk(node.lhs), walk(node.rhs)
-            if a is None or b is None:
-                return None
-            return a * b
-        if isinstance(node, Div):
-            a = walk(node.lhs)
-            if a is None or not isinstance(node.rhs, Const) or node.rhs.value == 0:
-                return None
-            return a * (1.0 / node.rhs.value)
-        if isinstance(node, Pow):
-            if node.exponent < 0:
-                return None
-            a = walk(node.base)
-            if a is None:
-                return None
-            out = MultiPoly(f.arity, {(0,) * f.arity: 1.0})
-            for _ in range(node.exponent):
-                out = out * a
-            return out
-        return None
-
-    return walk(f.root)
 
 
 # ---------------------------------------------------------------------------

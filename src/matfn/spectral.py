@@ -175,32 +175,6 @@ def minimal_multiplicities(
     return tuple(out)
 
 
-def eigenvectors(M, eigenvalues, rank_tol: float = DEFAULT_RANK_TOL):
-    """Unit kernel bases of (M - lam I), one list per eigenvalue.
-
-    The lists span the geometric eigenspaces; for a diagonalizable matrix
-    the concatenation is a basis, for a defective one it is shorter and
-    no vectors are invented. Each vector is normalized with its largest
-    component rotated to the positive real axis, which pins the phase.
-    """
-    A = as_square_matrix(M)
-    d = A.shape[0]
-    out = []
-    for lam in eigenvalues:
-        B = A - complex(lam) * np.eye(d)
-        _, s, vh = np.linalg.svd(B)
-        thr = rank_tol * (s[0] if s[0] > 0 else 1.0)
-        null_dim = int(np.count_nonzero(s <= thr)) + (d - len(s))
-        vecs = []
-        for row in vh[d - null_dim :] if null_dim else []:
-            v = row.conj()
-            pivot = v[np.argmax(np.abs(v))]
-            v = v * (abs(pivot) / pivot)
-            vecs.append(v)
-        out.append(vecs)
-    return out
-
-
 def analyze(
     M,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,

@@ -43,6 +43,21 @@ def test_projector_trace_counts_subspace(dim, k):
     assert np.trace(P).real == pytest.approx(math.comb(dim, k), abs=1e-10)
 
 
+@pytest.mark.parametrize("dim,k", [(2, 3), (3, 2), (3, 3), (4, 3)])
+def test_projector_matches_signed_permutation_sum(dim, k):
+    # (1/k!) sum_sigma sign(sigma) P_sigma, each P_sigma permuting the
+    # tensor factors of the identity on (C^dim)^(x k)
+    eye = np.eye(dim**k).reshape((dim,) * (2 * k))
+    want = np.zeros((dim**k, dim**k))
+    for perm in itertools.permutations(range(k)):
+        sign = round(np.linalg.det(np.eye(k)[list(perm)]))
+        P = eye.transpose(list(range(k)) + [k + p for p in perm])
+        want += sign * P.reshape(dim**k, dim**k)
+    want /= math.factorial(k)
+    got = antisym_projector(dim, k).as_matrix()
+    assert np.allclose(got, want, atol=1e-12)
+
+
 def test_projector_zero_above_dimension():
     P = antisym_projector(2, 3).as_matrix()
     assert np.max(np.abs(P)) < 1e-14
@@ -57,7 +72,7 @@ def test_projector_kills_symmetric_vectors():
 # ------------------------------------------------------------- wedge basis
 
 
-@pytest.mark.parametrize("dim,k", [(3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("dim,k", [(3, 2), (4, 2), (4, 3), (2, 3)])
 def test_wedge_basis_orthonormal_and_spans_projector(dim, k):
     B = wedge_basis(dim, k)
     assert B.shape == (dim**k, math.comb(dim, k))
@@ -111,6 +126,11 @@ def test_distinct_sum_defective_matrix():
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
+def test_distinct_sum_zero_above_dimension():
+    got = distinct_tuple_sum(parse_field("x1*x2*x3"), np.diag([1.0, 2.0]), 3)
+    assert got == 0
+
+
 def test_distinct_sum_arity_guard():
     with pytest.raises(ValueError, match="arity"):
         distinct_tuple_sum(parse_field("x1*x2"), np.diag([1.0, 2.0]), 1)
@@ -128,11 +148,14 @@ def test_wedge_restrict_two_by_two():
 
 
 def test_wedge_restrict_eigenvalues_are_symmetrized_values():
-    M = np.diag([1.0, 2.0, 4.0])
-    W = wedge_restrict(parse_field("x1 + x2"), M, 2)
+    D = np.diag([1.0, 2.0, 4.0])
+    # a non-normal but diagonalizable input with the same spectrum
+    S = np.array([[1.0, 0.7, -0.4], [0.0, 1.0, 0.9], [0.3, 0.0, 1.0]])
     want = sorted([1 + 2, 1 + 4, 2 + 4])
-    got = sorted(np.linalg.eigvals(W).real)
-    assert np.allclose(got, want, atol=1e-10)
+    for M in (D, S @ D @ np.linalg.inv(S)):
+        W = wedge_restrict(parse_field("x1 + x2"), M, 2)
+        got = sorted(np.linalg.eigvals(W).real)
+        assert np.allclose(got, want, atol=1e-10)
 
 
 def test_wedge_restrict_k_above_dimension_rejected():

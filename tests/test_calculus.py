@@ -196,6 +196,26 @@ def test_eigenvalue_derivative_second_order():
         assert got == pytest.approx(want)
 
 
+def test_eigenvalue_derivative_third_order():
+    lams = [1.0, 2.0, 4.0]
+    M = np.diag(lams)
+    H = rng.normal(size=(3, 3))
+    # third derivative of lambda_i:
+    # 6 [sum_{j,k != i} H_ij H_jk H_ki / ((lam_i - lam_j)(lam_i - lam_k))
+    #    - H_ii sum_{j != i} H_ij H_ji / (lam_i - lam_j)^2]
+    for i in range(3):
+        others = [j for j in range(3) if j != i]
+        cubic = sum(
+            H[i, j] * H[j, k] * H[k, i] / ((lams[i] - lams[j]) * (lams[i] - lams[k]))
+            for j in others
+            for k in others
+        )
+        square = sum(H[i, j] * H[j, i] / (lams[i] - lams[j]) ** 2 for j in others)
+        want = 6 * (cubic - H[i, i] * square)
+        got = eigenvalue_derivative(M, H, i, 3)
+        assert got == pytest.approx(want)
+
+
 def test_perturbation_requires_simple_spectrum():
     M = np.diag([1.0, 1.0])
     H = np.eye(2)

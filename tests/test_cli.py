@@ -203,6 +203,14 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_non_finite_values_exit_2(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 2.0]])
+    code, out, err = run_cli(capsys, ["eval", "--func", "x1*1e200*1e200", "--mat", m])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_argparse_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["eval", "--func", "x1"])

@@ -10,7 +10,6 @@ from matfn import (
     MultiPoly,
     compose,
     derivative_grid,
-    field_is_poly,
     merge_variables,
     parse_field,
     poly_to_field,
@@ -190,10 +189,6 @@ def test_poly_field_bridges():
     p = MultiPoly(2, {(2, 0): 1.0, (0, 1): -3.0})
     f = poly_to_field(p)
     assert f(2.0, 1.0) == pytest.approx(1.0)
-    back = field_is_poly(f)
-    assert back is not None
-    assert back.coeffs == p.coeffs
-    assert field_is_poly(sf.exp(sf.variable(0, 1))) is None
 
 
 def test_projector_kernel_values():

@@ -82,6 +82,13 @@ def test_incomplete_grid_is_rejected():
         )
 
 
+def test_non_finite_grid_is_rejected():
+    basis = hermite_basis([(0.0, 1), (1.0, 1)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InterpolationError, match="non-finite"):
+            interpolate({((0,), (0,)): bad, ((1,), (0,)): 1.0}, [basis])
+
+
 def test_condition_number_reported():
     tight = hermite_basis([(0.0, 1), (1e-3, 1)])
     wide = hermite_basis([(0.0, 1), (1.0, 1)])

@@ -8,7 +8,6 @@ from matfn import (
     SpectralError,
     analyze,
     eigen_cluster,
-    eigenvectors,
     minimal_multiplicities,
     minimal_polynomial,
 )
@@ -87,22 +86,12 @@ def test_minimal_multiplicities_rejects_non_eigenvalue():
         minimal_multiplicities(np.diag([1.0, 2.0]), [5.0])
 
 
-def test_eigenvectors_swap_matrix():
+def test_eigen_cluster_swap_matrix():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     vals, counts = eigen_cluster(M, tol=1e-8)
     assert counts == (1, 1)
     assert vals[0] == pytest.approx(-1.0)
     assert vals[1] == pytest.approx(1.0)
-    vecs = eigenvectors(M, vals)
-    assert [len(group) for group in vecs] == [1, 1]
-    s = 1 / np.sqrt(2)
-    assert np.allclose(np.abs(vecs[0][0]), [s, s])
-    assert np.allclose(M @ vecs[1][0], vecs[1][0], atol=1e-12)
-    # phase pinned: the dominant component is positive real
-    for (v,) in vecs:
-        pivot = v[np.argmax(np.abs(v))]
-        assert pivot.real > 0
-        assert abs(pivot.imag) < 1e-12
 
 
 def test_spectral_data_invariants():
