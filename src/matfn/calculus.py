@@ -60,14 +60,14 @@ def divided_difference_table(f: ScalarField, nodes) -> DividedDifferenceTable:
         raise ValueError("divided differences need a one-variable field")
     derivs = [f]
 
-    def deriv(x, m):
+    def deriv(x, m, mask):
         while len(derivs) <= m:
             derivs.append(derivs[-1].partial(0))
-        return derivs[m](x)
+        return derivs[m](x if mask is None else x[mask])
 
-    zs, levels = divided_difference_levels(deriv, nodes)
+    zs, levels = divided_difference_levels(deriv, np.array([complex(z) for z in nodes]))
     return DividedDifferenceTable(
-        nodes=tuple(zs), levels=tuple(tuple(row) for row in levels)
+        nodes=tuple(zs.tolist()), levels=tuple(tuple(row.tolist()) for row in levels)
     )
 
 

@@ -119,12 +119,9 @@ def f_otimes_diagonalizable(
         vmats.append(V)
         wmats.append(np.linalg.inv(V))
 
-    dims = [M.shape[0] for M in arrs]
     k = len(arrs)
-    values = np.empty(tuple(dims), dtype=complex)
-    for idx in itertools.product(*(range(d) for d in dims)):
-        point = tuple(eigs[l][idx[l]] for l in range(k))
-        values[idx] = f(*point)
+    axes = [w.reshape((-1,) + (1,) * (k - 1 - l)) for l, w in enumerate(eigs)]
+    values = f(*axes)
 
     # T[i1, j1, ..., ik, jk] = sum_m values[m] prod_l V_l[i_l, m_l] W_l[m_l, j_l]
     m, i, j = _LETTERS[:k], _LETTERS[k : 2 * k], _LETTERS[2 * k : 3 * k]

@@ -1,14 +1,16 @@
 """Expression trees for scalar functions of several complex variables.
 
 A :class:`ScalarField` is an arity together with an immutable expression
-tree. Fields evaluate pointwise on C^k and differentiate symbolically;
-differentiation is closed on the node set, so mixed partial derivatives of
-any order stay representable. Besides the rational operations, integer
-powers, exp and log, the tree supports divided differences of another
-field in one of its slots (closed under differentiation through the
-node-repetition rule) and the kernel functions used by the eigenprojector
-perturbation series. Two evaluation-only builtins, ``abs`` and a clipped
-minimum, exist for the piecewise tests and refuse differentiation.
+tree. Fields evaluate at a point of C^k, or elementwise over numpy arrays
+of points that broadcast against each other in one walk of the tree, and
+they differentiate symbolically. Differentiation is closed on the node
+set, so mixed partial derivatives of any order stay representable.
+Besides the rational operations, integer powers, exp and log, the tree
+supports divided differences of another field in one of its slots
+(closed under differentiation through the node-repetition rule) and the
+kernel functions used by the eigenprojector perturbation series. Two
+evaluation-only builtins, ``abs`` and a clipped minimum, exist for the
+piecewise tests and refuse differentiation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import FieldDomainError, FieldParseError
 
@@ -219,76 +223,160 @@ def _pow(a: Node, n: int) -> Node:
 # ---------------------------------------------------------------------------
 # evaluation
 
+_INF = complex(math.inf)
+_ndarray = np.ndarray  # one lookup fewer on the scalar call path
 
-def _eval(node: Node, point: tuple) -> complex:
-    if isinstance(node, Const):
+
+def _evaluate(node: Node, point: tuple, memo: dict):
+    """Value of ``node`` at ``point``.
+
+    ``point`` holds one value per variable: all Python complex scalars, or
+    complex arrays that broadcast against each other, in which case the
+    value is elementwise over the broadcast points (callers silence
+    numpy's floating-point warnings; see :func:`_evaluate_on`). Values
+    stay Python complex wherever no array enters. ``memo`` maps
+    ``id(node)`` to the values already computed in this call: derivative
+    trees share subtrees heavily, and keying on node equality would hash
+    whole subtrees. Domain violations raise :class:`FieldDomainError`
+    naming the first offending point.
+    """
+    t = type(node)
+    if t is Const:
         return node.value
-    if isinstance(node, Var):
+    if t is Var:
         return point[node.index]
-    if isinstance(node, Add):
-        return _eval(node.lhs, point) + _eval(node.rhs, point)
-    if isinstance(node, Sub):
-        return _eval(node.lhs, point) - _eval(node.rhs, point)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, point)
-    if isinstance(node, Mul):
-        return _eval(node.lhs, point) * _eval(node.rhs, point)
-    if isinstance(node, Div):
-        num = _eval(node.lhs, point)
-        den = _eval(node.rhs, point)
-        if den == 0:
-            raise FieldDomainError(f"division by zero in {render(node)} at point {point}")
-        return num / den
-    if isinstance(node, Pow):
-        base = _eval(node.base, point)
-        if base == 0 and node.exponent < 0:
-            raise FieldDomainError(
-                f"zero raised to negative power in {render(node)} at point {point}"
-            )
-        return base**node.exponent
-    if isinstance(node, Exp):
-        try:
-            return cmath.exp(_eval(node.arg, point))
-        except OverflowError as exc:
-            raise FieldDomainError(f"exp overflow in {render(node)} at point {point}") from exc
-    if isinstance(node, Log):
-        arg = _eval(node.arg, point)
-        if arg == 0:
-            raise FieldDomainError(f"log of zero in {render(node)} at point {point}")
-        return cmath.log(arg)
-    if isinstance(node, AbsVal):
-        return complex(abs(_eval(node.arg, point)))
-    if isinstance(node, MinConst):
-        z = _eval(node.arg, point)
-        if abs(z.imag) > 1e-9 * (1.0 + abs(z)):
-            raise FieldDomainError(
-                f"min builtin applied to non-real value {z} at point {point}"
-            )
-        return complex(min(z.real, node.bound))
-    if isinstance(node, SlotDividedDifference):
-        return _eval_slot_dd(node, point)
-    if isinstance(node, ProjKernel):
-        return _eval_proj_kernel(node, point)
-    raise TypeError(f"unknown node type {type(node).__name__}")
+    if t is ProjKernel:
+        return _proj_kernel(node, point)
+    key = id(node)
+    v = memo.get(key)
+    if v is not None:
+        return v
+    if t is Add:
+        v = _evaluate(node.lhs, point, memo) + _evaluate(node.rhs, point, memo)
+    elif t is Sub:
+        v = _evaluate(node.lhs, point, memo) - _evaluate(node.rhs, point, memo)
+    elif t is Mul:
+        v = _evaluate(node.lhs, point, memo) * _evaluate(node.rhs, point, memo)
+    elif t is Div:
+        num = _evaluate(node.lhs, point, memo)
+        den = _evaluate(node.rhs, point, memo)
+        bad = den == 0
+        if bad is not False:
+            _check(bad, point, "division by zero", node)
+        v = num / den
+    elif t is Neg:
+        v = -_evaluate(node.arg, point, memo)
+    elif t is Pow:
+        base = _evaluate(node.base, point, memo)
+        if node.exponent < 0:
+            bad = base == 0
+            if bad is not False:
+                _check(bad, point, "zero raised to negative power", node)
+        if type(base) is complex:
+            try:
+                v = base**node.exponent
+            except (OverflowError, ZeroDivisionError):
+                v = _INF
+        else:
+            v = base**node.exponent
+        _check_finite(v, base, point, "power overflow", node)
+    elif t is Exp:
+        arg = _evaluate(node.arg, point, memo)
+        if type(arg) is complex:
+            try:
+                v = cmath.exp(arg)
+            except OverflowError:
+                v = _INF
+        else:
+            v = np.exp(arg)
+        _check_finite(v, arg, point, "exp overflow", node)
+    elif t is Log:
+        arg = _evaluate(node.arg, point, memo)
+        bad = arg == 0
+        if bad is not False:
+            _check(bad, point, "log of zero", node)
+        v = cmath.log(arg) if type(arg) is complex else np.log(arg)
+    elif t is SlotDividedDifference:
+        v = _slot_dd(node, point)
+    elif t is AbsVal:
+        arg = _evaluate(node.arg, point, memo)
+        v = complex(abs(arg)) if type(arg) is complex else np.abs(arg) + 0j
+    elif t is MinConst:
+        z = _evaluate(node.arg, point, memo)
+        bad = abs(z.imag) > 1e-9 * (1.0 + abs(z))
+        if bad is not False:
+            _check(bad, point, "min builtin applied to a non-real value", node)
+        if type(z) is complex:
+            v = complex(min(z.real, node.bound))
+        else:
+            v = np.minimum(z.real, node.bound) + 0j
+    else:
+        raise TypeError(f"unknown node type {type(node).__name__}")
+    memo[key] = v
+    return v
 
 
-def _eval_slot_dd(node: SlotDividedDifference, point: tuple) -> complex:
-    t = len(node.mults)
-    before = point[: node.slot]
-    ys = point[node.slot : node.slot + t]
-    after = point[node.slot + t :]
-    dd_nodes = []
-    for y, m in zip(ys, node.mults):
-        dd_nodes.extend([y] * m)
-
-    def deriv(x, order):
-        section = _diff_n(node.base, node.slot, order)
-        return _eval(section, before + (x,) + after)
-
-    return confluent_divided_difference(deriv, dd_nodes)
+def _check(bad, point: tuple, what: str, node: Node):
+    """Raise :class:`FieldDomainError` at the first point where ``bad`` holds."""
+    if bad is not True and not bad.any():
+        return
+    shape = np.broadcast_shapes(np.shape(bad), *(np.shape(p) for p in point))
+    at = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))), shape)
+    where = tuple(complex(np.broadcast_to(p, shape)[at]) for p in point)
+    raise FieldDomainError(f"{what} in {render(node)} at point {where}")
 
 
-def _eval_proj_kernel(node: ProjKernel, point: tuple) -> complex:
+def _check_finite(value, arg, point: tuple, what: str, node: Node):
+    """A finite argument must give a finite value."""
+    if type(value) is complex:
+        if not cmath.isfinite(value) and cmath.isfinite(arg):
+            _check(True, point, what, node)
+    elif not np.isfinite(value).all():
+        _check(~np.isfinite(value) & np.isfinite(arg), point, what, node)
+
+
+def _evaluate_on(root: Node, point) -> np.ndarray:
+    """Values of ``root`` over the broadcast of the arrays in ``point``."""
+    shape = np.broadcast_shapes(*(p.shape for p in point))
+    with np.errstate(all="ignore"):
+        v = _evaluate(root, tuple(point), {})
+    # a fresh array of the full shape; a bare variable would be an input
+    if type(v) is np.ndarray and v.shape == shape and all(v is not p for p in point):
+        return v
+    return np.full(shape, v, dtype=complex)
+
+
+def _slot_dd(node: SlotDividedDifference, point: tuple):
+    lo, hi = node.slot, node.slot + len(node.mults)
+    cols = np.broadcast_arrays(*point)
+    nodes = np.stack(
+        [y for y, m in zip(cols[lo:hi], node.mults) for _ in range(m)], axis=-1
+    )
+    sections = [node.base]
+
+    def deriv(x, order, mask):
+        while len(sections) <= order:
+            sections.append(_diff(sections[-1], node.slot))
+        if mask is None:
+            lead = (..., None)  # the other variables, against the node axis
+        else:
+            at = np.nonzero(mask)
+            lead, x = at[:-1], x[at]
+        args = [c[lead] for c in cols[:lo]] + [x] + [c[lead] for c in cols[hi:]]
+        return _evaluate_on(sections[order], args)
+
+    return confluent_divided_difference(deriv, nodes)
+
+
+def _proj_kernel(node: ProjKernel, point: tuple):
+    if type(point[0]) is complex:
+        return _proj_kernel_at(node, point)
+    cols = np.broadcast_arrays(*point)
+    values = [_proj_kernel_at(node, z) for z in zip(*(c.ravel().tolist() for c in cols))]
+    return np.array(values, dtype=complex).reshape(cols[0].shape)
+
+
+def _proj_kernel_at(node: ProjKernel, point: tuple) -> complex:
     lam = node.anchor
     others = []
     m = 0
@@ -334,52 +422,55 @@ def _compositions(total: int, parts: int):
 
 
 def divided_difference_levels(deriv, nodes):
-    """All levels of the confluent Newton table over ``nodes``.
+    """All levels of the confluent Newton table, elementwise over points.
 
-    ``deriv(x, m)`` must return the m-th derivative at x. Nodes closer
-    than :data:`CONFLUENCE_TOL` are merged (centroid) before the
-    recursion; within a merged group the table entry is
-    deriv(x, span)/span!. Returns ``(merged_nodes, levels)`` where
-    ``levels[s][i]`` is the difference over merged_nodes[i : i+s+1]; the
-    full divided difference is ``levels[-1][0]``.
+    ``nodes`` has the nodes of one table along its last axis; leading axes
+    index independent tables. Along each table the nodes are sorted (real
+    part, then imaginary part), and nodes within :data:`CONFLUENCE_TOL`
+    (relative) of the head of their group are merged into the group's
+    centroid; a table entry spanning one group is deriv/span!.
+    ``deriv(x, m, mask)`` returns the m-th derivative at ``x[mask]`` as a
+    1-D array, or at every entry of ``x`` when ``mask`` is None; it is
+    asked only where a group is confluent. Returns ``(merged_nodes,
+    levels)`` with ``levels[s][..., i]`` the difference over
+    merged_nodes[..., i : i+s+1]; the full difference is
+    ``levels[-1][..., 0]``.
     """
-    pts = [complex(z) for z in nodes]
-    if not pts:
+    z = np.sort(np.asarray(nodes, dtype=complex), axis=-1)
+    if z.ndim == 0 or z.shape[-1] == 0:
         raise ValueError("divided difference needs at least one node")
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
-    groups: list[list[complex]] = []
-    for i in order:
-        if groups and abs(pts[i] - groups[-1][0]) <= CONFLUENCE_TOL * max(
-            1.0, abs(groups[-1][0])
-        ):
-            groups[-1].append(pts[i])
-        else:
-            groups.append([pts[i]])
-    zs: list[complex] = []
-    gid: list[int] = []
-    for g, members in enumerate(groups):
-        rep = sum(members) / len(members)
-        zs.extend([rep] * len(members))
-        gid.extend([g] * len(members))
+    n = z.shape[-1]
+    with np.errstate(all="ignore"):
+        group = np.zeros(z.shape, dtype=int)
+        head = z[..., 0]
+        for i in range(1, n):
+            same = np.abs(z[..., i] - head) <= CONFLUENCE_TOL * np.maximum(1.0, np.abs(head))
+            group[..., i] = group[..., i - 1] + ~same
+            head = np.where(same, head, z[..., i])
+        member = group[..., :, None] == group[..., None, :]
+        zs = (member * z[..., None, :]).sum(axis=-1) / member.sum(axis=-1)
 
-    n = len(zs)
-    levels = [[deriv(zs[i], 0) for i in range(n)]]
-    for span in range(1, n):
-        nxt = []
-        for i in range(n - span):
-            j = i + span
-            if gid[i] == gid[j]:
-                nxt.append(deriv(zs[i], span) / math.factorial(span))
-            else:
-                nxt.append((levels[-1][i + 1] - levels[-1][i]) / (zs[j] - zs[i]))
-        levels.append(nxt)
+        levels = [np.asarray(deriv(zs, 0, None))]
+        for span in range(1, n):
+            prev = levels[-1]
+            level = (prev[..., 1:] - prev[..., :-1]) / (zs[..., span:] - zs[..., :-span])
+            confluent = group[..., :-span] == group[..., span:]
+            if confluent.any():
+                section = deriv(zs[..., :-span], span, confluent)
+                level[confluent] = section / math.factorial(span)
+            levels.append(level)
     return zs, levels
 
 
-def confluent_divided_difference(deriv, nodes) -> complex:
-    """Divided difference over ``nodes`` of the function behind ``deriv``."""
+def confluent_divided_difference(deriv, nodes):
+    """Divided difference over ``nodes`` of the function behind ``deriv``.
+
+    Arguments as for :func:`divided_difference_levels`; one value per
+    table, a complex for a single table.
+    """
     _, levels = divided_difference_levels(deriv, nodes)
-    return levels[-1][0]
+    value = levels[-1][..., 0]
+    return value if value.ndim else complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +537,6 @@ def _diff_slot_dd(node: SlotDividedDifference, var: int) -> Node:
         _const(node.mults[k]),
         SlotDividedDifference(node.base, node.base_arity, node.slot, bumped),
     )
-
-
-def _diff_n(node: Node, var: int, n: int) -> Node:
-    for _ in range(n):
-        node = _diff(node, var)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +640,20 @@ class ScalarField:
         self.arity = int(arity)
         self.root = root
 
-    def __call__(self, *point) -> complex:
+    def __call__(self, *point):
+        """The value at one point, or elementwise over broadcast arrays.
+
+        With any argument a numpy array, every argument is taken as a
+        complex array and the result is an array of their broadcast shape.
+        """
         if len(point) == 1 and isinstance(point[0], (tuple, list)):
             point = tuple(point[0])
         if len(point) != self.arity:
             raise ValueError(f"field of arity {self.arity} called with {len(point)} arguments")
-        return _eval(self.root, tuple(complex(p) for p in point))
+        for p in point:
+            if isinstance(p, _ndarray):
+                return _evaluate_on(self.root, [np.asarray(p, dtype=complex) for p in point])
+        return _evaluate(self.root, tuple(map(complex, point)), {})
 
     def partial(self, var: int) -> "ScalarField":
         if not 0 <= var < self.arity:
@@ -768,6 +861,10 @@ def derivative_grid(f: ScalarField, spectra) -> dict:
     carries (entries j = 0 .. order-1). Returns a dict mapping
     ``(m_tuple, j_tuple)`` (0-based positions into ``spectra``) to the
     value of (prod_l d_l^{j_l}) f at the eigenvalue tuple.
+
+    Each mixed partial is built and walked once per derivative
+    multi-index j: its tree is evaluated by broadcasting over the
+    eigenvalues whose order exceeds j_l in every variable l.
     """
     if len(spectra) != f.arity:
         raise ValueError(
@@ -796,14 +893,23 @@ def derivative_grid(f: ScalarField, spectra) -> dict:
         partials[jt] = node
         return node
 
+    k = f.arity
     grid: dict[tuple, complex] = {}
-    m_ranges = [range(len(entries)) for entries in per_var]
-    for m_tuple in itertools.product(*m_ranges):
-        lams = tuple(per_var[l][m][0] for l, m in enumerate(m_tuple))
-        j_ranges = [range(per_var[l][m][1]) for l, m in enumerate(m_tuple)]
-        for j_tuple in itertools.product(*j_ranges):
-            node = partial_node(j_tuple)
-            grid[(m_tuple, j_tuple)] = _eval(node, lams)
+    for j_tuple in itertools.product(*(range(r) for r in max_order)):
+        # per variable, the eigenvalues whose order exceeds j_l
+        ms = [
+            [m for m, (_, r) in enumerate(entries) if r > j]
+            for entries, j in zip(per_var, j_tuple)
+        ]
+        axes = [
+            np.array([per_var[l][m][0] for m in ml], dtype=complex).reshape(
+                (-1,) + (1,) * (k - 1 - l)
+            )
+            for l, ml in enumerate(ms)
+        ]
+        values = _evaluate_on(partial_node(j_tuple), axes)
+        keys = zip(itertools.product(*ms), itertools.repeat(j_tuple))
+        grid.update(zip(keys, values.ravel().tolist()))
     return grid
 
 

@@ -211,6 +211,16 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
     assert "non-finite" in err
 
 
+def test_power_overflow_exit_2(tmp_path, capsys):
+    # the 10th derivative of 1/(x1 + 5) holds (x1 + 5)^1024, which overflows
+    m = write_matrix(tmp_path, "j11.json", np.eye(11) + np.eye(11, k=1))
+    code, out, err = run_cli(capsys, ["eval", "--func", "1/(x1+5)", "--mat", m])
+    assert code == 2
+    assert out == ""
+    assert "power overflow" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_argparse_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["eval", "--func", "x1"])

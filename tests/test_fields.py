@@ -1,5 +1,9 @@
 """Expression trees: evaluation, differentiation, parsing, grids."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,9 +11,12 @@ import matfn.scalarfield as sf
 from matfn import (
     FieldDomainError,
     FieldParseError,
+    MatfnError,
     MultiPoly,
     compose,
     derivative_grid,
+    divided_difference_field,
+    first_difference_field,
     merge_variables,
     parse_field,
     poly_to_field,
@@ -213,3 +220,131 @@ def test_kernel_refuses_differentiation():
     u1 = u_function(0.0, 1)
     with pytest.raises(FieldDomainError):
         u1.partial(0)
+
+
+def test_power_overflow_is_a_domain_error():
+    # a finite base whose power is not finite names the point, like exp overflow
+    with pytest.raises(FieldDomainError, match=r"power overflow .* at point \(\(1000\+0j\),\)"):
+        parse_field("x1^400")(1e3)
+    with pytest.raises(FieldDomainError, match="power overflow"):
+        parse_field("x1^-2")(1e-200)
+    with pytest.raises(FieldDomainError, match=r"at point \(\(1000\+0j\),\)"):
+        parse_field("x1^400")(np.array([1.0, 1e3, 2e3]))
+    assert parse_field("x1^400")(np.array([1.0, -1.0])) == pytest.approx([1.0, 1.0])
+
+
+def test_array_evaluation_matches_pointwise():
+    fields = [
+        parse_field("exp(x1)*x2 + x1^3/(x2 + 4) - log(x1 + 3)"),
+        sf.absval(parse_field("x1 - x2")),
+        sf.min_const(parse_field("x1*x2"), 1.5),
+        first_difference_field(parse_field("1/(x1 + x2 + 5)"), 1),
+        u_function(1.0, 2),
+    ]
+    xs = np.array([0.5, 1.0, 2.0])
+    ys = np.array([1.0, 0.25])
+    for f in fields:
+        axes = [xs[:, None], ys[None, :]] + [np.array([[1.0]])] * (f.arity - 2)
+        got = f(*axes)
+        assert got.shape == (3, 2)
+        for (a, x), (b, y) in itertools.product(enumerate(xs), enumerate(ys)):
+            want = f(x, y, *[1.0] * (f.arity - 2))
+            assert got[a, b] == pytest.approx(want, rel=1e-14, abs=1e-300), str(f)
+    # the result is a fresh array, never the caller's own
+    zs = xs + 0j
+    got = sf.variable(0, 1)(zs)
+    got[0] = 7.0
+    assert zs[0] == 0.5
+
+
+def _resolvent_dd(nodes, c, s_derivs=0):
+    """s_derivs-th derivative in c of g[nodes] for g(y) = 1/(y + c), in closed form.
+
+    Divided differences of 1/(y + c) over any node multiset N are
+    (-1)^(|N|-1) / prod (y + c); d/dc of that product follows from its log.
+    """
+    w = [1.0 / (y + c) for y in nodes]
+    value = (-1) ** (len(nodes) - 1) * math.prod(w)
+    s1, s2 = sum(w), sum(x * x for x in w)
+    return value * [1.0, -s1, s1 * s1 + s2][s_derivs]
+
+
+def _assert_grid(grid, want, rel=1e-12):
+    assert set(grid) == set(want)
+    for key, value in want.items():
+        assert abs(grid[key] - value) <= rel * abs(value), (key, grid[key], value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_divided_difference_grid_matches_resolvent_closed_form(n):
+    c = 2.5
+    res = parse_field(f"1/(x1 + {c})")
+    field = divided_difference_field(res, n)
+    near = 0.75 + 4e-11  # closer to 0.75 than CONFLUENCE_TOL: one confluent group
+    spectra = {
+        "distinct": [[(0.75, 1), (-1.0 + 0.5j, 1)], [(1.5, 1)], [(0.25j, 1)], [(2.0, 1)], [(-0.5, 1)]],
+        "repeated": [[(0.75, 2), (-1.0 + 0.5j, 1)]] + [[(0.75, 1), (-1.0 + 0.5j, 1)]] * 4,
+        "near-confluent": [[(0.75, 2), (-1.0, 1)], [(near, 1)], [(0.75, 1), (near, 1)]] * 2,
+    }
+    for label, spectrum in spectra.items():
+        spectrum = spectrum[: n + 1]
+        grid = derivative_grid(field, spectrum)
+        want = {}
+        for m_tuple in itertools.product(*(range(len(s)) for s in spectrum)):
+            entries = [spectrum[l][m] for l, m in enumerate(m_tuple)]
+            for j_tuple in itertools.product(*(range(r) for _, r in entries)):
+                # d^j/dx_t^j repeats node x_t j more times and multiplies by j!
+                nodes = [lam for (lam, _), j in zip(entries, j_tuple) for _ in range(j + 1)]
+                scale = math.prod(math.factorial(j) for j in j_tuple)
+                want[(m_tuple, j_tuple)] = scale * _resolvent_dd(nodes, c)
+        _assert_grid(grid, want)
+
+
+def test_first_difference_middle_slot_grid_matches_closed_form():
+    # h = (x, y0, y1, z) -> f[x, (y0, y1), z] for f = 1/(x + y + z + c): the
+    # difference quotient of g(y) = 1/(y + s) with s = x + z + c, and
+    # d/dx = d/dz = d/ds
+    c = 3.0
+    field = first_difference_field(parse_field(f"1/(x1 + x2 + x3 + {c})"), 1)
+    ys = [(0.5, 2), (-0.25 + 0.5j, 1)]
+    spectrum = [[(0.25, 2), (1.0, 1)], ys, ys, [(-0.5, 2)]]
+    grid = derivative_grid(field, spectrum)
+    want = {}
+    for m_tuple in itertools.product(*(range(len(s)) for s in spectrum)):
+        entries = [spectrum[l][m] for l, m in enumerate(m_tuple)]
+        for j_tuple in itertools.product(*(range(r) for _, r in entries)):
+            (x, _), (y0, _), (y1, _), (z, _) = entries
+            jx, j0, j1, jz = j_tuple
+            nodes = [y0] * (j0 + 1) + [y1] * (j1 + 1)
+            scale = math.factorial(j0) * math.factorial(j1)
+            want[(m_tuple, j_tuple)] = scale * _resolvent_dd(nodes, x + z + c, jx + jz)
+    _assert_grid(grid, want)
+
+
+def test_grid_pole_names_the_one_offending_tuple():
+    # only 1 + 2 + 4 reaches the pole at 7 among the sums of the three spectra
+    f = parse_field("1/(x1 + x2 + x3 - 7)")
+    spectrum = [[(0.0, 1), (1.0, 2)], [(0.0, 2), (2.0, 1)], [(0.0, 1), (4.0, 1)]]
+    with pytest.raises(FieldDomainError, match=r"at point \(\(1\+0j\), \(2\+0j\), \(4\+0j\)\)"):
+        derivative_grid(f, spectrum)
+
+
+def test_array_domain_errors_leak_no_warning():
+    xs = np.array([1.0, 0.0, 1e3])
+    cases = [
+        (parse_field("x1^400"), xs),
+        (parse_field("1/x1"), xs),
+        (sf.log(sf.variable(0, 1)), xs),
+        (sf.exp(parse_field("x1*1e3")), xs),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, x in cases:
+            with pytest.raises(MatfnError):
+                f(x)
+            with pytest.raises(MatfnError):
+                derivative_grid(f, [[(v, 1) for v in x]])
+        # 0/0 at confluent entries of the Newton table is discarded quietly
+        dd = divided_difference_field(parse_field("exp(x1)"), 2)
+        grid = derivative_grid(dd, [[(0.5, 2), (1.0, 1)]] * 3)
+        assert grid[((0, 0, 0), (0, 0, 0))] == pytest.approx(np.exp(0.5) / 2)
