@@ -42,19 +42,12 @@ class ProductCheck:
     scale: float
 
 
-def product_identity_check(
-    f1: ScalarField,
-    f2: ScalarField,
-    mats,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> ProductCheck:
+def product_identity_check(f1: ScalarField, f2: ScalarField, mats) -> ProductCheck:
     """Check (f1 f2)^tensor = f1^tensor f2^tensor in the matrix view."""
     if f1.arity != f2.arity:
         raise ValueError("both fields must have the same arity")
     arrs = [as_square_matrix(M) for M in mats]
-    spectra = [analyze(M, cluster_tol, rank_tol) for M in arrs]
+    spectra = [analyze(M) for M in arrs]
     A = f_otimes(f1, arrs, spectra=spectra).as_matrix()
     B = f_otimes(f2, arrs, spectra=spectra).as_matrix()
     AB = f_otimes(f1 * f2, arrs, spectra=spectra).as_matrix()
@@ -95,15 +88,12 @@ class DerivedSpectrum:
         )
 
 
-def derived_spectrum(
-    f: ScalarField,
-    spectra: list[SpectralData],
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> DerivedSpectrum:
+def derived_spectrum(f: ScalarField, spectra: list[SpectralData]) -> DerivedSpectrum:
     """Values of ``f`` on eigenvalue tuples, with multiplicity bounds.
 
-    ``cluster_tol`` here is relative to the largest value magnitude (or
-    1 if all values are small), mirroring the matrix clustering rule.
+    Values merge within ``DEFAULT_CLUSTER_TOL`` relative to the largest
+    value magnitude (or 1 if all values are small), mirroring the matrix
+    clustering rule.
     """
     if len(spectra) != f.arity:
         raise ValueError(f"field arity {f.arity} but {len(spectra)} spectra given")
@@ -118,7 +108,7 @@ def derived_spectrum(
         raw.append((value, bound, weight))
 
     scale = max(1.0, max(abs(v) for v, _, _ in raw))
-    threshold = cluster_tol * scale
+    threshold = DEFAULT_CLUSTER_TOL * scale
     rows = []
     for g in merge_clusters([v for v, _, _ in raw], threshold):
         value = sum(raw[i][0] for i in g) / len(g)
@@ -144,9 +134,6 @@ def compose_identity_check(
     g: ScalarField,
     inner_fields: list[ScalarField],
     mats_groups: list[list],
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> ComposeCheck:
     """Check g^tensor of the inner matrix views against the flat route.
 
@@ -163,7 +150,7 @@ def compose_identity_check(
         raise ValueError("one matrix group per inner field is required")
     groups = [[as_square_matrix(M) for M in grp] for grp in mats_groups]
     spectra_groups = [
-        [analyze(M, cluster_tol, rank_tol) for M in grp] for grp in groups
+        [analyze(M) for M in grp] for grp in groups
     ]
 
     bars = []
@@ -171,7 +158,7 @@ def compose_identity_check(
     for fq, grp, specs in zip(inner_fields, groups, spectra_groups):
         T = f_otimes(fq, grp, spectra=specs)
         bars.append(T.as_matrix())
-        derived.append(derived_spectrum(fq, specs, cluster_tol))
+        derived.append(derived_spectrum(fq, specs))
     outer_spectra = [ds.as_spectral_data(bar.shape[0]) for ds, bar in zip(derived, bars)]
     lhs = f_otimes(g, bars, spectra=outer_spectra).as_matrix()
 
@@ -199,14 +186,7 @@ class TraceContractCheck:
     scale: float
 
 
-def contract_trace_theorem(
-    f: ScalarField,
-    mats,
-    slot: int,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> TraceContractCheck:
+def contract_trace_theorem(f: ScalarField, mats, slot: int) -> TraceContractCheck:
     """Tracing one slot equals dropping it from the field.
 
     The reduced field is sum_m s_m f(..., lam_m, ...) over the traced
@@ -221,7 +201,7 @@ def contract_trace_theorem(
         raise ValueError(f"slot {slot} out of range")
     if len(arrs) < 2:
         raise ValueError("the trace reduction needs at least two slots")
-    spectra = [analyze(M, cluster_tol, rank_tol) for M in arrs]
+    spectra = [analyze(M) for M in arrs]
     T = f_otimes(f, arrs, spectra=spectra)
     lhs = trace_slot(T, slot)
 
@@ -257,9 +237,6 @@ def contract_equal_slots_theorem(
     mats,
     keep: int,
     drop: int,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> EqualSlotsCheck:
     """Contracting two slots holding the same matrix merges the variables.
 
@@ -275,7 +252,7 @@ def contract_equal_slots_theorem(
         raise ValueError("the kept slot must precede the dropped slot")
     if not np.array_equal(arrs[keep], arrs[drop]):
         raise ValueError("the contracted slots must hold the same matrix entrywise")
-    spectra = [analyze(M, cluster_tol, rank_tol) for M in arrs]
+    spectra = [analyze(M) for M in arrs]
     T = f_otimes(f, arrs, spectra=spectra)
 
     first = contract_pair(T, drop, keep)
@@ -306,22 +283,13 @@ class SwapCheck:
     commutator_norm: float
 
 
-def commuting_swap_check(
-    f: ScalarField,
-    mats,
-    p: int,
-    q: int,
-    *,
-    commute_tol: float = 1e-10,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SwapCheck:
+def commuting_swap_check(f: ScalarField, mats, p: int, q: int) -> SwapCheck:
     """For commuting arguments the two mixed contractions agree.
 
     Contracting up(p) against down(q) and up(q) against down(p) give the
     same tensor when [M_p, M_q] = 0. A commutator above
-    ``commute_tol * scale`` is an input error, reported with the measured
-    norm.
+    ``DEFAULT_RANK_TOL * scale``, the relative zero of the rank test, is
+    an input error, reported with the measured norm.
     """
     arrs = [as_square_matrix(M) for M in mats]
     if f.arity != len(arrs):
@@ -333,12 +301,12 @@ def commuting_swap_check(
     comm = arrs[p] @ arrs[q] - arrs[q] @ arrs[p]
     comm_norm = float(np.linalg.norm(comm))
     scale = max(1.0, hs_norm(arrs[p]) * hs_norm(arrs[q]))
-    if comm_norm > commute_tol * scale:
+    if comm_norm > DEFAULT_RANK_TOL * scale:
         raise ValueError(
             f"arguments do not commute: ||[M_p, M_q]|| = {comm_norm:.3e} "
-            f"exceeds {commute_tol:.1e} * {scale:.3e}"
+            f"exceeds {DEFAULT_RANK_TOL:.1e} * {scale:.3e}"
         )
-    spectra = [analyze(M, cluster_tol, rank_tol) for M in arrs]
+    spectra = [analyze(M) for M in arrs]
     T = f_otimes(f, arrs, spectra=spectra)
     first = contract_pair(T, q, p)
     second = contract_pair(T, p, q)

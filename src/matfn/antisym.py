@@ -17,12 +17,7 @@ import numpy as np
 
 from .funcalc import f_otimes
 from .scalarfield import ScalarField
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_RANK_TOL,
-    analyze,
-    as_square_matrix,
-)
+from .spectral import analyze, as_square_matrix
 from .tensor import OperatorTensor, from_matrix
 
 
@@ -74,27 +69,20 @@ def antisym_projector(dim: int, k: int) -> OperatorTensor:
     return from_matrix(B @ B.conj().T, (dim,) * k)
 
 
-def _wedge_block(f: ScalarField, A: np.ndarray, k: int, cluster_tol, rank_tol):
+def _wedge_block(f: ScalarField, A: np.ndarray, k: int):
     """B^H T B: the extension T of f at k copies of A, on the wedge basis B.
 
     The projector is B B^H and fixes B, so this is also B^H Pi T Pi B.
     """
     if f.arity != k:
         raise ValueError(f"field arity {f.arity} does not match k = {k}")
-    sd = analyze(A, cluster_tol, rank_tol)
+    sd = analyze(A)
     T = f_otimes(f, [A] * k, spectra=[sd] * k)
     B = wedge_basis(A.shape[0], k)
     return B.conj().T @ T.as_matrix() @ B
 
 
-def distinct_tuple_sum(
-    f: ScalarField,
-    M,
-    k: int,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> complex:
+def distinct_tuple_sum(f: ScalarField, M, k: int) -> complex:
     """sum of f over k-tuples of distinct eigenvalue indices of M.
 
     Eigenvalues are counted with algebraic multiplicity and the indices,
@@ -104,18 +92,11 @@ def distinct_tuple_sum(
     :func:`wedge_basis`; 0 for k > dim.
     """
     A = as_square_matrix(M)
-    W = _wedge_block(f, A, k, cluster_tol, rank_tol)
+    W = _wedge_block(f, A, k)
     return math.factorial(k) * complex(np.trace(W))
 
 
-def wedge_restrict(
-    f: ScalarField,
-    M,
-    k: int,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> np.ndarray:
+def wedge_restrict(f: ScalarField, M, k: int) -> np.ndarray:
     """Matrix of the projected extension on the antisymmetric subspace.
 
     Rows and columns follow the lexicographic increasing-tuple basis of
@@ -126,7 +107,7 @@ def wedge_restrict(
     A = as_square_matrix(M)
     if k > A.shape[0]:
         raise ValueError(f"k = {k} exceeds the dimension {A.shape[0]}")
-    return _wedge_block(f, A, k, cluster_tol, rank_tol)
+    return _wedge_block(f, A, k)
 
 
 def det_from_traces(M) -> complex:

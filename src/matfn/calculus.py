@@ -24,13 +24,7 @@ from .scalarfield import (
     SlotDividedDifference,
     divided_difference_levels,
 )
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_RANK_TOL,
-    analyze,
-    as_square_matrix,
-    hs_norm,
-)
+from .spectral import analyze, as_square_matrix, cluster_threshold
 from .tensor import OperatorTensor, contract_adjacent_through
 
 
@@ -117,15 +111,7 @@ def doubled_node_difference_field(f: ScalarField, n: int, double_at: int) -> Sca
 # directional and curve derivatives
 
 
-def frechet_derivative(
-    f: ScalarField,
-    mats,
-    slot: int,
-    H,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> OperatorTensor:
+def frechet_derivative(f: ScalarField, mats, slot: int, H) -> OperatorTensor:
     """Derivative of the tensor extension in one slot along H.
 
     Built as the tensor extension of the difference quotient in that
@@ -142,22 +128,13 @@ def frechet_derivative(
         raise ValueError("direction must match the differentiated slot's shape")
     g = first_difference_field(f, slot)
     doubled = arrs[: slot + 1] + [arrs[slot]] + arrs[slot + 1 :]
-    data = [analyze(M, cluster_tol, rank_tol) for M in arrs]
+    data = [analyze(M) for M in arrs]
     spectra = data[: slot + 1] + [data[slot]] + data[slot + 1 :]
     T = f_otimes(g, doubled, spectra=spectra)
     return contract_adjacent_through(T, slot, Hm)
 
 
-def nth_derivative_curve(
-    f: ScalarField,
-    M,
-    H,
-    n: int,
-    at: float = 0.0,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> np.ndarray:
+def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.ndarray:
     """d^n/dz^n f(M + zH) at z = ``at``, for a one-variable field.
 
     n! times the extension of the n-th divided-difference field of f at
@@ -170,7 +147,7 @@ def nth_derivative_curve(
         raise ValueError("derivative order must be nonnegative")
     A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
     Hm = as_square_matrix(H, "direction")
-    sd = analyze(A, cluster_tol, rank_tol)
+    sd = analyze(A)
     if n == 0:
         T = f_otimes(f, [A], spectra=[sd])
         return np.asarray(T.data)
@@ -181,16 +158,7 @@ def nth_derivative_curve(
     return math.factorial(n) * np.asarray(T.data)
 
 
-def trace_derivative(
-    f: ScalarField,
-    M,
-    H,
-    n: int,
-    at: float = 0.0,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> complex:
+def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
     """d^n/dz^n Tr f(M + zH) at z = ``at``.
 
     Uses the n-argument field with one doubled node instead of the full
@@ -203,7 +171,7 @@ def trace_derivative(
         raise ValueError("derivative order must be nonnegative")
     A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
     Hm = as_square_matrix(H, "direction")
-    sd = analyze(A, cluster_tol, rank_tol)
+    sd = analyze(A)
     if n == 0:
         T = f_otimes(f, [A], spectra=[sd])
         return complex(np.trace(T.data))
@@ -225,22 +193,23 @@ def u_function(anchor: complex, n: int) -> ScalarField:
     A symmetric function of n + 1 arguments attached to one eigenvalue.
     With m of the arguments equal to ``anchor`` and the others z_h, the
     value is the (m-1)-st Taylor coefficient of prod_h 1/(z - z_h) at the
-    anchor, and 0 when m = 0. Arguments within 1e-10 of the anchor
-    without being equal to it are rejected as ambiguous.
+    anchor, and 0 when m = 0. Arguments confluent with the anchor (see
+    :func:`~matfn.scalarfield.confluent`) without being equal to it are
+    rejected as ambiguous.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     return ScalarField(n + 1, ProjKernel(complex(anchor), n))
 
 
-def _simple_spectrum_frame(A, cluster_tol, rank_tol):
-    sd = analyze(A, cluster_tol, rank_tol)
+def _simple_spectrum_frame(A):
+    sd = analyze(A)
     if any(s != 1 for s in sd.alg_mult):
         raise SpectralError(
             f"perturbation series needs a simple spectrum; multiplicities {sd.alg_mult}"
         )
     lams = sd.eigenvalues
-    threshold = cluster_tol * hs_norm(A)
+    threshold = cluster_threshold(A)
     gap = min(
         abs(a - b) for a, b in itertools.combinations(lams, 2)
     ) if len(lams) > 1 else math.inf
@@ -260,16 +229,7 @@ def _simple_spectrum_frame(A, cluster_tol, rank_tol):
     return lams, projs
 
 
-def projector_derivative(
-    M,
-    H,
-    which: int,
-    n: int,
-    at: float = 0.0,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> np.ndarray:
+def projector_derivative(M, H, which: int, n: int, at: float = 0.0) -> np.ndarray:
     """d^n/dz^n of the spectral projector of the ``which``-th eigenvalue.
 
     Taken along M + zH at z = ``at``; eigenvalues are indexed in the
@@ -279,7 +239,7 @@ def projector_derivative(
     """
     A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
     Hm = as_square_matrix(H, "direction")
-    lams, projs = _simple_spectrum_frame(A, cluster_tol, rank_tol)
+    lams, projs = _simple_spectrum_frame(A)
     if not 0 <= which < len(lams):
         raise ValueError(f"eigenvalue index {which} out of range")
     return _projector_series(lams, projs, Hm, which, n)
@@ -306,16 +266,7 @@ def _projector_series(lams, projs, Hm, which: int, n: int) -> np.ndarray:
     return math.factorial(n) * total
 
 
-def eigenvalue_derivative(
-    M,
-    H,
-    which: int,
-    n: int,
-    at: float = 0.0,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> complex:
+def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
     """d^n/dz^n of the ``which``-th eigenvalue along M + zH at z = ``at``.
 
     Requires a simple spectrum. Order n >= 1 is the trace of the order
@@ -325,7 +276,7 @@ def eigenvalue_derivative(
     """
     A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
     Hm = as_square_matrix(H, "direction")
-    lams, projs = _simple_spectrum_frame(A, cluster_tol, rank_tol)
+    lams, projs = _simple_spectrum_frame(A)
     if not 0 <= which < len(lams):
         raise ValueError(f"eigenvalue index {which} out of range")
     if n == 0:

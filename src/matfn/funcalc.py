@@ -25,13 +25,7 @@ import numpy as np
 from .errors import FieldDomainError, NotDiagonalizableError
 from .interp import hermite_basis, interpolate
 from .scalarfield import ScalarField, derivative_grid
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_RANK_TOL,
-    SpectralData,
-    analyze,
-    as_square_matrix,
-)
+from .spectral import SpectralData, analyze, as_square_matrix
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
 
 _LETTERS = string.ascii_letters
@@ -50,8 +44,6 @@ def f_otimes(
     f: ScalarField,
     mats,
     *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
     spectra: list[SpectralData] | None = None,
     extra_multiplicity: int = 0,
 ) -> OperatorTensor:
@@ -60,13 +52,14 @@ def f_otimes(
     ``spectra`` overrides the per-slot eigenvalue analysis; pass it when
     the spectra are known exactly or are over-provisioned upper bounds
     (matching on a finer grid still yields the same tensor, it only asks
-    more smoothness of ``f``). ``extra_multiplicity`` pads every grid
-    order, which changes the interpolant but must not change the result;
-    the invariance tests rely on that knob.
+    more smoothness of ``f``), or to loosen the spectral decision, e.g.
+    ``spectra=[analyze(M, cluster_tol=1e-4)]``. ``extra_multiplicity``
+    pads every grid order, which changes the interpolant but must not
+    change the result; the invariance tests rely on that knob.
     """
     arrs = _slot_matrices(f, mats)
     if spectra is None:
-        data = [analyze(M, cluster_tol, rank_tol) for M in arrs]
+        data = [analyze(M) for M in arrs]
     else:
         data = list(spectra)
         if len(data) != len(arrs):
@@ -88,13 +81,7 @@ def f_otimes(
     return poly_tensor_eval(poly, arrs)
 
 
-def f_otimes_diagonalizable(
-    f: ScalarField,
-    mats,
-    *,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> OperatorTensor:
+def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
     """Eigenbasis route: T = sum_m f(lam_m) prod_l v_{l m_l} (x) w_{l m_l}.
 
     Every argument must be diagonalizable; defective input raises
@@ -104,7 +91,7 @@ def f_otimes_diagonalizable(
     """
     arrs = _slot_matrices(f, mats)
     for l, M in enumerate(arrs):
-        sd = analyze(M, cluster_tol, rank_tol)
+        sd = analyze(M)
         if not sd.is_diagonalizable:
             raise NotDiagonalizableError(
                 f"slot {l} matrix has minimal multiplicities {sd.min_mult}; "
@@ -230,28 +217,14 @@ def chain_contract(T: OperatorTensor):
     return np.asarray(out.data)
 
 
-def matrix_function(
-    f: ScalarField,
-    M,
-    *,
-    route: str = "interp",
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    spectra: SpectralData | None = None,
-) -> np.ndarray:
+def matrix_function(f: ScalarField, M, *, route: str = "interp") -> np.ndarray:
     """f(M) for a one-variable field; thin wrapper over the tensor routes."""
     if f.arity != 1:
         raise ValueError("matrix_function needs a one-variable field")
     if route == "interp":
-        T = f_otimes(
-            f,
-            [M],
-            cluster_tol=cluster_tol,
-            rank_tol=rank_tol,
-            spectra=None if spectra is None else [spectra],
-        )
+        T = f_otimes(f, [M])
     elif route == "diag":
-        T = f_otimes_diagonalizable(f, [M], cluster_tol=cluster_tol, rank_tol=rank_tol)
+        T = f_otimes_diagonalizable(f, [M])
     else:
         raise ValueError(f"unknown route {route!r}")
     return np.asarray(T.data)

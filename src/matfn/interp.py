@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InterpolationError
-from .scalarfield import MultiPoly
-
-#: Distinct nodes closer than this cannot be told apart reliably by the
-#: confluent Vandermonde system; merging them (one node, higher order) is
-#: the caller's decision to make.
-NODE_SEPARATION_LIMIT = 1e-12
+from .scalarfield import MultiPoly, confluent
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,15 @@ def _confluent_vandermonde(nodes) -> np.ndarray:
 
 
 def hermite_basis(nodes) -> HermiteBasis:
-    """Solve for the dual basis on ``nodes`` = [(value, order), ...]."""
+    """Solve for the dual basis on ``nodes`` = [(value, order), ...].
+
+    Distinct nodes that are :func:`~matfn.scalarfield.confluent` with
+    floor 0.01 are rejected; merging them (one node, higher order) is the
+    caller's decision. The floor keeps the window absolute, 1e-12, only
+    near zero, so the well-separated spectrum of a small matrix is
+    accepted; the divided difference tables may still take such a pair as
+    one node, and the grid then holds the derivative at its centroid.
+    """
     cleaned = []
     for lam, r in nodes:
         r = int(r)
@@ -74,10 +77,9 @@ def hermite_basis(nodes) -> HermiteBasis:
     if not cleaned:
         raise ValueError("at least one node is required")
     for (a, _), (b, _) in itertools.combinations(cleaned, 2):
-        if abs(a - b) < NODE_SEPARATION_LIMIT:
+        if confluent(a, b, floor=0.01):
             raise InterpolationError(
-                f"nodes {a} and {b} are closer than {NODE_SEPARATION_LIMIT}; "
-                "merge them into one node of higher order"
+                f"nodes {a} and {b} are confluent; merge them into one node of higher order"
             )
     A = _confluent_vandermonde(cleaned)
     n_total = A.shape[0]

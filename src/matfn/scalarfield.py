@@ -26,8 +26,26 @@ import numpy as np
 
 from .errors import FieldDomainError, FieldParseError
 
-#: Nodes of a divided difference closer than this are treated as one node.
+#: Nodes closer than this (relative, see :func:`confluent`) are one node.
 CONFLUENCE_TOL = 1e-10
+
+
+def confluent(a, b, floor=1.0):
+    """Whether nodes ``a`` and ``b`` count as one node, elementwise on arrays.
+
+    The rule is |a - b| <= CONFLUENCE_TOL * max(floor, |a|, |b|), spelt
+    out without ``max`` so that scalars stay Python scalars: relative above
+    magnitude ``floor``, absolute below it. The divided difference tables
+    and the projector kernel ask it with floor 1, the unit of the field's
+    argument, since a difference quotient of nodes closer than that loses
+    eps/gap of its digits. The interpolation basis is unchanged by scaling
+    its nodes, so :func:`~matfn.interp.hermite_basis` asks with a smaller
+    floor; at magnitude 1 and above all three agree.
+    """
+    gap = abs(a - b)
+    return (gap <= CONFLUENCE_TOL * floor) | (gap <= CONFLUENCE_TOL * abs(a)) | (
+        gap <= CONFLUENCE_TOL * abs(b)
+    )
 
 
 class Node:
@@ -384,10 +402,10 @@ def _proj_kernel_at(node: ProjKernel, point: tuple) -> complex:
         if z == lam:
             m += 1
             continue
-        if abs(z - lam) < CONFLUENCE_TOL:
+        if confluent(z, lam):
             raise FieldDomainError(
-                f"kernel argument {z} is within {CONFLUENCE_TOL} of the anchor "
-                f"{lam} but not equal to it; ambiguous confluence"
+                f"kernel argument {z} is confluent with the anchor {lam} "
+                "but not equal to it; ambiguous confluence"
             )
         others.append(z)
     if m == 0:
@@ -426,9 +444,9 @@ def divided_difference_levels(deriv, nodes):
 
     ``nodes`` has the nodes of one table along its last axis; leading axes
     index independent tables. Along each table the nodes are sorted (real
-    part, then imaginary part), and nodes within :data:`CONFLUENCE_TOL`
-    (relative) of the head of their group are merged into the group's
-    centroid; a table entry spanning one group is deriv/span!.
+    part, then imaginary part), and nodes :func:`confluent` with the head
+    of their group are merged into the group's centroid; a table entry
+    spanning one group is deriv/span!.
     ``deriv(x, m, mask)`` returns the m-th derivative at ``x[mask]`` as a
     1-D array, or at every entry of ``x`` when ``mask`` is None; it is
     asked only where a group is confluent. Returns ``(merged_nodes,
@@ -444,7 +462,7 @@ def divided_difference_levels(deriv, nodes):
         group = np.zeros(z.shape, dtype=int)
         head = z[..., 0]
         for i in range(1, n):
-            same = np.abs(z[..., i] - head) <= CONFLUENCE_TOL * np.maximum(1.0, np.abs(head))
+            same = confluent(z[..., i], head)
             group[..., i] = group[..., i - 1] + ~same
             head = np.where(same, head, z[..., i])
         member = group[..., :, None] == group[..., None, :]
@@ -454,10 +472,10 @@ def divided_difference_levels(deriv, nodes):
         for span in range(1, n):
             prev = levels[-1]
             level = (prev[..., 1:] - prev[..., :-1]) / (zs[..., span:] - zs[..., :-span])
-            confluent = group[..., :-span] == group[..., span:]
-            if confluent.any():
-                section = deriv(zs[..., :-span], span, confluent)
-                level[confluent] = section / math.factorial(span)
+            spans_group = group[..., :-span] == group[..., span:]
+            if spans_group.any():
+                section = deriv(zs[..., :-span], span, spans_group)
+                level[spans_group] = section / math.factorial(span)
             levels.append(level)
     return zs, levels
 

@@ -15,7 +15,13 @@ import numpy as np
 from .errors import SpectralError
 from .scalarfield import MultiPoly
 
+#: Eigenvalues within this times ||M||_F are one (:func:`cluster_threshold`);
+#: ``derived_spectrum`` merges its values with the same relative tolerance.
 DEFAULT_CLUSTER_TOL = 1e-8
+#: The package's relative zero. The rank ladder counts singular values of
+#: (M - c I)^j below this times sigma_max^j as zero, and
+#: ``commuting_swap_check`` counts a commutator below this times
+#: ||M_p|| ||M_q|| as zero; changing it moves both decisions.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -94,70 +100,64 @@ def merge_clusters(values, threshold: float) -> list[list[int]]:
     return groups
 
 
-def eigen_cluster(M, tol: float = DEFAULT_CLUSTER_TOL) -> tuple[tuple[complex, ...], tuple[int, ...]]:
-    """Cluster the computed eigenvalues of ``M``.
+def cluster_threshold(A, tol: float = DEFAULT_CLUSTER_TOL) -> float:
+    """Distance within which eigenvalues of ``A`` are one: ``tol * ||A||_HS``."""
+    return float(tol) * hs_norm(A)
 
-    ``tol`` is relative: two eigenvalues belong to one cluster when their
-    distance is at most ``tol * ||M||_HS``. Clusters are merged until the
-    centroids are pairwise farther apart than that threshold, each
-    centroid weighted by its multiplicity, and the result is sorted by
-    (real, imag).
+
+def _clusters(A: np.ndarray, tol: float) -> list[tuple[complex, int, float]]:
+    """(centroid, count, radius) of each eigenvalue cluster, sorted by (real, imag).
+
+    The radius is the largest distance of a member from its centroid.
     """
-    A = as_square_matrix(M)
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(
             f"eigenvalue iteration failed for matrix\n{_describe(A)}"
         ) from exc
-    threshold = float(tol) * hs_norm(A)
-
-    groups = merge_clusters(w, threshold)
-    pairs = sorted(
-        ((sum(w[i] for i in g) / len(g), len(g)) for g in groups),
-        key=lambda p: (p[0].real, p[0].imag),
-    )
-    values = tuple(complex(v) for v, _ in pairs)
-    counts = tuple(int(n) for _, n in pairs)
-    return values, counts
+    rows = []
+    for g in merge_clusters(w, cluster_threshold(A, tol)):
+        c = complex(sum(w[i] for i in g) / len(g))
+        rows.append((c, len(g), max(abs(w[i] - c) for i in g)))
+    return sorted(rows, key=lambda p: (p[0].real, p[0].imag))
 
 
-def minimal_multiplicities(
-    M, eigenvalues, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[int, ...]:
-    """Multiplicity of each eigenvalue in the minimal polynomial.
+def _rank_ladder(A: np.ndarray, clusters, rank_tol: float) -> tuple[int, ...]:
+    """Minimal multiplicity of each (centroid, radius) pair in ``clusters``.
 
-    For each eigenvalue the rank of (M - lam I)^j is tracked until it
+    For each centroid c the rank of (A - c I)^j is tracked until it
     stabilizes; the first stable power is the multiplicity. Ranks count
-    singular values above ``rank_tol * sigma_max(M - lam I)^j``, the scale
-    a j-fold product can reach, so that numerically nilpotent powers read
-    as rank zero. A singular value within a factor 10 of the threshold
+    singular values above ``rank_tol * sigma_max(A - c I)^j``, the scale a
+    j-fold product can reach, so that numerically nilpotent powers read as
+    rank zero. A singular value within a factor 10 of the threshold
     triggers a warning since the decision is then fragile.
     """
-    A = as_square_matrix(M)
     d = A.shape[0]
     out = []
-    for lam in eigenvalues:
+    for lam, radius in clusters:
         B = A - complex(lam) * np.eye(d)
-        sigma1 = float(np.linalg.svd(B, compute_uv=False)[0]) if d else 0.0
+        s = np.linalg.svd(B, compute_uv=False)
+        sigma1 = float(s[0])
         if sigma1 == 0.0:
             out.append(1)  # B = 0, the eigenvalue is the whole spectrum
             continue
 
-        def rank_of(P, j):
-            s = np.linalg.svd(P, compute_uv=False)
-            thr = rank_tol * sigma1**j
+        def rank_of(s, j):
+            # A cluster of spread ``radius`` is one eigenvalue, so its own
+            # singular values, about radius^j at power j, count as zero.
+            thr = max(rank_tol * sigma1**j, (100 * radius) ** j)
             fragile = np.any((s > thr / 10) & (s < thr * 10))
             if fragile:
                 warnings.warn(
                     f"rank decision for eigenvalue {lam} at power {j} is within "
                     f"10x of the threshold {thr:.3e}",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
             return int(np.count_nonzero(s > thr))
 
-        prev = rank_of(B, 1)
+        prev = rank_of(s, 1)
         if prev == d:
             raise SpectralError(
                 f"{lam} is not an eigenvalue of the matrix (full-rank shift)"
@@ -166,7 +166,7 @@ def minimal_multiplicities(
         r = None
         for j in range(1, d + 1):
             P = P @ B
-            cur = rank_of(P, j + 1)
+            cur = rank_of(np.linalg.svd(P, compute_uv=False), j + 1)
             if cur == prev:
                 r = j
                 break
@@ -180,13 +180,28 @@ def analyze(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> SpectralData:
-    """Cluster the spectrum and attach minimal-polynomial multiplicities."""
+    """Cluster the spectrum and attach minimal-polynomial multiplicities.
+
+    This is the one place where the package decides what counts as a
+    single eigenvalue; every other routine takes that decision from here
+    or from ``spectra=`` data built with it. The rank threshold of a
+    cluster is at least (100 radius)^j at power j; since the smallest
+    singular value of M - c I is at most the radius, a merged cluster
+    always reads as an eigenvalue. A cluster whose rank ladder still
+    exceeds its algebraic multiplicity raises :class:`SpectralError`.
+    """
     A = as_square_matrix(M)
-    values, counts = eigen_cluster(A, cluster_tol)
-    mins = minimal_multiplicities(A, values, rank_tol)
+    rows = _clusters(A, cluster_tol)
+    mins = _rank_ladder(A, [(c, radius) for c, _, radius in rows], rank_tol)
+    for (lam, s, _), r in zip(rows, mins):
+        if r > s:
+            raise SpectralError(
+                f"cluster at {lam:.6g} holds {s} eigenvalue(s) but its rank ladder "
+                f"gives minimal multiplicity {r}; a defective eigenvalue was split"
+            )
     return SpectralData(
-        eigenvalues=values,
-        alg_mult=counts,
+        eigenvalues=tuple(c for c, _, _ in rows),
+        alg_mult=tuple(n for _, n, _ in rows),
         min_mult=mins,
         dim=A.shape[0],
     )

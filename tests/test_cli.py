@@ -221,6 +221,29 @@ def test_power_overflow_exit_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_close_eigenvalues_are_one_cluster(tmp_path, capsys):
+    lams = [0.6, 0.6 + 1e-9, 2.0]
+    m = write_matrix(tmp_path, "close.json", np.diag(lams))
+    code, out, _ = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m, "--as-matrix"])
+    assert code == 0
+    got = fileio.matrix_from_obj(json.loads(out))
+    assert np.max(np.abs(got - np.diag(np.exp(lams)))) <= 1e-8
+
+
+def test_split_defective_eigenvalue_exit_2(tmp_path, capsys):
+    M = np.eye(5, dtype=complex) + np.eye(5, k=1)
+    M[3, 4] = 0.0
+    M[4, 4] = 2.5
+    M[3, 0] = 1e-14
+    m = write_matrix(tmp_path, "j4.json", M)
+    with pytest.warns(RuntimeWarning, match="within 10x"):
+        code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_argparse_error_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["eval", "--func", "x1"])

@@ -214,6 +214,11 @@ def test_projector_kernel_rejects_near_miss():
     u1 = u_function(1.0, 1)
     with pytest.raises(FieldDomainError):
         u1(1.0, 1.0 + 1e-13)
+    # the confluence window scales with the anchor above magnitude 1
+    u20 = u_function(20.0, 1)
+    with pytest.raises(FieldDomainError, match="confluent"):
+        u20(20.0, 20.0 + 1e-9)
+    assert u20(20.0, 20.0 + 3e-9) == pytest.approx(-1.0 / 3e-9)
 
 
 def test_kernel_refuses_differentiation():

@@ -9,6 +9,7 @@ from matfn import (
     analyze,
     apply_vectors,
     chain_contract,
+    divided_difference_field,
     f_otimes,
     f_otimes_diagonalizable,
     jordan_closed_form,
@@ -170,6 +171,32 @@ def test_explicit_spectra_override():
     f = parse_field("x1^2")
     a = f_otimes(f, [A], spectra=[sd])
     assert np.allclose(a.data, np.diag([1.0, 4.0]), atol=1e-12)
+
+
+def test_spectra_override_loosens_the_spectral_decision():
+    # the conjugated J3(1) of test_spectral splits by about 1e-5; a looser
+    # analysis passed through spectra= recovers the defective eigenvalue
+    own = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(own.normal(size=(3, 3)))
+    M = Q @ jordan_matrix([(1.0, 3)]) @ Q.T
+    T = f_otimes(parse_field("exp(x1)"), [M], spectra=[analyze(M, cluster_tol=1e-4)])
+    expJ = np.e * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+    assert np.max(np.abs(T.as_matrix() - Q @ expJ @ Q.T)) <= 1e-8
+
+
+def test_small_matrix_keeps_its_spectrum():
+    # 1e-11 * diag(1, 2): two clusters 1e-11 apart, far beyond the cluster
+    # threshold; the plain field takes f at each node and the difference
+    # quotient field the derivative at the merged centroid
+    lams = np.array([1e-11, 2e-11])
+    M = np.diag(lams)
+    T = f_otimes(parse_field("exp(x1)"), [M])
+    assert np.max(np.abs(T.as_matrix() - np.diag(np.exp(lams)))) <= 1e-15
+    dd = divided_difference_field(parse_field("exp(x1)"), 1)
+    U = f_otimes(dd, [M, M]).as_matrix()
+    a, b = np.meshgrid(lams, lams, indexing="ij")
+    want = np.exp((a + b) / 2)  # exp[a, b] to within (b - a)^2 / 24
+    assert np.max(np.abs(U - np.diag(want.ravel()))) <= 1e-15
 
 
 def test_matrix_function_routes_agree():

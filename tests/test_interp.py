@@ -10,6 +10,37 @@ from matfn import (
     interpolate,
     parse_field,
 )
+from matfn.scalarfield import CONFLUENCE_TOL, divided_difference_levels
+
+
+def _exp_deriv(x, m, mask):
+    return np.exp(x if mask is None else x[mask])
+
+
+@pytest.mark.parametrize("base", [1.0, 2.0, -3.0 + 4.0j])
+def test_close_nodes_rejected_exactly_where_tables_merge(base):
+    # from magnitude 1 up both windows are CONFLUENCE_TOL relative
+    window = CONFLUENCE_TOL * abs(base)
+    for factor, inside in [(0.5, True), (0.99, True), (1.01, False), (2.0, False)]:
+        nodes = [base, base + factor * window]
+        zs, _ = divided_difference_levels(_exp_deriv, np.array(nodes, dtype=complex))
+        assert (zs[0] == zs[1]) == inside
+        if inside:
+            with pytest.raises(InterpolationError, match="confluent"):
+                hermite_basis([(z, 1) for z in nodes])
+        else:
+            assert hermite_basis([(z, 1) for z in nodes]).size == 2
+
+
+def test_small_well_separated_nodes_are_accepted():
+    # the spectrum of 1e-11 * diag(1, 2): the tables merge it (absolute
+    # window below magnitude 1), the basis is unchanged by scaling its
+    # nodes and keeps them apart
+    nodes = [1e-11, 2e-11]
+    zs, _ = divided_difference_levels(_exp_deriv, np.array(nodes, dtype=complex))
+    assert zs[0] == zs[1]
+    basis = hermite_basis([(z, 1) for z in nodes])
+    assert np.allclose(basis.coeff[:, 0] * [1, 1e-11], [2.0, -1.0])
 
 
 def test_lagrange_pair():

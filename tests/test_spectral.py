@@ -1,5 +1,7 @@
 """Clustered spectra and minimal-polynomial multiplicities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,10 @@ from matfn import (
     SpectralData,
     SpectralError,
     analyze,
-    eigen_cluster,
-    minimal_multiplicities,
     minimal_polynomial,
 )
 from matfn.funcalc import jordan_matrix
+from matfn.spectral import DEFAULT_RANK_TOL, _rank_ladder
 
 
 def companion(coeffs):
@@ -28,11 +29,11 @@ def test_cluster_merges_defective_double_root():
     # companion matrix split the double root by a few 1e-8, which the
     # scale-relative threshold absorbs
     C = companion([-3.0, 7.0, -5.0])
-    values, counts = eigen_cluster(C, tol=1e-8)
-    assert len(values) == 2
-    assert values[0] == pytest.approx(1.0, abs=1e-7)
-    assert values[1] == pytest.approx(3.0, abs=1e-7)
-    assert counts == (2, 1)
+    data = analyze(C)
+    assert len(data.eigenvalues) == 2
+    assert data.eigenvalues[0] == pytest.approx(1.0, abs=1e-7)
+    assert data.eigenvalues[1] == pytest.approx(3.0, abs=1e-7)
+    assert data.alg_mult == (2, 1)
 
 
 def test_minimal_multiplicities_companion():
@@ -81,17 +82,41 @@ def test_conjugated_jordan_needs_looser_clustering():
     assert data.min_mult == (3,)
 
 
+def test_merged_cluster_is_one_eigenvalue():
+    # 1e-9 apart is inside the cluster threshold 1e-8 * ||M||; the rank
+    # ladder admits the cluster's own spread, so the centroid is an
+    # eigenvalue of multiplicity one, decided without a fragility warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = analyze(np.diag([0.6, 0.6 + 1e-9, 2.0]))
+    assert data.alg_mult == (2, 1)
+    assert data.min_mult == (1, 1)
+    assert data.eigenvalues[0] == pytest.approx(0.6, abs=1e-9)
+
+
+def test_split_defective_eigenvalue_is_a_spectral_error():
+    # 1e-14 in the corner of J4(1) splits it into four eigenvalues about
+    # 3e-4 apart; each stays its own cluster and its rank ladder reads 2
+    M = jordan_matrix([(1.0, 4), (2.5, 1)])
+    M[3, 0] = 1e-14
+    with pytest.warns(RuntimeWarning, match="within 10x"):
+        with pytest.raises(SpectralError, match="holds 1 eigenvalue.*multiplicity 2"):
+            analyze(M)
+
+
 def test_minimal_multiplicities_rejects_non_eigenvalue():
-    with pytest.raises(SpectralError):
-        minimal_multiplicities(np.diag([1.0, 2.0]), [5.0])
+    # the rank ladder's guard: a centroid where M - c I has full rank
+    A = np.diag([1.0, 2.0]).astype(complex)
+    with pytest.raises(SpectralError, match="not an eigenvalue"):
+        _rank_ladder(A, [(5.0, 0.0)], DEFAULT_RANK_TOL)
 
 
 def test_eigen_cluster_swap_matrix():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
-    vals, counts = eigen_cluster(M, tol=1e-8)
-    assert counts == (1, 1)
-    assert vals[0] == pytest.approx(-1.0)
-    assert vals[1] == pytest.approx(1.0)
+    data = analyze(M)
+    assert data.alg_mult == (1, 1)
+    assert data.eigenvalues[0] == pytest.approx(-1.0)
+    assert data.eigenvalues[1] == pytest.approx(1.0)
 
 
 def test_spectral_data_invariants():
