@@ -5,14 +5,17 @@ the x1, x2, ... variable names in field expressions; the library itself
 counts from 0. JSON results go to stdout, notes and errors to stderr.
 
 Exit codes: 0 success, 1 bad input (unparsable field, malformed file,
-out-of-range slot), 2 numerical failure (clustering, interpolation or
-domain trouble), 3 verification suite failure.
+out-of-range slot), 2 numerical failure (clustering, interpolation,
+domain trouble or a failed numpy.linalg routine), 3 verification suite
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import algebraic_ops as aops
 from . import antisym as asym
@@ -268,12 +271,13 @@ def main(argv=None) -> int:
     except FieldParseError as exc:
         print(f"matfn: field error: {exc}", file=sys.stderr)
         return 1
+    except (MatfnError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"matfn: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"matfn: input error: {exc}", file=sys.stderr)
         return 1
-    except MatfnError as exc:
-        print(f"matfn: numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

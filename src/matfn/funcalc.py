@@ -16,7 +16,6 @@ cross-checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 
@@ -72,12 +71,12 @@ def f_otimes(
     ]
     bases = [hermite_basis(nodes) for nodes in grid_nodes]
     try:
-        grid = derivative_grid(f, grid_nodes)
+        G = derivative_grid(f, grid_nodes)
     except FieldDomainError as exc:
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
         ) from exc
-    poly = interpolate(grid, bases)
+    poly = interpolate(G, bases)
     return poly_tensor_eval(poly, arrs)
 
 
@@ -145,6 +144,8 @@ def jordan_closed_form(f: ScalarField, mats, blocks_per_slot) -> OperatorTensor:
     vanishes unless every index pair lies upper-triangular in one block,
     and otherwise equals the mixed derivative
     prod_l (1/(j_l - i_l)!) d_l^{j_l - i_l} f at the block eigenvalues.
+    Those derivatives are read from one derivative grid tensor whose
+    orders are the block sizes, with one gather per slot.
     """
     arrs = _slot_matrices(f, mats)
     specs = [list(b) for b in blocks_per_slot]
@@ -157,47 +158,28 @@ def jordan_closed_form(f: ScalarField, mats, blocks_per_slot) -> OperatorTensor:
                 f"slot {l} matrix does not equal its declared Jordan structure"
             )
 
+    # With the block sizes as grid orders, a block's rows along its axis
+    # of G start where the block starts in the matrix, so entry (i, j) of
+    # a block starting at s reads row s + (j - i).
+    G = derivative_grid(f, [[(lam, size) for lam, size in blocks] for blocks in specs])
     k = len(arrs)
-    block_of = []  # global index -> block number
-    offset_in = []  # global index -> position inside its block
-    for blocks in specs:
-        bmap = []
-        omap = []
-        for b, (_, size) in enumerate(blocks):
-            bmap.extend([b] * size)
-            omap.extend(range(size))
-        block_of.append(bmap)
-        offset_in.append(omap)
-
-    # One derivative grid call covers every needed mixed derivative:
-    # block m of slot l needs orders up to its size - 1.
-    grid = derivative_grid(
-        f, [[(lam, size) for lam, size in blocks] for blocks in specs]
-    )
-
-    dims = [M.shape[0] for M in arrs]
-    shape = []
-    for d in dims:
-        shape.extend([d, d])
-    total = np.zeros(tuple(shape), dtype=complex)
-    for ij in itertools.product(*(range(d) for d in dims for _ in (0, 1))):
-        # ij interleaves (i_1, j_1, i_2, j_2, ...)
-        ivals = ij[0::2]
-        jvals = ij[1::2]
-        ok = True
-        for l in range(k):
-            if block_of[l][ivals[l]] != block_of[l][jvals[l]] or ivals[l] > jvals[l]:
-                ok = False
-                break
-        if not ok:
-            continue
-        m_tuple = tuple(block_of[l][ivals[l]] for l in range(k))
-        d_tuple = tuple(jvals[l] - ivals[l] for l in range(k))
-        value = grid[(m_tuple, d_tuple)]
-        for d in d_tuple:
-            value /= math.factorial(d)
-        total[ij] = value
-    return OperatorTensor(total)
+    index, inside = [], True
+    for l, blocks in enumerate(specs):
+        sizes = [size for _, size in blocks]
+        start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        order = np.arange(len(start)) - start
+        fact = np.array([math.factorial(j) for j in order], dtype=float)
+        fact = fact.reshape((-1,) + (1,) * (k - 1 - l))
+        # real and imaginary parts apart: numpy's complex division
+        # multiplies by 1/fact, which is inexact from 3! on
+        G = G.real / fact + 1j * (G.imag / fact)
+        upper = order[None, :] - order[:, None]
+        ok = (start[:, None] == start[None, :]) & (upper >= 0)
+        # slot l owns axes 2l and 2l + 1 of the result
+        shape = (1,) * (2 * l) + ok.shape + (1,) * (2 * (k - 1 - l))
+        index.append(np.where(ok, start[:, None] + upper, 0).reshape(shape))
+        inside = inside & ok.reshape(shape)
+    return OperatorTensor(np.where(inside, G[tuple(index)], 0))
 
 
 def chain_contract(T: OperatorTensor):

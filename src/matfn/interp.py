@@ -7,7 +7,11 @@ The dual basis solved for here consists of polynomials P_{mj} with
 one for every node m and derivative order j < r_m. Any function with
 enough derivatives at the nodes then has the interpolant
 sum f^{(j)}(lam_m) P_{mj}, and products of one such basis per variable
-interpolate mixed derivative grids of several variables.
+interpolate mixed derivative grids of several variables. Such a grid is
+one dense tensor, an axis per variable with its rows in the order of
+:attr:`HermiteBasis.functionals`; the coefficient tensor is that grid
+with each variable's axis mapped through its basis, a mode product per
+variable, and the self-check maps it back the same way.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ class HermiteBasis:
 
     ``nodes`` holds (value, order) pairs; ``coeff`` column t is the
     monomial coefficient vector of the t-th dual polynomial, columns
-    ordered like ``functionals``. ``condition`` is the condition number
-    of the confluent Vandermonde system that produced them.
+    ordered like ``functionals``, which is also the row order of this
+    variable's axis of a derivative grid tensor. ``condition`` is the
+    condition number of the confluent Vandermonde system that produced
+    them.
     """
 
     nodes: tuple[tuple[complex, int], ...]
@@ -93,48 +99,34 @@ def hermite_basis(nodes) -> HermiteBasis:
     return HermiteBasis(nodes=tuple(cleaned), coeff=C, condition=condition)
 
 
-def interpolate(grid: dict, bases: list[HermiteBasis]) -> MultiPoly:
+def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
     """The polynomial matching a mixed derivative grid.
 
-    ``grid`` maps ``(m_tuple, j_tuple)`` to the prescribed value of
-    (prod_l d_l^{j_l}) P at the node tuple; one basis per variable fixes
-    the nodes. The grid must be complete. The result is verified against
-    the grid and an :class:`InterpolationError` carries the residual if
-    the defining conditions are not met to within what the conditioning
-    allows.
+    ``G`` is the grid tensor of :func:`~matfn.scalarfield.derivative_grid`:
+    one axis per variable, of length ``bases[l].size``, its rows in the
+    order of ``bases[l].functionals``, so that the entry at rows
+    (m_l, j_l) is the prescribed value of (prod_l d_l^{j_l}) P at the node
+    tuple. Any other shape is an :class:`InterpolationError`. The result
+    is verified against G and an :class:`InterpolationError` carries the
+    residual if the defining conditions are not met to within what the
+    conditioning allows.
     """
     k = len(bases)
     if k == 0:
         raise ValueError("at least one variable is required")
-
-    # The product of the slots' functionals, in row-major order, is the
-    # element order of the grid tensor G below.
-    keys = [
-        (tuple(m for m, _ in combo), tuple(j for _, j in combo))
-        for combo in itertools.product(*(b.functionals for b in bases))
-    ]
-    required = set(keys)
-    given = set(grid)
-    missing = required - given
-    if missing:
-        sample = sorted(missing)[:4]
-        raise InterpolationError(
-            f"derivative grid is missing {len(missing)} entries, e.g. {sample}"
-        )
-    extra = given - required
-    if extra:
-        sample = sorted(extra)[:4]
-        raise InterpolationError(f"derivative grid has unknown keys, e.g. {sample}")
-
     shape = tuple(b.size for b in bases)
-    G = np.array([complex(grid[key]) for key in keys], dtype=complex).reshape(shape)
+    G = np.asarray(G, dtype=complex)
+    if G.shape != shape:
+        raise InterpolationError(
+            f"derivative grid has shape {G.shape}, the bases need {shape}"
+        )
     if not np.all(np.isfinite(G)):
         # NaN compares false against any allowance, so the self-check
         # below would let it through
         raise InterpolationError("derivative grid holds a non-finite value")
     dense = _along_axes(G, [b.coeff for b in bases])
     _verify_against_grid(dense, G, bases)
-    return MultiPoly(k, {alpha: dense[alpha] for alpha in np.ndindex(*shape)})
+    return MultiPoly(k, dict(zip(np.ndindex(shape), dense.ravel().tolist())))
 
 
 def _along_axes(T: np.ndarray, mats) -> np.ndarray:

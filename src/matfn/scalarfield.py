@@ -871,18 +871,21 @@ def compose(outer: ScalarField, inners: list[ScalarField]) -> ScalarField:
 # derivative grids
 
 
-def derivative_grid(f: ScalarField, spectra) -> dict:
-    """Mixed partial derivatives of ``f`` on a spectral grid.
+def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
+    """Mixed partial derivatives of ``f`` on a spectral grid, as one tensor G.
 
     ``spectra`` is one sequence per variable of ``(eigenvalue, order)``
     pairs; ``order`` is how many derivatives in that variable the grid
-    carries (entries j = 0 .. order-1). Returns a dict mapping
-    ``(m_tuple, j_tuple)`` (0-based positions into ``spectra``) to the
-    value of (prod_l d_l^{j_l}) f at the eigenvalue tuple.
+    carries (j = 0 .. order-1). G is a complex array with one axis per
+    variable, of length the sum of that variable's orders. Along axis l,
+    node m and order j sit at row sum_{m' < m} r_{lm'} + j, the order of
+    :attr:`~matfn.interp.HermiteBasis.functionals`; the entry at one row
+    per axis is (prod_l d_l^{j_l}) f at the node tuple.
 
     Each mixed partial is built and walked once per derivative
     multi-index j: its tree is evaluated by broadcasting over the
-    eigenvalues whose order exceeds j_l in every variable l.
+    eigenvalues whose order exceeds j_l in every variable l, and the
+    values land in G with one indexed assignment.
     """
     if len(spectra) != f.arity:
         raise ValueError(
@@ -897,6 +900,11 @@ def derivative_grid(f: ScalarField, spectra) -> dict:
         per_var.append(entries)
 
     max_order = [max((r for _, r in entries), default=1) for entries in per_var]
+    # first row of each node along its axis
+    starts = [
+        list(itertools.accumulate((r for _, r in entries), initial=0))
+        for entries in per_var
+    ]
 
     # Mixed partials, filled by raising one index at a time.
     partials: dict[tuple[int, ...], Node] = {(0,) * f.arity: f.root}
@@ -912,7 +920,7 @@ def derivative_grid(f: ScalarField, spectra) -> dict:
         return node
 
     k = f.arity
-    grid: dict[tuple, complex] = {}
+    G = np.zeros(tuple(s[-1] for s in starts), dtype=complex)
     for j_tuple in itertools.product(*(range(r) for r in max_order)):
         # per variable, the eigenvalues whose order exceeds j_l
         ms = [
@@ -925,10 +933,9 @@ def derivative_grid(f: ScalarField, spectra) -> dict:
             )
             for l, ml in enumerate(ms)
         ]
-        values = _evaluate_on(partial_node(j_tuple), axes)
-        keys = zip(itertools.product(*ms), itertools.repeat(j_tuple))
-        grid.update(zip(keys, values.ravel().tolist()))
-    return grid
+        rows = [[s[m] + j for m in ml] for s, ml, j in zip(starts, ms, j_tuple)]
+        G[np.ix_(*rows)] = _evaluate_on(partial_node(j_tuple), axes)
+    return G
 
 
 # ---------------------------------------------------------------------------

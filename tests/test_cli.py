@@ -203,6 +203,19 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_linalg_failure_exit_2(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, which would read as bad input
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 2.0]])
+    code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
+    assert code == 2
+    assert out == ""
+    assert err == "matfn: numerical failure: SVD did not converge\n"
+
+
 def test_non_finite_values_exit_2(tmp_path, capsys):
     m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 2.0]])
     code, out, err = run_cli(capsys, ["eval", "--func", "x1*1e200*1e200", "--mat", m])

@@ -154,24 +154,27 @@ def test_compose_blocks():
 
 def test_derivative_grid_single_defective_node():
     f = parse_field("x1^2")
-    grid = derivative_grid(f, [[(1.0, 2)]])
-    assert grid == {((0,), (0,)): 1.0 + 0j, ((0,), (1,)): 2.0 + 0j}
+    G = derivative_grid(f, [[(1.0, 2)]])
+    # one axis, rows (node 0, order 0) and (node 0, order 1)
+    assert G.dtype == complex
+    assert G.tolist() == [1.0 + 0j, 2.0 + 0j]
 
 
 def test_derivative_grid_two_variables():
     f = parse_field("x1*x2")
-    grid = derivative_grid(f, [[(1.0, 1), (2.0, 1)], [(3.0, 1)]])
-    # keys are (node index per variable, derivative order per variable)
-    assert set(grid) == {((0, 0), (0, 0)), ((1, 0), (0, 0))}
-    assert grid[((0, 0), (0, 0))] == pytest.approx(3.0)
-    assert grid[((1, 0), (0, 0))] == pytest.approx(6.0)
+    G = derivative_grid(f, [[(1.0, 1), (2.0, 1)], [(3.0, 1)]])
+    # one axis per variable, a row per (node, derivative order)
+    assert G.shape == (2, 1)
+    assert G[0, 0] == pytest.approx(3.0)
+    assert G[1, 0] == pytest.approx(6.0)
 
 
 def test_derivative_grid_mixed_partials():
     f = sf.exp(parse_field("x1*x2"))
-    grid = derivative_grid(f, [[(0.5, 2)], [(1.5, 2)]])
+    G = derivative_grid(f, [[(0.5, 2)], [(1.5, 2)]])
     # d^2/dxdy exp(xy) = (1 + xy) exp(xy)
-    val = grid[((0, 0), (1, 1))]
+    assert G.shape == (2, 2)
+    val = G[1, 1]
     assert val == pytest.approx((1 + 0.75) * np.exp(0.75))
 
 
@@ -274,10 +277,15 @@ def _resolvent_dd(nodes, c, s_derivs=0):
     return value * [1.0, -s1, s1 * s1 + s2][s_derivs]
 
 
-def _assert_grid(grid, want, rel=1e-12):
-    assert set(grid) == set(want)
-    for key, value in want.items():
-        assert abs(grid[key] - value) <= rel * abs(value), (key, grid[key], value)
+def _assert_grid(G, spectrum, want, rel=1e-12):
+    """``want`` maps every (m_tuple, j_tuple) of ``spectrum`` to G's entry there."""
+    # along axis l, (m, j) sits at the orders of the nodes before m, plus j
+    starts = [list(itertools.accumulate((r for _, r in s), initial=0)) for s in spectrum]
+    assert G.shape == tuple(s[-1] for s in starts)
+    assert len(want) == G.size
+    for (m_tuple, j_tuple), value in want.items():
+        at = tuple(s[m] + j for s, m, j in zip(starts, m_tuple, j_tuple))
+        assert abs(G[at] - value) <= rel * abs(value), (m_tuple, j_tuple, G[at], value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -293,7 +301,7 @@ def test_divided_difference_grid_matches_resolvent_closed_form(n):
     }
     for label, spectrum in spectra.items():
         spectrum = spectrum[: n + 1]
-        grid = derivative_grid(field, spectrum)
+        G = derivative_grid(field, spectrum)
         want = {}
         for m_tuple in itertools.product(*(range(len(s)) for s in spectrum)):
             entries = [spectrum[l][m] for l, m in enumerate(m_tuple)]
@@ -302,7 +310,7 @@ def test_divided_difference_grid_matches_resolvent_closed_form(n):
                 nodes = [lam for (lam, _), j in zip(entries, j_tuple) for _ in range(j + 1)]
                 scale = math.prod(math.factorial(j) for j in j_tuple)
                 want[(m_tuple, j_tuple)] = scale * _resolvent_dd(nodes, c)
-        _assert_grid(grid, want)
+        _assert_grid(G, spectrum, want)
 
 
 def test_first_difference_middle_slot_grid_matches_closed_form():
@@ -313,7 +321,7 @@ def test_first_difference_middle_slot_grid_matches_closed_form():
     field = first_difference_field(parse_field(f"1/(x1 + x2 + x3 + {c})"), 1)
     ys = [(0.5, 2), (-0.25 + 0.5j, 1)]
     spectrum = [[(0.25, 2), (1.0, 1)], ys, ys, [(-0.5, 2)]]
-    grid = derivative_grid(field, spectrum)
+    G = derivative_grid(field, spectrum)
     want = {}
     for m_tuple in itertools.product(*(range(len(s)) for s in spectrum)):
         entries = [spectrum[l][m] for l, m in enumerate(m_tuple)]
@@ -323,7 +331,7 @@ def test_first_difference_middle_slot_grid_matches_closed_form():
             nodes = [y0] * (j0 + 1) + [y1] * (j1 + 1)
             scale = math.factorial(j0) * math.factorial(j1)
             want[(m_tuple, j_tuple)] = scale * _resolvent_dd(nodes, x + z + c, jx + jz)
-    _assert_grid(grid, want)
+    _assert_grid(G, spectrum, want)
 
 
 def test_grid_pole_names_the_one_offending_tuple():
@@ -351,5 +359,5 @@ def test_array_domain_errors_leak_no_warning():
                 derivative_grid(f, [[(v, 1) for v in x]])
         # 0/0 at confluent entries of the Newton table is discarded quietly
         dd = divided_difference_field(parse_field("exp(x1)"), 2)
-        grid = derivative_grid(dd, [[(0.5, 2), (1.0, 1)]] * 3)
-        assert grid[((0, 0, 0), (0, 0, 0))] == pytest.approx(np.exp(0.5) / 2)
+        G = derivative_grid(dd, [[(0.5, 2), (1.0, 1)]] * 3)
+        assert G[0, 0, 0] == pytest.approx(np.exp(0.5) / 2)

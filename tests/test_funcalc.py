@@ -106,6 +106,13 @@ def test_interp_route_matches_jordan_route():
         a = f_otimes(f, [J])
         b = jordan_closed_form(f, [J], blocks)
         assert np.allclose(a.data, b.data, atol=1e-8 * max(1.0, b.hs_norm()))
+    # blocks of size 5 and 4 reach the 1/3! and 1/4! entries of the closed form
+    blocks = [[(0.5, 5), (2.0, 1)], [(-0.3 + 0.2j, 4)]]
+    mats = [jordan_matrix(b) for b in blocks]
+    for f in (parse_field("exp(x1 + x2)"), parse_field("1/(x1 + x2 + 4)")):
+        a = f_otimes(f, mats)
+        b = jordan_closed_form(f, mats, blocks)
+        assert np.allclose(a.data, b.data, atol=1e-8 * max(1.0, b.hs_norm()))
 
 
 def test_interp_route_matches_diagonalizable_route():
