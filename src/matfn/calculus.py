@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectralError
-from .funcalc import f_otimes
+from .funcalc import _interpolant, f_otimes
 from .scalarfield import (
     ProjKernel,
     ScalarField,
@@ -25,7 +25,7 @@ from .scalarfield import (
     divided_difference_levels,
 )
 from .spectral import analyze, as_square_matrix, cluster_threshold
-from .tensor import OperatorTensor, contract_adjacent_through
+from .tensor import OperatorTensor, _chain_fold, contract_adjacent_through
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +138,18 @@ def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.nd
     """d^n/dz^n f(M + zH) at z = ``at``, for a one-variable field.
 
     n! times the extension of the n-th divided-difference field of f at
-    n + 1 copies of M + at H, chained through H between consecutive
-    copies.
+    n + 1 copies of A = M + at H, chained through H between consecutive
+    copies. The chain is folded slot by slot from the interpolant, so
+    only d x d matrices are formed, never the d^(2(n+1)) tensor.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
     Hm = as_square_matrix(H, "direction")
-    sd = analyze(A)
-    if n == 0:
-        T = f_otimes(f, [A], spectra=[sd])
-        return np.asarray(T.data)
-    g = divided_difference_field(f, n)
-    T = f_otimes(g, [A] * (n + 1), spectra=[sd] * (n + 1))
-    for _ in range(n):
-        T = contract_adjacent_through(T, 0, Hm)
-    return math.factorial(n) * np.asarray(T.data)
+    A = as_square_matrix(M) + complex(at) * Hm
+    g = f if n == 0 else divided_difference_field(f, n)
+    return math.factorial(n) * _chain(g, A, Hm)
 
 
 def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
@@ -169,18 +163,18 @@ def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
         raise ValueError("needs a one-variable field")
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
     Hm = as_square_matrix(H, "direction")
-    sd = analyze(A)
+    A = as_square_matrix(M) + complex(at) * Hm
     if n == 0:
-        T = f_otimes(f, [A], spectra=[sd])
-        return complex(np.trace(T.data))
-    h = doubled_node_difference_field(f, n, n - 1)
-    T = f_otimes(h, [A] * n, spectra=[sd] * n)
-    for _ in range(n - 1):
-        T = contract_adjacent_through(T, 0, Hm)
-    R = np.asarray(T.data)
+        return complex(np.trace(_chain(f, A, Hm)))
+    R = _chain(doubled_node_difference_field(f, n, n - 1), A, Hm)
     return math.factorial(n) * complex(np.trace(R @ Hm))
+
+
+def _chain(g: ScalarField, A: np.ndarray, Hm: np.ndarray) -> np.ndarray:
+    """The extension of ``g`` at copies of A, its adjacent slots chained through H."""
+    poly = _interpolant(g, [A] * g.arity, [analyze(A)] * g.arity)
+    return _chain_fold(poly, A, Hm)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,10 @@ def u_function(anchor: complex, n: int) -> ScalarField:
     return ScalarField(n + 1, ProjKernel(complex(anchor), n))
 
 
-def _simple_spectrum_frame(A):
+def _simple_spectrum_frame(M, H, which: int, at):
+    """(eigenvalues, V, W, H) with A = M + at H = V diag(eigenvalues) W, W = V^-1."""
+    Hm = as_square_matrix(H, "direction")
+    A = as_square_matrix(M) + complex(at) * Hm
     sd = analyze(A)
     if any(s != 1 for s in sd.alg_mult):
         raise SpectralError(
@@ -219,14 +216,12 @@ def _simple_spectrum_frame(A):
             f"threshold {threshold:.3e}; the series is not trustworthy here"
         )
     w, V = np.linalg.eig(A)
-    order = []
-    for lam in lams:
-        order.append(int(np.argmin(np.abs(w - lam))))
+    order = [int(np.argmin(np.abs(w - lam))) for lam in lams]
     if len(set(order)) != len(order):
         raise SpectralError("could not match clustered eigenvalues to eigenvectors")
-    W = np.linalg.inv(V)
-    projs = [np.outer(V[:, i], W[i, :]) for i in order]
-    return lams, projs
+    if not 0 <= which < len(lams):
+        raise ValueError(f"eigenvalue index {which} out of range")
+    return np.array(lams), V[:, order], np.linalg.inv(V)[order], Hm
 
 
 def projector_derivative(M, H, which: int, n: int, at: float = 0.0) -> np.ndarray:
@@ -235,35 +230,28 @@ def projector_derivative(M, H, which: int, n: int, at: float = 0.0) -> np.ndarra
     Taken along M + zH at z = ``at``; eigenvalues are indexed in the
     sorted clustered order. Requires a simple spectrum. The order-n term
     is n! sum over (n+1)-tuples of eigenvalue indices of
-    u(lam_{k_0}, ..., lam_{k_n}) P_{k_0} H P_{k_1} H ... H P_{k_n}.
+    u(lam_{k_0}, ..., lam_{k_n}) P_{k_0} H P_{k_1} H ... H P_{k_n}, with
+    P_k = v_k w_k the rank-one projectors. It is summed in the
+    eigenbasis: n! V K W, where K[k_0, k_n] folds the kernel values over
+    the middle indices against G = W H V, one consecutive pair at a time.
     """
-    A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
-    Hm = as_square_matrix(H, "direction")
-    lams, projs = _simple_spectrum_frame(A)
-    if not 0 <= which < len(lams):
-        raise ValueError(f"eigenvalue index {which} out of range")
-    return _projector_series(lams, projs, Hm, which, n)
+    lams, V, W, Hm = _simple_spectrum_frame(M, H, which, at)
+    return _projector_series(lams, V, W, Hm, which, n)
 
 
-def _projector_series(lams, projs, Hm, which: int, n: int) -> np.ndarray:
+def _projector_series(lams, V, W, Hm, which: int, n: int) -> np.ndarray:
     """The order-n projector derivative from a simple-spectrum frame."""
+    axes = [lams.reshape((-1,) + (1,) * (n - l)) for l in range(n + 1)]
+    K = u_function(lams[which], n)(*axes)  # K[k_0, ..., k_n]
     if n == 0:
-        return projs[which]
-    anchor = lams[which]
-    u = u_function(anchor, n)
-    d = len(lams)
-    total = np.zeros_like(Hm)
-    for ks in itertools.product(range(d), repeat=n + 1):
-        if which not in ks:
-            continue  # no anchor among the arguments, the kernel vanishes
-        coeff = u(*(lams[k] for k in ks))
-        if coeff == 0:
-            continue
-        term = projs[ks[0]]
-        for k in ks[1:]:
-            term = term @ Hm @ projs[k]
-        total = total + coeff * term
-    return math.factorial(n) * total
+        K = np.diag(K)
+    else:
+        G = W @ Hm @ V
+        K = K * G.reshape(G.shape + (1,) * (n - 1))
+        for _ in range(n - 1):
+            # sum out k_1 against G[k_1, k_2]; k_0 stays in front
+            K = np.einsum("abc...,bc->ac...", K, G)
+    return math.factorial(n) * (V @ K @ W)
 
 
 def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
@@ -274,11 +262,7 @@ def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
     (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
     Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H).
     """
-    A = as_square_matrix(M) + complex(at) * as_square_matrix(H, "direction")
-    Hm = as_square_matrix(H, "direction")
-    lams, projs = _simple_spectrum_frame(A)
-    if not 0 <= which < len(lams):
-        raise ValueError(f"eigenvalue index {which} out of range")
+    lams, V, W, Hm = _simple_spectrum_frame(M, H, which, at)
     if n == 0:
         return complex(lams[which])
-    return complex(np.trace(_projector_series(lams, projs, Hm, which, n - 1) @ Hm))
+    return complex(np.trace(_projector_series(lams, V, W, Hm, which, n - 1) @ Hm))

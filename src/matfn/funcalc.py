@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FieldDomainError, NotDiagonalizableError
 from .interp import hermite_basis, interpolate
-from .scalarfield import ScalarField, derivative_grid
+from .scalarfield import MultiPoly, ScalarField, derivative_grid
 from .spectral import SpectralData, analyze, as_square_matrix
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
 
@@ -57,6 +57,11 @@ def f_otimes(
     change the result; the invariance tests rely on that knob.
     """
     arrs = _slot_matrices(f, mats)
+    return poly_tensor_eval(_interpolant(f, arrs, spectra, extra_multiplicity), arrs)
+
+
+def _interpolant(f: ScalarField, arrs, spectra, extra_multiplicity=0) -> MultiPoly:
+    """The polynomial that :func:`f_otimes` evaluates at ``arrs``."""
     if spectra is None:
         data = [analyze(M) for M in arrs]
     else:
@@ -76,8 +81,7 @@ def f_otimes(
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
         ) from exc
-    poly = interpolate(G, bases)
-    return poly_tensor_eval(poly, arrs)
+    return interpolate(G, bases)
 
 
 def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:

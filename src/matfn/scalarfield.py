@@ -149,7 +149,8 @@ class SlotDividedDifference(Node):
 class ProjKernel(Node):
     """The coefficient function of the eigenprojector perturbation series.
 
-    Symmetric in its ``order + 1`` arguments. With ``m`` of them equal to
+    Symmetric in its ``order + 1`` arguments: the divided difference over
+    them of the indicator of ``anchor``. With ``m`` of them equal to
     ``anchor`` and the rest z_h distinct from it, the value is the
     (m-1)-st Taylor coefficient of prod_h 1/(z - z_h) at ``anchor``; with
     m = 0 the value is 0. Evaluation only.
@@ -387,52 +388,28 @@ def _slot_dd(node: SlotDividedDifference, point: tuple):
 
 
 def _proj_kernel(node: ProjKernel, point: tuple):
-    if type(point[0]) is complex:
-        return _proj_kernel_at(node, point)
-    cols = np.broadcast_arrays(*point)
-    values = [_proj_kernel_at(node, z) for z in zip(*(c.ravel().tolist() for c in cols))]
-    return np.array(values, dtype=complex).reshape(cols[0].shape)
+    """The divided difference, over ``point``, of the anchor's indicator.
 
-
-def _proj_kernel_at(node: ProjKernel, point: tuple) -> complex:
+    The indicator is 1 on the nodes :func:`confluent` with the anchor and
+    0 elsewhere, so its derivatives vanish; the table merges the anchor's
+    copies into a centroid that may miss the anchor by rounding, hence
+    the test by confluence rather than equality.
+    """
     lam = node.anchor
-    others = []
-    m = 0
-    for z in point:
-        if z == lam:
-            m += 1
-            continue
-        if confluent(z, lam):
-            raise FieldDomainError(
-                f"kernel argument {z} is confluent with the anchor {lam} "
-                "but not equal to it; ambiguous confluence"
-            )
-        others.append(z)
-    if m == 0:
-        return 0j
-    # (m-1)-st derivative of prod_h (z - z_h)^(-1) at lam, divided by (m-1)!.
-    # Expanding by the product rule gives the composition sum below.
-    total = 0j
-    nparts = len(others)
-    if nparts == 0:
-        return 1.0 + 0j if m == 1 else 0j
-    for ks in _compositions(m - 1, nparts):
-        term = 1.0 + 0j
-        for z, k in zip(others, ks):
-            term *= (lam - z) ** -(1 + k)
-        total += term
-    return (-1) ** (m - 1) * total
+    nodes = np.stack(np.broadcast_arrays(*point), axis=-1)
+    bad = confluent(nodes, lam) & (nodes != lam)
+    if bad.any():
+        z = complex(nodes[bad][0])
+        raise FieldDomainError(
+            f"kernel argument {z} is confluent with the anchor {lam} "
+            "but not equal to it; ambiguous confluence"
+        )
 
+    def deriv(x, m, mask):
+        x = x if mask is None else x[mask]
+        return confluent(x, lam) + 0j if m == 0 else np.zeros(x.shape, dtype=complex)
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` nonnegative integers."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    return confluent_divided_difference(deriv, nodes)
 
 
 # ---------------------------------------------------------------------------

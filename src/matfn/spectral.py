@@ -130,10 +130,14 @@ def _rank_ladder(A: np.ndarray, clusters, rank_tol: float) -> tuple[int, ...]:
     stabilizes; the first stable power is the multiplicity. Ranks count
     singular values above ``rank_tol * sigma_max(A - c I)^j``, the scale a
     j-fold product can reach, so that numerically nilpotent powers read as
-    rank zero. A singular value within a factor 10 of the threshold
-    triggers a warning since the decision is then fragile.
+    rank zero, floored at the rounding residual 100 eps ||A||_F
+    sigma_max^(j-1), so that a shift with a tiny sigma_max (an eigenvalue
+    near another) still reads as singular. A singular value within a
+    factor 10 of the threshold triggers a warning since the decision is
+    then fragile.
     """
     d = A.shape[0]
+    residual = 100 * np.finfo(float).eps * hs_norm(A)
     out = []
     for lam, radius in clusters:
         B = A - complex(lam) * np.eye(d)
@@ -146,7 +150,7 @@ def _rank_ladder(A: np.ndarray, clusters, rank_tol: float) -> tuple[int, ...]:
         def rank_of(s, j):
             # A cluster of spread ``radius`` is one eigenvalue, so its own
             # singular values, about radius^j at power j, count as zero.
-            thr = max(rank_tol * sigma1**j, (100 * radius) ** j)
+            thr = max(rank_tol * sigma1**j, residual * sigma1 ** (j - 1), (100 * radius) ** j)
             fragile = np.any((s > thr / 10) & (s < thr * 10))
             if fragile:
                 warnings.warn(

@@ -110,6 +110,23 @@ def tensor_product(mats) -> OperatorTensor:
     return OperatorTensor(out)
 
 
+def _coeff_tensor(poly: MultiPoly) -> np.ndarray:
+    """The coefficients of ``poly`` as a dense array, one axis per variable."""
+    degs = [max(poly.degree(l), 0) for l in range(poly.arity)]
+    total = np.zeros(tuple(n + 1 for n in degs), dtype=complex)
+    for alpha, c in poly.coeffs.items():
+        total[alpha] = c
+    return total
+
+
+def _power_stack(M: np.ndarray, n: int) -> np.ndarray:
+    """(I, M, M^2, ..., M^n) as one array of shape (n + 1, d, d)."""
+    stack = [np.eye(M.shape[0], dtype=complex)]
+    for _ in range(n):
+        stack.append(stack[-1] @ M)
+    return np.array(stack)
+
+
 def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
     """sum_alpha c_alpha M_1^{a_1} (x) ... (x) M_k^{a_k}."""
     arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
@@ -117,19 +134,29 @@ def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
         raise ValueError(
             f"polynomial in {poly.arity} variables but {len(arrs)} matrices given"
         )
-    degs = [max(poly.degree(l), 0) for l in range(len(arrs))]
-    total = np.zeros(tuple(n + 1 for n in degs), dtype=complex)
-    for alpha, c in poly.coeffs.items():
-        total[alpha] = c
+    total = _coeff_tensor(poly)
     # Each tensordot sums the leading exponent axis against the slot's
-    # stack (I, M, M^2, ...) and appends that slot's (up, down) pair, so
-    # the result ends in (i1, j1, ..., ik, jk) order.
-    for M, n in zip(arrs, degs):
-        stack = [np.eye(M.shape[0], dtype=complex)]
-        for _ in range(n):
-            stack.append(stack[-1] @ M)
-        total = np.tensordot(total, np.array(stack), axes=(0, 0))
+    # power stack and appends that slot's (up, down) pair, so the result
+    # ends in (i1, j1, ..., ik, jk) order.
+    for M, n in zip(arrs, total.shape):
+        total = np.tensordot(total, _power_stack(M, n - 1), axes=(0, 0))
     return OperatorTensor(total)
+
+
+def _chain_fold(poly: MultiPoly, M: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """sum_alpha c_alpha M^{a_1} H M^{a_2} H ... H M^{a_k} as one matrix.
+
+    This is ``poly_tensor_eval(poly, [M] * k)`` with every pair of
+    adjacent slots contracted through H, computed without the d^(2k)
+    tensor: a right fold Y <- sum_a M^a H Y[..., a] over the slots, which
+    holds one d x d matrix per index of the slots not yet folded.
+    """
+    C = _coeff_tensor(poly)
+    S = _power_stack(M, max(C.shape) - 1)
+    Y = np.tensordot(C, S[: C.shape[-1]], axes=(-1, 0))
+    for n in reversed(C.shape[:-1]):
+        Y = (S[:n] @ (H @ Y)).sum(axis=-3)
+    return Y
 
 
 def transpose_slot(T: OperatorTensor, slot: int) -> OperatorTensor:

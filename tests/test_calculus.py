@@ -1,5 +1,8 @@
 """Divided differences and the derivative formulas built on them."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,29 @@ def test_trace_derivative_square_field():
     assert got2 == pytest.approx(2 * np.trace(H @ H))
 
 
+def test_curve_and_trace_derivatives_stay_small_and_accurate():
+    # d = 8, n = 3: the assembled 4-slot tensor would hold 8^8 entries
+    # (268 MB); the fold forms only d x d matrices
+    d, n = 8, 3
+    r = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(r.standard_normal((d, d)))
+    A = Q @ np.diag(np.linspace(-2.0, 2.0, d)) @ Q.T
+    H = r.standard_normal((d, d))
+    f = parse_field("1/(x1 + 6)")
+    # resolvent closed form: d^n/dz^n (A + 6 + zH)^-1 = (-1)^n n! R (H R)^n
+    R = np.linalg.inv(A + 6 * np.eye(d))
+    want = (-1) ** n * math.factorial(n) * R @ np.linalg.matrix_power(H @ R, n)
+    for route, expect in ((nth_derivative_curve, want), (trace_derivative, np.trace(want))):
+        tracemalloc.start()
+        try:
+            got = route(f, A, H, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect), route.__name__
+        assert peak < 32 * 2**20, (route.__name__, peak)
+
+
 def test_trace_derivative_matches_curve_trace():
     M = rng.normal(size=(3, 3))
     H = rng.normal(size=(3, 3))
@@ -214,6 +240,36 @@ def test_eigenvalue_derivative_third_order():
         want = 6 * (cubic - H[i, i] * square)
         got = eigenvalue_derivative(M, H, i, 3)
         assert got == pytest.approx(want)
+
+
+def _contour_projector_derivative(A, H, lam, radius, n, points=256):
+    """n!/(2 pi i) times the integral of R (H R)^n around lam, R = (z - A)^-1.
+
+    The trapezoid rule on a circle converges geometrically for this
+    analytic integrand.
+    """
+    d = A.shape[0]
+    total = np.zeros((d, d), dtype=complex)
+    for t in 2 * np.pi * np.arange(points) / points:
+        dz = radius * np.exp(1j * t)  # z - lam, and dz/dt / i
+        R = np.linalg.inv((lam + dz) * np.eye(d) - A)
+        total += dz * R @ np.linalg.matrix_power(H @ R, n)
+    return math.factorial(n) * total / points
+
+
+def test_projector_derivative_high_orders_match_contour():
+    d = 6
+    r = np.random.default_rng(11)
+    lams = np.array([-2.0, -1.0, 0.2, 1.0, 2.1, 3.0])
+    S = np.eye(d) + 0.3 * r.standard_normal((d, d))
+    A = S @ np.diag(lams) @ np.linalg.inv(S)
+    H = 0.3 * r.standard_normal((d, d))
+    for which in (0, 2, 5):
+        radius = 0.5 * min(abs(lams[which] - z) for z in lams if z != lams[which])
+        for n in (3, 4):
+            want = _contour_projector_derivative(A, H, lams[which], radius, n)
+            got = projector_derivative(A, H, which, n)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (which, n)
 
 
 def test_perturbation_requires_simple_spectrum():

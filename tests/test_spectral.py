@@ -9,7 +9,9 @@ from matfn import (
     SpectralData,
     SpectralError,
     analyze,
+    matrix_function,
     minimal_polynomial,
+    parse_field,
 )
 from matfn.funcalc import jordan_matrix
 from matfn.spectral import DEFAULT_RANK_TOL, _rank_ladder
@@ -102,6 +104,22 @@ def test_split_defective_eigenvalue_is_a_spectral_error():
     with pytest.warns(RuntimeWarning, match="within 10x"):
         with pytest.raises(SpectralError, match="holds 1 eigenvalue.*multiplicity 2"):
             analyze(M)
+
+
+def test_nearby_simple_eigenvalues_stay_eigenvalues():
+    # sigma_max(M - I) is only 1e-7, so a threshold relative to it alone
+    # falls below the rounding residual of the computed eigenvalue and the
+    # shift read as full rank; the eps ||M|| floor keeps it singular
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    lams = np.array([1.0, 1.0 + 1e-7])
+    M = Q @ np.diag(lams) @ Q.T
+    data = analyze(M)
+    assert data.alg_mult == (1, 1) and data.min_mult == (1, 1)
+    assert np.allclose(data.eigenvalues, lams, rtol=0, atol=1e-14)
+    F = matrix_function(parse_field("exp(x1)"), M)
+    want = Q @ np.diag(np.exp(lams)) @ Q.T
+    # a difference quotient across the gap loses eps/gap: about 2e-9
+    assert np.linalg.norm(F - want) <= 2.2e-9 * np.linalg.norm(want)
 
 
 def test_minimal_multiplicities_rejects_non_eigenvalue():
