@@ -38,13 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj, out_path=None):
-    text = fileio.dumps(obj)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.save_json(out_path, obj)
         print(f"wrote {out_path}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.dumps(obj))
 
 
 def _slot_index(value: int, count: int, what: str = "slot") -> int:

@@ -120,5 +120,8 @@ def load_matrix(path: str) -> np.ndarray:
 
 
 def save_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(obj))
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc

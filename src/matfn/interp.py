@@ -33,13 +33,15 @@ class HermiteBasis:
     ``nodes`` holds (value, order) pairs; ``coeff`` column t is the
     monomial coefficient vector of the t-th dual polynomial, columns
     ordered like ``functionals``, which is also the row order of this
-    variable's axis of a derivative grid tensor. ``condition`` is the
-    condition number of the confluent Vandermonde system that produced
-    them.
+    variable's axis of a derivative grid tensor. ``vandermonde`` is the
+    confluent Vandermonde matrix that ``coeff`` inverts (row t evaluates
+    the t-th functional on the monomials) and ``condition`` its
+    condition number.
     """
 
     nodes: tuple[tuple[complex, int], ...]
     coeff: np.ndarray
+    vandermonde: np.ndarray
     condition: float
 
     @property
@@ -52,15 +54,12 @@ class HermiteBasis:
 
 
 def _confluent_vandermonde(nodes) -> np.ndarray:
-    n_total = sum(r for _, r in nodes)
+    functionals = [(lam, j) for lam, r in nodes for j in range(r)]
+    n_total = len(functionals)
     A = np.zeros((n_total, n_total), dtype=complex)
-    row = 0
-    for lam, r in nodes:
-        for j in range(r):
-            for n in range(j, n_total):
-                fall = math.perm(n, j)
-                A[row, n] = fall * lam ** (n - j)
-            row += 1
+    for row, (lam, j) in enumerate(functionals):
+        for n in range(j, n_total):
+            A[row, n] = math.perm(n, j) * lam ** (n - j)
     return A
 
 
@@ -96,7 +95,7 @@ def hermite_basis(nodes) -> HermiteBasis:
             f"confluent Vandermonde system for nodes {cleaned} is singular"
         ) from exc
     condition = float(np.linalg.cond(A))
-    return HermiteBasis(nodes=tuple(cleaned), coeff=C, condition=condition)
+    return HermiteBasis(nodes=tuple(cleaned), coeff=C, vandermonde=A, condition=condition)
 
 
 def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
@@ -106,10 +105,11 @@ def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
     one axis per variable, of length ``bases[l].size``, its rows in the
     order of ``bases[l].functionals``, so that the entry at rows
     (m_l, j_l) is the prescribed value of (prod_l d_l^{j_l}) P at the node
-    tuple. Any other shape is an :class:`InterpolationError`. The result
-    is verified against G and an :class:`InterpolationError` carries the
+    tuple. Any other shape is an :class:`InterpolationError`. The
+    coefficient tensor, G with each axis mapped through its basis, is
+    verified against G (an :class:`InterpolationError` carries the
     residual if the defining conditions are not met to within what the
-    conditioning allows.
+    conditioning allows) and becomes the result's ``dense`` array as is.
     """
     k = len(bases)
     if k == 0:
@@ -126,7 +126,7 @@ def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
         raise InterpolationError("derivative grid holds a non-finite value")
     dense = _along_axes(G, [b.coeff for b in bases])
     _verify_against_grid(dense, G, bases)
-    return MultiPoly(k, dict(zip(np.ndindex(shape), dense.ravel().tolist())))
+    return MultiPoly(k, dense)
 
 
 def _along_axes(T: np.ndarray, mats) -> np.ndarray:
@@ -143,7 +143,7 @@ def _along_axes(T: np.ndarray, mats) -> np.ndarray:
 def _verify_against_grid(dense: np.ndarray, G: np.ndarray, bases: list[HermiteBasis]):
     # Applying each variable's confluent Vandermonde matrix to the
     # coefficient tensor evaluates every grid functional at once.
-    values = _along_axes(dense, [_confluent_vandermonde(b.nodes) for b in bases])
+    values = _along_axes(dense, [b.vandermonde for b in bases])
     scale = max(1.0, float(np.max(np.abs(G))))
     kappa = 1.0
     for b in bases:

@@ -920,48 +920,71 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
 
 
 class MultiPoly:
-    """Polynomial in several variables, exponent tuple -> coefficient.
+    """Polynomial in several variables, one dense coefficient array.
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    table.
+    ``dense`` has one axis per variable and ``dense[a_1, ..., a_k]`` is
+    the coefficient of x_1^{a_1} ... x_k^{a_k}. Trailing all-zero slices
+    are trimmed, so axis l has length ``degree(l) + 1``; the zero
+    polynomial is one zero, of shape (1, ..., 1). The constructor takes
+    that array or an {exponent tuple: coefficient} map, and
+    :attr:`coeffs` gives the map of the nonzero coefficients back.
     """
 
-    __slots__ = ("arity", "coeffs")
+    __slots__ = ("arity", "dense")
 
-    def __init__(self, arity: int, coeffs: dict | None = None):
-        self.arity = int(arity)
-        table = {}
-        for alpha, c in (coeffs or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != arity:
-                raise ValueError(f"exponent tuple {alpha} does not match arity {arity}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
-            c = complex(c)
-            if c != 0:
-                table[alpha] = table.get(alpha, 0j) + c
-                if table[alpha] == 0:
-                    del table[alpha]
-        self.coeffs = table
+    def __init__(self, arity: int, coeffs=None):
+        self.arity = k = int(arity)
+        if coeffs is None or isinstance(coeffs, dict):
+            coeffs = coeffs or {}
+            alphas = [tuple(int(a) for a in alpha) for alpha in coeffs]
+            for alpha in alphas:
+                if len(alpha) != k:
+                    raise ValueError(f"exponent tuple {alpha} does not match arity {k}")
+                if any(a < 0 for a in alpha):
+                    raise ValueError(f"negative exponent in {alpha}")
+            shape = tuple(max(col) + 1 for col in zip(*alphas)) if alphas else (1,) * k
+            dense = np.zeros(shape, dtype=complex)
+            for alpha, c in zip(alphas, coeffs.values()):
+                dense[alpha] += complex(c)
+        else:
+            dense = np.array(coeffs, dtype=complex)
+            if dense.ndim != k:
+                raise ValueError(f"coefficient array of rank {dense.ndim} is not arity {k}")
+        dense += 0  # -0.0 parts become 0.0, so equal arrays hold equal bytes
+        nonzero = np.argwhere(dense)
+        if len(nonzero):
+            ends = nonzero.max(axis=0) + 1
+            dense = np.ascontiguousarray(dense[tuple(map(slice, ends))])
+        else:
+            dense = np.zeros((1,) * k, dtype=complex)
+        dense.flags.writeable = False
+        self.dense = dense
+
+    @property
+    def coeffs(self) -> dict:
+        """{exponent tuple: coefficient} of the nonzero coefficients."""
+        mask = self.dense != 0
+        return dict(zip(map(tuple, np.argwhere(mask).tolist()), self.dense[mask].tolist()))
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)
             and self.arity == other.arity
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.dense, other.dense)
         )
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.coeffs.items())))
+        return hash((self.arity, self.dense.shape, self.dense.tobytes()))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        table = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            table[a] = table.get(a, 0j) + c
-        return MultiPoly(self.arity, table)
+        a, b = self.dense, other.dense
+        total = np.zeros(tuple(map(max, a.shape, b.shape)), dtype=complex)
+        total[tuple(map(slice, a.shape))] += a
+        total[tuple(map(slice, b.shape))] += b
+        return MultiPoly(self.arity, total)
 
     __radd__ = __add__
 
@@ -979,17 +1002,17 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return MultiPoly(self.arity, {a: c * other for a, c in self.coeffs.items()})
+            return MultiPoly(self.arity, self.dense * other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("polynomial arities differ")
-        table: dict[tuple, complex] = {}
-        for a1, c1 in self.coeffs.items():
-            for a2, c2 in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(a1, a2))
-                table[key] = table.get(key, 0j) + c1 * c2
-        return MultiPoly(self.arity, table)
+        a, b = self.dense, other.dense
+        total = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)), dtype=complex)
+        # each nonzero term of ``a`` adds a shifted copy of ``b``
+        for alpha in np.argwhere(a).tolist():
+            total[tuple(slice(s, s + n) for s, n in zip(alpha, b.shape))] += a[tuple(alpha)] * b
+        return MultiPoly(self.arity, total)
 
     __rmul__ = __mul__
 
@@ -1003,37 +1026,30 @@ class MultiPoly:
         return None
 
     def partial(self, var: int) -> "MultiPoly":
-        table = {}
-        for alpha, c in self.coeffs.items():
-            if alpha[var] == 0:
-                continue
-            key = alpha[:var] + (alpha[var] - 1,) + alpha[var + 1 :]
-            table[key] = table.get(key, 0j) + c * alpha[var]
-        return MultiPoly(self.arity, table)
+        last = np.moveaxis(self.dense, var, -1)
+        scaled = last[..., 1:] * np.arange(1, last.shape[-1])
+        return MultiPoly(self.arity, np.moveaxis(scaled, -1, var))
 
     def __call__(self, *point) -> complex:
         if len(point) == 1 and isinstance(point[0], (tuple, list)):
             point = tuple(point[0])
         if len(point) != self.arity:
             raise ValueError(f"polynomial of arity {self.arity} called with {len(point)} values")
-        point = [complex(p) for p in point]
-        total = 0j
-        for alpha, c in self.coeffs.items():
-            term = c
-            for p, a in zip(point, alpha):
-                term *= p**a
-            total += term
-        return total
+        total = self.dense
+        for p in point:
+            # Horner along the leading axis, the one of this variable
+            total = np.polynomial.polynomial.polyval(complex(p), total)
+        return complex(total)
 
     def degree(self, var: int) -> int:
         """Largest exponent of ``var``; -1 for the zero polynomial."""
-        return max((alpha[var] for alpha in self.coeffs), default=-1)
+        return self.dense.shape[var] - 1 if self.dense.any() else -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.dense.any()
 
     def __repr__(self):
-        return f"MultiPoly(arity={self.arity}, terms={len(self.coeffs)})"
+        return f"MultiPoly(arity={self.arity}, terms={np.count_nonzero(self.dense)})"
 
     def __str__(self):
         return str(poly_to_field(self))
@@ -1041,8 +1057,8 @@ class MultiPoly:
 
 def poly_to_field(poly: MultiPoly) -> ScalarField:
     total: Node = _ZERO
-    for alpha in sorted(poly.coeffs):
-        term: Node = _const(poly.coeffs[alpha])
+    for alpha, c in sorted(poly.coeffs.items()):
+        term: Node = _const(c)
         for var, a in enumerate(alpha):
             term = _mul(term, _pow(Var(var), a))
         total = _add(total, term)

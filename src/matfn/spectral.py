@@ -213,9 +213,5 @@ def analyze(
 
 def minimal_polynomial(data: SpectralData) -> MultiPoly:
     """prod_m (x - lam_m)^{r_m} as a univariate polynomial."""
-    poly = MultiPoly(1, {(0,): 1.0})
-    for lam, r in zip(data.eigenvalues, data.min_mult):
-        factor = MultiPoly(1, {(1,): 1.0, (0,): -lam})
-        for _ in range(r):
-            poly = poly * factor
-    return poly
+    roots = np.repeat(np.array(data.eigenvalues, dtype=complex), data.min_mult)
+    return MultiPoly(1, np.polynomial.polynomial.polyfromroots(roots))

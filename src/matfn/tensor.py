@@ -110,15 +110,6 @@ def tensor_product(mats) -> OperatorTensor:
     return OperatorTensor(out)
 
 
-def _coeff_tensor(poly: MultiPoly) -> np.ndarray:
-    """The coefficients of ``poly`` as a dense array, one axis per variable."""
-    degs = [max(poly.degree(l), 0) for l in range(poly.arity)]
-    total = np.zeros(tuple(n + 1 for n in degs), dtype=complex)
-    for alpha, c in poly.coeffs.items():
-        total[alpha] = c
-    return total
-
-
 def _power_stack(M: np.ndarray, n: int) -> np.ndarray:
     """(I, M, M^2, ..., M^n) as one array of shape (n + 1, d, d)."""
     stack = [np.eye(M.shape[0], dtype=complex)]
@@ -128,13 +119,13 @@ def _power_stack(M: np.ndarray, n: int) -> np.ndarray:
 
 
 def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
-    """sum_alpha c_alpha M_1^{a_1} (x) ... (x) M_k^{a_k}."""
+    """sum_alpha c_alpha M_1^{a_1} (x) ... (x) M_k^{a_k}, c_alpha = ``poly.dense[alpha]``."""
     arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
     if poly.arity != len(arrs):
         raise ValueError(
             f"polynomial in {poly.arity} variables but {len(arrs)} matrices given"
         )
-    total = _coeff_tensor(poly)
+    total = poly.dense
     # Each tensordot sums the leading exponent axis against the slot's
     # power stack and appends that slot's (up, down) pair, so the result
     # ends in (i1, j1, ..., ik, jk) order.
@@ -151,7 +142,7 @@ def _chain_fold(poly: MultiPoly, M: np.ndarray, H: np.ndarray) -> np.ndarray:
     tensor: a right fold Y <- sum_a M^a H Y[..., a] over the slots, which
     holds one d x d matrix per index of the slots not yet folded.
     """
-    C = _coeff_tensor(poly)
+    C = poly.dense
     S = _power_stack(M, max(C.shape) - 1)
     Y = np.tensordot(C, S[: C.shape[-1]], axes=(-1, 0))
     for n in reversed(C.shape[:-1]):

@@ -567,9 +567,7 @@ def suite_zero(seed, trials=20):
         sd = analyze(mats[0])
         mu = minimal_polynomial(sd)
         # lift to k variables in x1, multiply by a random polynomial
-        lifted = MultiPoly(
-            k, {(a[0],) + (0,) * (k - 1): c for a, c in mu.coeffs.items()}
-        )
+        lifted = MultiPoly(k, mu.dense.reshape(mu.dense.shape + (1,) * (k - 1)))
         q_terms = {}
         for _ in range(3):
             alpha = tuple(int(rng.integers(0, 3)) for _ in range(k))
@@ -580,12 +578,8 @@ def suite_zero(seed, trials=20):
         P = lifted * Q
         T = poly_tensor_eval(P, mats)
         norms = [float(np.linalg.norm(M, 2)) for M in mats]
-        scale = 0.0
-        for alpha, c in P.coeffs.items():
-            term = abs(c)
-            for nl, a in zip(norms, alpha):
-                term *= nl**a
-            scale += term
+        # sum_alpha |c_alpha| prod_l ||M_l||^{a_l}
+        scale = MultiPoly(k, np.abs(P.dense))(*norms).real
         out.append(CheckResult("zero", f"annihilate-{t}", T.hs_norm(), 1e-8 * scale))
     return out
 
@@ -604,6 +598,8 @@ SUITES = {
 
 def run_suites(names, seed=0, trials=None):
     """Run the named suites (or all) and return every check result."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if "all" in names:
         chosen = list(SUITES)
     else:
@@ -611,11 +607,8 @@ def run_suites(names, seed=0, trials=None):
         if unknown:
             raise ValueError(f"unknown suites: {unknown}; valid: {sorted(SUITES)} or all")
         chosen = list(names)
+    kwargs = {} if trials is None else {"trials": trials}
     results = []
     for offset, name in enumerate(chosen):
-        fn = SUITES[name]
-        kwargs = {}
-        if trials is not None:
-            kwargs["trials"] = trials
-        results.extend(fn(seed + 1000 * offset, **kwargs))
+        results.extend(SUITES[name](seed + 1000 * offset, **kwargs))
     return results

@@ -56,6 +56,16 @@ def test_eval_out_file(tmp_path, capsys):
     assert np.allclose(fileio.load_matrix(str(dest)), np.eye(2))
 
 
+def test_eval_unwritable_out_exit_1(tmp_path, capsys):
+    a = write_matrix(tmp_path, "a.json", np.eye(2))
+    dest = tmp_path / "no-such-dir" / "result.json"
+    code, out, err = run_cli(capsys, ["eval", "--func", "x1^2", "--mat", a, "--out", str(dest)])
+    assert code == 1
+    assert out == ""
+    assert "cannot write" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_derivative_matches_closed_form(tmp_path, capsys):
     M = np.array([[1.0, 0.5], [0.0, 2.0]])
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -279,6 +289,15 @@ def test_verify_single_suite(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("[pass]") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("suite, trials", [("zero", "0"), ("paths", "-3")])
+def test_verify_nonpositive_trials_exit_1(capsys, suite, trials):
+    code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--trials", trials])
+    assert code == 1
+    assert out == ""
+    assert "trials must be at least 1" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_reports_failures_exit_3(capsys, monkeypatch):

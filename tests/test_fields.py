@@ -195,6 +195,62 @@ def test_multipoly_arithmetic():
     assert z.is_zero()
 
 
+def test_multipoly_rejects_malformed_coefficients():
+    with pytest.raises(ValueError, match="does not match arity"):
+        MultiPoly(2, {(1,): 1.0})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(2, {(1, -1): 1.0})
+    with pytest.raises(ValueError, match="rank 1 is not arity 2"):
+        MultiPoly(2, np.ones(3))
+
+
+def test_multipoly_cancellation_trims_degree():
+    p = MultiPoly(2, {(3, 1): 2.0, (1, 2): 1j, (0, 0): -1.0})
+    z = p - p
+    assert z.is_zero()
+    assert z.degree(0) == z.degree(1) == -1
+    assert z.coeffs == {}
+    assert z == MultiPoly(2)
+    q = p - MultiPoly(2, {(3, 1): 2.0})
+    assert (q.degree(0), q.degree(1)) == (1, 2)
+    assert q.dense.shape == (2, 3)
+    assert q.coeffs == {(1, 2): 1j, (0, 0): -1.0}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_multipoly_algebra_matches_pointwise_values(arity):
+    rng = np.random.default_rng(40 + arity)
+
+    def random_poly():
+        shape = tuple(rng.integers(1, 4, size=arity))
+        return MultiPoly(arity, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    for _ in range(5):
+        p, q = random_poly(), random_poly()
+        pt = tuple(rng.normal(size=arity) + 1j * rng.normal(size=arity))
+        fp, fq = poly_to_field(p), poly_to_field(q)
+        assert p(pt) == pytest.approx(fp(*pt), rel=1e-12)
+        assert (p * q)(pt) == pytest.approx(fp(*pt) * fq(*pt), rel=1e-12)
+        assert (p + q)(pt) == pytest.approx(fp(*pt) + fq(*pt), rel=1e-12)
+        assert (p - q)(pt) == pytest.approx(fp(*pt) - fq(*pt), rel=1e-12)
+        assert (2.5j * p - 1)(pt) == pytest.approx(2.5j * fp(*pt) - 1, rel=1e-12)
+        for var in range(arity):
+            want = fp.partial(var)(*pt)
+            assert p.partial(var)(pt) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_multipoly_dict_and_array_forms_agree():
+    from_dict = MultiPoly(2, {(0, 0): 1.0, (2, 1): -3j, (1, 0): 0.5})
+    dense = np.zeros((4, 3), dtype=complex)  # trailing zero rows and columns
+    dense[0, 0], dense[2, 1], dense[1, 0] = 1.0, -3j, 0.5
+    from_array = MultiPoly(2, dense)
+    assert from_array == from_dict
+    assert hash(from_array) == hash(from_dict)
+    assert from_array.dense.shape == (3, 2)
+    assert from_array.coeffs == from_dict.coeffs
+    assert from_dict != MultiPoly(2, {(0, 0): 1.0, (1, 2): -3j, (1, 0): 0.5})
+
+
 def test_poly_field_bridges():
     p = MultiPoly(2, {(2, 0): 1.0, (0, 1): -3.0})
     f = poly_to_field(p)

@@ -111,6 +111,11 @@ def test_file_round_trip(tmp_path):
     assert np.array_equal(load_matrix(str(path)), M)
 
 
+def test_save_json_errors_as_value_errors(tmp_path):
+    with pytest.raises(ValueError, match="cannot write"):
+        save_json(str(tmp_path / "no-such-dir" / "m.json"), {"a": 1})
+
+
 def test_load_json_errors_as_value_errors(tmp_path):
     with pytest.raises(ValueError, match="cannot read"):
         load_json(str(tmp_path / "missing.json"))

@@ -179,6 +179,20 @@ def test_poly_tensor_eval():
         assert np.allclose(T.as_matrix(), want)
 
 
+def test_poly_tensor_eval_after_leading_term_cancels():
+    A = rng.normal(size=(2, 2))
+    B = rng.normal(size=(3, 3))
+    lead = MultiPoly(2, {(4, 2): 1.5})
+    rest = MultiPoly(2, {(1, 1): 2.0, (2, 0): -1j, (0, 0): 0.5})
+    p = (rest + lead) - lead
+    assert (p.degree(0), p.degree(1)) == (2, 1)
+    got = poly_tensor_eval(p, [A, B]).as_matrix()
+    want = poly_tensor_eval(rest, [A, B]).as_matrix()
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    expected = 2.0 * np.kron(A, B) - 1j * np.kron(A @ A, np.eye(3)) + 0.5 * np.eye(6)
+    assert np.allclose(got, expected, atol=1e-12)
+
+
 def test_apply_vectors():
     A = rng.normal(size=(2, 2))
     B = rng.normal(size=(3, 3))

@@ -25,6 +25,13 @@ def test_trials_override_shrinks_work():
     assert 0 < len(few) < len(many)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_nonpositive_trials_rejected(trials):
+    # a run that checks nothing must not read as a pass
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suites(["all"], seed=0, trials=trials)
+
+
 def test_per_suite_seeds_are_independent():
     # The same seed must give identical residuals run to run.
     a = run_suites(["lipschitz"], seed=5)
