@@ -19,7 +19,7 @@ from .spectral import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_RANK_TOL,
     SpectralData,
-    analyze,
+    _analyze_all,
     as_square_matrix,
     hs_norm,
     merge_clusters,
@@ -47,7 +47,7 @@ def product_identity_check(f1: ScalarField, f2: ScalarField, mats) -> ProductChe
     if f1.arity != f2.arity:
         raise ValueError("both fields must have the same arity")
     arrs = [as_square_matrix(M) for M in mats]
-    spectra = [analyze(M) for M in arrs]
+    spectra = list(_analyze_all(arrs))
     A = f_otimes(f1, arrs, spectra=spectra).as_matrix()
     B = f_otimes(f2, arrs, spectra=spectra).as_matrix()
     AB = f_otimes(f1 * f2, arrs, spectra=spectra).as_matrix()
@@ -149,9 +149,10 @@ def compose_identity_check(
     if len(mats_groups) != len(inner_fields):
         raise ValueError("one matrix group per inner field is required")
     groups = [[as_square_matrix(M) for M in grp] for grp in mats_groups]
-    spectra_groups = [
-        [analyze(M) for M in grp] for grp in groups
-    ]
+    flat_mats = [M for grp in groups for M in grp]
+    flat_spectra = list(_analyze_all(flat_mats))
+    unpack = iter(flat_spectra)
+    spectra_groups = [[next(unpack) for _ in grp] for grp in groups]
 
     bars = []
     derived = []
@@ -163,8 +164,6 @@ def compose_identity_check(
     lhs = f_otimes(g, bars, spectra=outer_spectra).as_matrix()
 
     h = compose(g, inner_fields)
-    flat_mats = [M for grp in groups for M in grp]
-    flat_spectra = [sd for specs in spectra_groups for sd in specs]
     rhs = f_otimes(h, flat_mats, spectra=flat_spectra).as_matrix()
 
     return ComposeCheck(
@@ -201,7 +200,7 @@ def contract_trace_theorem(f: ScalarField, mats, slot: int) -> TraceContractChec
         raise ValueError(f"slot {slot} out of range")
     if len(arrs) < 2:
         raise ValueError("the trace reduction needs at least two slots")
-    spectra = [analyze(M) for M in arrs]
+    spectra = list(_analyze_all(arrs))
     T = f_otimes(f, arrs, spectra=spectra)
     lhs = trace_slot(T, slot)
 
@@ -252,7 +251,7 @@ def contract_equal_slots_theorem(
         raise ValueError("the kept slot must precede the dropped slot")
     if not np.array_equal(arrs[keep], arrs[drop]):
         raise ValueError("the contracted slots must hold the same matrix entrywise")
-    spectra = [analyze(M) for M in arrs]
+    spectra = list(_analyze_all(arrs))
     T = f_otimes(f, arrs, spectra=spectra)
 
     first = contract_pair(T, drop, keep)
@@ -306,7 +305,7 @@ def commuting_swap_check(f: ScalarField, mats, p: int, q: int) -> SwapCheck:
             f"arguments do not commute: ||[M_p, M_q]|| = {comm_norm:.3e} "
             f"exceeds {DEFAULT_RANK_TOL:.1e} * {scale:.3e}"
         )
-    spectra = [analyze(M) for M in arrs]
+    spectra = list(_analyze_all(arrs))
     T = f_otimes(f, arrs, spectra=spectra)
     first = contract_pair(T, q, p)
     second = contract_pair(T, p, q)

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import FieldDomainError, NotDiagonalizableError
 from .interp import hermite_basis, interpolate
 from .scalarfield import MultiPoly, ScalarField, derivative_grid
-from .spectral import SpectralData, analyze, as_square_matrix
+# ``analyze`` stays bound for bench/tracer.py, which rebinds imported names
+from .spectral import SpectralData, _analyze_all, analyze, as_square_matrix  # noqa: F401
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
 
 _LETTERS = string.ascii_letters
@@ -63,7 +64,7 @@ def f_otimes(
 def _interpolant(f: ScalarField, arrs, spectra, extra_multiplicity=0) -> MultiPoly:
     """The polynomial that :func:`f_otimes` evaluates at ``arrs``."""
     if spectra is None:
-        data = [analyze(M) for M in arrs]
+        data = list(_analyze_all(arrs))
     else:
         data = list(spectra)
         if len(data) != len(arrs):
@@ -74,7 +75,10 @@ def _interpolant(f: ScalarField, arrs, spectra, extra_multiplicity=0) -> MultiPo
     grid_nodes = [
         [(lam, r + pad) for lam, r in sd.grid_entries()] for sd in data
     ]
-    bases = [hermite_basis(nodes) for nodes in grid_nodes]
+    # one solve per distinct node list; repr, unlike ==, tells -0.0 from 0.0
+    keys = [repr(nodes) for nodes in grid_nodes]
+    solved = {key: hermite_basis(nodes) for key, nodes in dict(zip(keys, grid_nodes)).items()}
+    bases = [solved[key] for key in keys]
     try:
         G = derivative_grid(f, grid_nodes)
     except FieldDomainError as exc:
@@ -93,8 +97,7 @@ def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
     enter, evaluation-only fields such as ``abs`` are usable here.
     """
     arrs = _slot_matrices(f, mats)
-    for l, M in enumerate(arrs):
-        sd = analyze(M)
+    for l, sd in enumerate(_analyze_all(arrs)):
         if not sd.is_diagonalizable:
             raise NotDiagonalizableError(
                 f"slot {l} matrix has minimal multiplicities {sd.min_mult}; "

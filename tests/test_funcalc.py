@@ -1,22 +1,32 @@
 """The tensor extension itself, its oracles and its routes."""
 
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import matfn.scalarfield as sf
 from matfn import (
     NotDiagonalizableError,
+    SpectralError,
     analyze,
     apply_vectors,
     chain_contract,
+    derivative_grid,
     divided_difference_field,
     f_otimes,
     f_otimes_diagonalizable,
+    hermite_basis,
+    interpolate,
     jordan_closed_form,
     jordan_matrix,
     matrix_function,
+    nth_derivative_curve,
     parse_field,
 )
+from matfn.tensor import _chain_fold
 
 rng = np.random.default_rng(23)
 
@@ -234,3 +244,74 @@ def test_sylvester_solution_by_chain_contract():
 def test_arity_matrix_count_mismatch():
     with pytest.raises(ValueError):
         f_otimes(parse_field("x1 + x2"), [np.eye(2)])
+
+
+# ---------------------------------------------------------------------------
+# all slots in one spectral pass
+
+
+def _warning_but_valid():
+    # a conjugated J3(0.5) splits into three simple eigenvalues, each rank
+    # decision within 10x of its threshold: three warnings, no error
+    S = np.random.default_rng(28).normal(size=(3, 3))
+    return S @ jordan_matrix([(0.5, 3)]) @ np.linalg.inv(S)
+
+
+def _split_j4():
+    M = jordan_matrix([(1.0, 4), (2.5, 1)])
+    M[3, 0] = 1e-14
+    return M
+
+
+def _recorded(fn):
+    """(result or SpectralError text, warnings in order) of ``fn()``."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            got = fn()
+        except SpectralError as exc:
+            got = f"SpectralError: {exc}"
+    return got, rec
+
+
+def test_one_pass_equals_slot_by_slot_spectra():
+    local = np.random.default_rng(40)
+    jordan = jordan_matrix([(0.3, 2), (-1.0, 1)])
+    mats = [local.normal(size=(2, 2)), jordan, local.normal(size=(3, 3))]
+    f = parse_field("exp(x1 + 2*x2) / (x3 + 9)")
+    T = f_otimes(f, mats)
+    want = f_otimes(f, mats, spectra=[analyze(M) for M in mats])
+    assert T.data.tobytes() == want.data.tobytes()
+
+
+def test_one_pass_warns_and_fails_slot_by_slot():
+    ahead, split = _warning_but_valid(), _split_j4()
+    # slot 2 warns too, but comes after the slot whose analysis fails
+    mats = [ahead, split, ahead]
+    got, rec = _recorded(lambda: f_otimes(parse_field("x1 + x2 + x3"), mats))
+    _, want_ahead = _recorded(lambda: analyze(ahead))
+    err, want_split = _recorded(lambda: analyze(split))
+    assert len(want_ahead) == 3 and want_split and err.startswith("SpectralError")
+    assert got == err
+    assert [str(w.message) for w in rec] == [str(w.message) for w in want_ahead + want_split]
+
+
+def test_curve_derivative_shares_one_basis_across_equal_slots():
+    f = parse_field("1/(x1 + 6)")
+    local = np.random.default_rng(41)
+    A = local.normal(size=(4, 4)) / 2
+    H = local.normal(size=(4, 4))
+    got = nth_derivative_curve(f, A, H, 3)
+    nodes = [analyze(A).grid_entries()] * 4
+    g = divided_difference_field(f, 3)
+    poly = interpolate(derivative_grid(g, nodes), [hermite_basis(n) for n in nodes])
+    want = math.factorial(3) * _chain_fold(poly, A, H)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fragility_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        f_otimes(parse_field("exp(x1)"), [_warning_but_valid()])
+    assert rec
+    assert {Path(w.filename).resolve() for w in rec} == {Path(__file__).resolve()}

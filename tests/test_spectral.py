@@ -14,7 +14,7 @@ from matfn import (
     parse_field,
 )
 from matfn.funcalc import jordan_matrix
-from matfn.spectral import DEFAULT_RANK_TOL, _rank_ladder
+from matfn.spectral import DEFAULT_RANK_TOL, _analyze_all, _rank_ladder, merge_clusters
 
 
 def companion(coeffs):
@@ -172,3 +172,149 @@ def test_minimal_polynomial_coefficients():
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         analyze(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the batched pass against the per-cluster ladder
+
+
+def _reference_analyze(M, cluster_tol=1e-8, rank_tol=1e-10):
+    """``analyze`` with one eigvals call per matrix and one svd call per power.
+
+    The sequential ladder that :func:`matfn.spectral._analyze_all` replays:
+    clusters in (real, imag) order, powers (A - c I)^j computed and
+    decided one at a time until the rank stabilizes.
+    """
+    A = np.asarray(M, dtype=complex)
+    d = A.shape[0]
+    w = np.linalg.eigvals(A)
+    norm = float(np.linalg.norm(A))
+    rows = []
+    for g in merge_clusters(w, cluster_tol * norm):
+        c = complex(sum(w[i] for i in g) / len(g))
+        rows.append((c, len(g), max(abs(w[i] - c) for i in g)))
+    rows.sort(key=lambda p: (p[0].real, p[0].imag))
+    residual = 100 * np.finfo(float).eps * norm
+    mins = []
+    for lam, _, radius in rows:
+        B = A - lam * np.eye(d)
+        s = np.linalg.svd(B, compute_uv=False)
+        sigma1 = float(s[0])
+        if sigma1 == 0.0:
+            mins.append(1)
+            continue
+
+        def rank_of(s, j):
+            thr = max(rank_tol * sigma1**j, residual * sigma1 ** (j - 1), (100 * radius) ** j)
+            if np.any((s > thr / 10) & (s < thr * 10)):
+                warnings.warn(
+                    f"rank decision for eigenvalue {lam} at power {j} is within "
+                    f"10x of the threshold {thr:.3e}",
+                    RuntimeWarning,
+                )
+            return int(np.count_nonzero(s > thr))
+
+        prev = rank_of(s, 1)
+        if prev == d:
+            raise SpectralError(f"{lam} is not an eigenvalue of the matrix (full-rank shift)")
+        P, r = B, d
+        for j in range(1, d + 1):
+            P = P @ B
+            cur = rank_of(np.linalg.svd(P, compute_uv=False), j + 1)
+            if cur == prev:
+                r = j
+                break
+            prev = cur
+        mins.append(r)
+    for (lam, s, _), r in zip(rows, mins):
+        if r > s:
+            raise SpectralError(
+                f"cluster at {lam:.6g} holds {s} eigenvalue(s) but its rank ladder "
+                f"gives minimal multiplicity {r}; a defective eigenvalue was split"
+            )
+    return SpectralData(
+        tuple(c for c, _, _ in rows), tuple(n for _, n, _ in rows), tuple(mins), d
+    )
+
+
+def _ladder_corpus():
+    rng = np.random.default_rng(90)
+    out = []
+    for d in range(1, 9):
+        for _ in range(3):
+            out.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for size in range(2, 6):
+        for _ in range(3):
+            S = rng.normal(size=(size, size))
+            out.append(S @ jordan_matrix([(complex(rng.normal()), size)]) @ np.linalg.inv(S))
+    split = jordan_matrix([(1.0, 4), (2.5, 1)])
+    split[3, 0] = 1e-14
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    out += [
+        split,
+        np.diag([0.6, 0.6 + 1e-9, 2.0]),
+        Q @ np.diag([1.0, 1.0 + 1e-7]) @ Q.T,
+        np.zeros((3, 3)),
+        2.0 * np.eye(3),
+        np.zeros((0, 0)),
+        companion([-3.0, 7.0, -5.0]),
+    ]
+    return out
+
+
+def _outcome(fn, *args):
+    """(result or error text, warning messages in order) of ``fn(*args)``."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        try:
+            got = fn(*args)
+        except SpectralError as exc:
+            got = f"SpectralError: {exc}"
+    return got, [str(w.message) for w in rec]
+
+
+def test_analyze_decides_as_the_per_cluster_ladder():
+    corpus = _ladder_corpus()
+    kinds = set()
+    for M in corpus:
+        want, want_warned = _outcome(_reference_analyze, M)
+        got, warned = _outcome(analyze, M)
+        assert got == want
+        assert warned == want_warned
+        kinds.add((isinstance(want, str), bool(want_warned)))
+    # the corpus reaches a split error, warnings, and quiet success
+    assert {(True, True), (False, False)} <= kinds
+    assert _outcome(analyze, np.zeros((0, 0)))[0] == SpectralData((), (), (), 0)
+
+
+def test_batched_pass_matches_one_matrix_at_a_time():
+    # all valid corpus matrices in one pass: equal sizes share their calls
+    valid = [np.asarray(M, dtype=complex) for M in _ladder_corpus()
+             if not isinstance(_outcome(_reference_analyze, M)[0], str)]
+    want, want_warned = zip(*(_outcome(_reference_analyze, M) for M in valid))
+    got, warned = _outcome(lambda: list(_analyze_all(valid)))
+    assert got == list(want)
+    assert warned == [m for ms in want_warned for m in ms]
+
+
+def test_failed_stacked_call_falls_back_to_one_matrix_at_a_time(monkeypatch):
+    mats = [np.asarray(M, dtype=complex) for M in _ladder_corpus()[:30]]
+    want = _outcome(lambda: list(_analyze_all(mats)))
+
+    def stack_fails(fn):
+        def call(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("stacked call failed")
+            return fn(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvals", stack_fails(np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "svd", stack_fails(np.linalg.svd))
+    assert _outcome(lambda: list(_analyze_all(mats))) == want
+
+    def never_converges(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", never_converges)
+    with pytest.raises(SpectralError, match="eigenvalue iteration failed"):
+        analyze(np.eye(2))
