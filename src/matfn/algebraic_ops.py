@@ -8,7 +8,7 @@ routes stay separate so that agreement is evidence.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +97,15 @@ def derived_spectrum(f: ScalarField, spectra: list[SpectralData]) -> DerivedSpec
     """
     if len(spectra) != f.arity:
         raise ValueError(f"field arity {f.arity} but {len(spectra)} spectra given")
-    raw = []
-    for m_tuple in itertools.product(*(range(len(sd.eigenvalues)) for sd in spectra)):
-        lams = tuple(spectra[l].eigenvalues[m] for l, m in enumerate(m_tuple))
-        value = f(*lams)
-        bound = 1 + sum(spectra[l].min_mult[m] - 1 for l, m in enumerate(m_tuple))
-        weight = 1
-        for l, m in enumerate(m_tuple):
-            weight *= spectra[l].alg_mult[m]
-        raw.append((value, bound, weight))
+    # one axis per slot, so that the tuples are the broadcast grid, in C order
+    k = len(spectra)
+    axes = [(-1,) + (1,) * (k - 1 - l) for l in range(k)]
+    values = f(*(np.reshape(sd.eigenvalues, a) for sd, a in zip(spectra, axes)))
+    bounds = 1 + sum(np.reshape(sd.min_mult, a) - 1 for sd, a in zip(spectra, axes))
+    weights = math.prod(np.reshape(sd.alg_mult, a) for sd, a in zip(spectra, axes))
+    shape = tuple(len(sd.eigenvalues) for sd in spectra)
+    cols = (np.broadcast_to(x, shape).ravel().tolist() for x in (values, bounds, weights))
+    raw = list(zip(*cols))
 
     scale = max(1.0, max(abs(v) for v, _, _ in raw))
     threshold = DEFAULT_CLUSTER_TOL * scale

@@ -6,14 +6,17 @@ counts from 0. JSON results go to stdout, notes and errors to stderr.
 
 Exit codes: 0 success, 1 bad input (unparsable field, malformed file,
 out-of-range slot), 2 numerical failure (clustering, interpolation,
-domain trouble or a failed numpy.linalg routine), 3 verification suite
-failure.
+domain trouble, a failed numpy.linalg routine or an allocation beyond
+the memory available), 3 verification suite failure. The package's
+warnings go to stderr as one ``matfn: warning:`` line each, before the
+one-line error, which is always the last line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -140,6 +143,8 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_wedge(args) -> int:
+    if args.k < 1:
+        raise ValueError("--k must be at least 1")
     M = fileio.load_matrix(args.mat)
     f = parse_field(args.func, arity=args.k)
     total = asym.distinct_tuple_sum(f, M, args.k)
@@ -264,18 +269,25 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except FieldParseError as exc:
-        print(f"matfn: field error: {exc}", file=sys.stderr)
-        return 1
-    except (MatfnError, np.linalg.LinAlgError) as exc:
-        # before ValueError, which LinAlgError subclasses
-        print(f"matfn: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"matfn: input error: {exc}", file=sys.stderr)
-        return 1
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.handler(args)
+        except FieldParseError as exc:
+            code, error = 1, f"field error: {exc}"
+        except (MatfnError, np.linalg.LinAlgError) as exc:
+            # before ValueError, which LinAlgError subclasses
+            code, error = 2, f"numerical failure: {exc}"
+        except MemoryError as exc:
+            reason = str(exc) or "allocation refused"
+            code, error = 2, f"numerical failure: out of memory: {reason}"
+        except ValueError as exc:
+            code, error = 1, f"input error: {exc}"
+    for w in caught:
+        print(f"matfn: warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"matfn: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

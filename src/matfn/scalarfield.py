@@ -1,21 +1,22 @@
 """Expression trees for scalar functions of several complex variables.
 
 A :class:`ScalarField` is an arity together with an immutable expression
-tree. Fields evaluate at a point of C^k, or elementwise over numpy arrays
-of points that broadcast against each other in one walk of the tree, and
-they differentiate symbolically. Differentiation is closed on the node
-set, so mixed partial derivatives of any order stay representable.
-Besides the rational operations, integer powers, exp and log, the tree
-supports divided differences of another field in one of its slots
-(closed under differentiation through the node-repetition rule) and the
-kernel functions used by the eigenprojector perturbation series. Two
+tree. Fields evaluate elementwise over numpy arrays of points that
+broadcast against each other, in one walk of the tree; a point of C^k is
+walked as one-entry arrays (not 0-d ones, whose numpy-scalar results
+round differently), so point and array calls agree to the bit. Fields
+differentiate symbolically, closed on the node set, so mixed partial
+derivatives of any order stay representable. Besides the rational
+operations, integer powers, exp and log, the tree supports divided
+differences of another field in one of its slots (closed under
+differentiation through the node-repetition rule) and the kernel
+functions used by the eigenprojector perturbation series. Two
 evaluation-only builtins, ``abs`` and a clipped minimum, exist for the
 piecewise tests and refuse differentiation.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import re
@@ -242,22 +243,17 @@ def _pow(a: Node, n: int) -> Node:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_INF = complex(math.inf)
-_ndarray = np.ndarray  # one lookup fewer on the scalar call path
-
 
 def _evaluate(node: Node, point: tuple, memo: dict):
-    """Value of ``node`` at ``point``.
+    """Values of ``node`` over the broadcast of the arrays in ``point``.
 
-    ``point`` holds one value per variable: all Python complex scalars, or
-    complex arrays that broadcast against each other, in which case the
-    value is elementwise over the broadcast points (callers silence
-    numpy's floating-point warnings; see :func:`_evaluate_on`). Values
-    stay Python complex wherever no array enters. ``memo`` maps
-    ``id(node)`` to the values already computed in this call: derivative
-    trees share subtrees heavily, and keying on node equality would hash
-    whole subtrees. Domain violations raise :class:`FieldDomainError`
-    naming the first offending point.
+    ``point`` holds one complex array per variable (a subtree without
+    variables gives a scalar); callers silence numpy's floating-point
+    warnings, see :func:`_evaluate_on`. ``memo`` maps ``id(node)`` to the
+    values already computed in this call: derivative trees share subtrees
+    heavily, and keying on node equality would hash whole subtrees.
+    Domain violations raise :class:`FieldDomainError` naming the first
+    offending point.
     """
     t = type(node)
     if t is Const:
@@ -279,56 +275,35 @@ def _evaluate(node: Node, point: tuple, memo: dict):
     elif t is Div:
         num = _evaluate(node.lhs, point, memo)
         den = _evaluate(node.rhs, point, memo)
-        bad = den == 0
-        if bad is not False:
-            _check(bad, point, "division by zero", node)
+        _check(den == 0, point, "division by zero", node)
         v = num / den
     elif t is Neg:
         v = -_evaluate(node.arg, point, memo)
     elif t is Pow:
         base = _evaluate(node.base, point, memo)
         if node.exponent < 0:
-            bad = base == 0
-            if bad is not False:
-                _check(bad, point, "zero raised to negative power", node)
-        if type(base) is complex:
-            try:
-                v = base**node.exponent
-            except (OverflowError, ZeroDivisionError):
-                v = _INF
-        else:
-            v = base**node.exponent
-        _check_finite(v, base, point, "power overflow", node)
+            _check(base == 0, point, "zero raised to negative power", node)
+        v = base**node.exponent
+        if not np.isfinite(v).all():
+            _check(~np.isfinite(v) & np.isfinite(base), point, "power overflow", node)
     elif t is Exp:
         arg = _evaluate(node.arg, point, memo)
-        if type(arg) is complex:
-            try:
-                v = cmath.exp(arg)
-            except OverflowError:
-                v = _INF
-        else:
-            v = np.exp(arg)
-        _check_finite(v, arg, point, "exp overflow", node)
+        v = np.exp(arg)
+        if not np.isfinite(v).all():
+            _check(~np.isfinite(v) & np.isfinite(arg), point, "exp overflow", node)
     elif t is Log:
         arg = _evaluate(node.arg, point, memo)
-        bad = arg == 0
-        if bad is not False:
-            _check(bad, point, "log of zero", node)
-        v = cmath.log(arg) if type(arg) is complex else np.log(arg)
+        _check(arg == 0, point, "log of zero", node)
+        v = np.log(arg)
     elif t is SlotDividedDifference:
         v = _slot_dd(node, point)
     elif t is AbsVal:
-        arg = _evaluate(node.arg, point, memo)
-        v = complex(abs(arg)) if type(arg) is complex else np.abs(arg) + 0j
+        v = np.abs(_evaluate(node.arg, point, memo)) + 0j
     elif t is MinConst:
         z = _evaluate(node.arg, point, memo)
         bad = abs(z.imag) > 1e-9 * (1.0 + abs(z))
-        if bad is not False:
-            _check(bad, point, "min builtin applied to a non-real value", node)
-        if type(z) is complex:
-            v = complex(min(z.real, node.bound))
-        else:
-            v = np.minimum(z.real, node.bound) + 0j
+        _check(bad, point, "min builtin applied to a non-real value", node)
+        v = np.minimum(z.real, node.bound) + 0j
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
     memo[key] = v
@@ -336,22 +311,13 @@ def _evaluate(node: Node, point: tuple, memo: dict):
 
 
 def _check(bad, point: tuple, what: str, node: Node):
-    """Raise :class:`FieldDomainError` at the first point where ``bad`` holds."""
-    if bad is not True and not bad.any():
+    """Raise :class:`FieldDomainError` where ``bad``, an array or a bool, first holds."""
+    if bad is False or (bad is not True and not bad.any()):
         return
     shape = np.broadcast_shapes(np.shape(bad), *(np.shape(p) for p in point))
     at = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))), shape)
     where = tuple(complex(np.broadcast_to(p, shape)[at]) for p in point)
     raise FieldDomainError(f"{what} in {render(node)} at point {where}")
-
-
-def _check_finite(value, arg, point: tuple, what: str, node: Node):
-    """A finite argument must give a finite value."""
-    if type(value) is complex:
-        if not cmath.isfinite(value) and cmath.isfinite(arg):
-            _check(True, point, what, node)
-    elif not np.isfinite(value).all():
-        _check(~np.isfinite(value) & np.isfinite(arg), point, what, node)
 
 
 def _evaluate_on(root: Node, point) -> np.ndarray:
@@ -640,15 +606,16 @@ class ScalarField:
 
         With any argument a numpy array, every argument is taken as a
         complex array and the result is an array of their broadcast shape.
+        Otherwise the point is evaluated as one-entry arrays (see the
+        module docstring) and the result is a Python complex.
         """
         if len(point) == 1 and isinstance(point[0], (tuple, list)):
             point = tuple(point[0])
         if len(point) != self.arity:
             raise ValueError(f"field of arity {self.arity} called with {len(point)} arguments")
-        for p in point:
-            if isinstance(p, _ndarray):
-                return _evaluate_on(self.root, [np.asarray(p, dtype=complex) for p in point])
-        return _evaluate(self.root, tuple(map(complex, point)), {})
+        if any(isinstance(p, np.ndarray) for p in point):
+            return _evaluate_on(self.root, [np.asarray(p, dtype=complex) for p in point])
+        return _evaluate_on(self.root, [np.array([p], dtype=complex) for p in point]).item()
 
     def partial(self, var: int) -> "ScalarField":
         if not 0 <= var < self.arity:
@@ -1193,10 +1160,8 @@ def parse_field(text: str, arity: int | None = None) -> ScalarField:
     if kind != "end":
         raise FieldParseError(f"trailing input starting at {val!r}")
     inferred = parser.max_var + 1
-    if arity is None:
-        arity = max(inferred, 1)
-    elif inferred > arity:
-        raise FieldParseError(
-            f"text references x{inferred} but arity {arity} was requested"
-        )
-    return ScalarField(arity, root)
+    # the field rejects a negative arity before the variables are counted
+    field = ScalarField(max(inferred, 1) if arity is None else arity, root)
+    if inferred > field.arity:
+        raise FieldParseError(f"text references x{inferred} but arity {arity} was requested")
+    return field

@@ -538,9 +538,8 @@ def suite_antisym(seed, trials=10):
             f = pool[int(rng.integers(len(pool)))]
             got = asym.distinct_tuple_sum(f, M, k)
             w = np.linalg.eigvals(M)
-            brute = 0j
-            for idx in itertools.permutations(range(d), k):
-                brute += f(*(w[i] for i in idx))
+            idx = np.array(list(itertools.permutations(range(d), k)))
+            brute = complex(f(*(w[idx[:, l]] for l in range(k))).sum())
             res = abs(got - brute) / max(1.0, abs(brute))
             out.append(CheckResult("antisym", f"distinct-{t}-k{k}", res, 1e-8))
     for t in range(trials):

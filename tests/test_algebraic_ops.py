@@ -1,5 +1,8 @@
 """Product, composition and contraction identities as checkable objects."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from matfn import (
     product_identity_check,
 )
 from matfn.funcalc import jordan_matrix
+from matfn.spectral import DEFAULT_CLUSTER_TOL, merge_clusters
 
 rng = np.random.default_rng(41)
 
@@ -120,6 +124,47 @@ def test_derived_spectrum_bounds_honest():
             r for lam, r in zip(ext.eigenvalues, ext.min_mult) if abs(lam - value) < 1e-6
         ]
         assert r_hat <= bound
+
+
+def _tuple_loop_spectrum(f, spectra):
+    """derived_spectrum as one point call per eigenvalue tuple, the reference."""
+    raw = []
+    for m_tuple in itertools.product(*(range(len(sd.eigenvalues)) for sd in spectra)):
+        value = f(*(spectra[l].eigenvalues[m] for l, m in enumerate(m_tuple)))
+        bound = 1 + sum(spectra[l].min_mult[m] - 1 for l, m in enumerate(m_tuple))
+        weight = math.prod(spectra[l].alg_mult[m] for l, m in enumerate(m_tuple))
+        raw.append((value, bound, weight))
+    scale = max(1.0, max(abs(v) for v, _, _ in raw))
+    rows = [
+        (sum(raw[i][0] for i in g) / len(g), max(raw[i][1] for i in g), sum(raw[i][2] for i in g))
+        for g in merge_clusters([v for v, _, _ in raw], DEFAULT_CLUSTER_TOL * scale)
+    ]
+    rows.sort(key=lambda r: (r[0].real, r[0].imag))
+    return tuple(zip(*rows))
+
+
+@pytest.mark.parametrize(
+    "text", ["x1 + x2", "exp(x1)*x2 + 1/(x1 + x2 + 4)", "x1*x2*x3 - log(x2 + 2)"]
+)
+def test_derived_spectrum_matches_the_tuple_loop(text):
+    # Jordan-plus-diagonal slots: min_mult 2 and alg_mult 2 enter the bounds
+    # and weights; "x1 + x2" has colliding sums (1 + 1.5 = 2 + 0.5)
+    slots = [
+        jordan_matrix([(1.0, 2), (2.0, 1)]),
+        np.diag([0.5, 1.5, 3.0 + 0.5j]),
+        jordan_matrix([(-0.5, 1), (0.25, 3)]),
+    ]
+    f = parse_field(text)
+    spectra = [analyze(M) for M in slots[: f.arity]]
+    derived = derived_spectrum(f, spectra)
+    values, bounds, weights = _tuple_loop_spectrum(f, spectra)
+    assert [(v.real.hex(), v.imag.hex()) for v in derived.values] == [
+        (v.real.hex(), v.imag.hex()) for v in values
+    ]
+    assert derived.mult_bounds == bounds
+    assert derived.alg_mults == weights
+    assert all(type(b) is int for b in derived.mult_bounds + derived.alg_mults)
+    assert max(bounds) > 1 and max(weights) > 1
 
 
 def test_derived_spectrum_merges_collisions():

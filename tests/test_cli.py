@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -259,12 +260,45 @@ def test_split_defective_eigenvalue_exit_2(tmp_path, capsys):
     M[4, 4] = 2.5
     M[3, 0] = 1e-14
     m = write_matrix(tmp_path, "j4.json", M)
-    with pytest.warns(RuntimeWarning, match="within 10x"):
+    # the four rank-fragility warnings become stderr lines; none escapes
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
+    assert escaped == []
     assert code == 2
     assert out == ""
-    assert "numerical failure" in err
-    assert len(err.strip().splitlines()) == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith("matfn: warning: rank decision") for line in lines[:4])
+    assert all("within 10x" in line for line in lines[:4])
+    assert lines[4].startswith("matfn: numerical failure: ")
+    assert "runpy" not in err and "RuntimeWarning" not in err
+
+
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # a high --order asks for a derivative grid beyond memory; the allocation
+    # failure is simulated, since a real one may start on an overcommitting host
+    message = "Unable to allocate 32.0 GiB for an array"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.calc, "nth_derivative_curve", refuse)
+    m = write_matrix(tmp_path, "m2.json", [[1.0, 2.0], [0.0, 3.0]])
+    argv = ["curve", "--func", "x1", "--mat", m, "--dir", m, "--order", "30"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"matfn: numerical failure: out of memory: {message}\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_wedge_k_below_one_exit_1(tmp_path, capsys, k):
+    m = write_matrix(tmp_path, "m.json", np.diag([1.0, 2.0]))
+    code, out, err = run_cli(capsys, ["wedge", "--func", "1", "--mat", m, "--k", k])
+    assert code == 1
+    assert out == ""
+    assert err == "matfn: input error: --k must be at least 1\n"
 
 
 def test_argparse_error_exit_1(capsys):

@@ -115,6 +115,11 @@ def test_parser_one_based_names():
         parse_field("x3", arity=2)
 
 
+def test_parser_rejects_negative_arity():
+    with pytest.raises(ValueError, match="arity must be nonnegative"):
+        parse_field("1", arity=-2)
+
+
 def test_parser_precedence_round_trip():
     cases = [
         ("x1 + x2*x3", (1.0, 2.0, 3.0), 7.0),
@@ -326,6 +331,33 @@ def test_array_evaluation_matches_pointwise():
     got = sf.variable(0, 1)(zs)
     got[0] = 7.0
     assert zs[0] == 0.5
+
+
+def test_point_call_rounds_as_array_calls():
+    # a point is evaluated as one-entry arrays, so it rounds as array calls do
+    rng = np.random.default_rng(10)
+    anchor = 0.5 + 0.25j
+    cases = [
+        (parse_field("x1*x2*x1 + x2*x2"), None),
+        (parse_field("(x1 + 2)/(x2 - 3)"), None),
+        (parse_field("(x1 + x2)^5 - x1^-3"), None),
+        (parse_field("exp(x1*x2)"), None),
+        (parse_field("log(x1 + 3*x2)"), None),
+        (divided_difference_field(parse_field("exp(x1)/(x1 + 4)"), 2), None),
+        (u_function(anchor, 2), anchor),  # first argument at the anchor: m = 1
+    ]
+    for f, at in cases:
+        for _ in range(20):
+            z = rng.normal(size=(f.arity, 7)) + 1j * rng.normal(size=(f.arity, 7))
+            if at is not None:
+                z[0] = at
+            point = f(*z[:, 0].tolist())
+            assert type(point) is complex
+            one = f(*(zl[:1] for zl in z))
+            assert one.shape == (1,)
+            longer = f(*z)
+            bits = [(v.real.hex(), v.imag.hex()) for v in map(complex, (point, one[0], longer[0]))]
+            assert bits[0] == bits[1] == bits[2], (str(f), z[:, 0])
 
 
 def _resolvent_dd(nodes, c, s_derivs=0):
