@@ -10,6 +10,7 @@ expansion in power-sum traces drops out of the top exterior power.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -18,7 +19,7 @@ import numpy as np
 from .funcalc import f_otimes
 from .scalarfield import ScalarField
 from .spectral import analyze, as_square_matrix
-from .tensor import OperatorTensor, from_matrix
+from .tensor import OperatorTensor, _sandwich, from_matrix
 
 
 def _perm_sign(perm) -> int:
@@ -44,10 +45,16 @@ def wedge_basis(dim: int, k: int) -> np.ndarray:
     Column order is lexicographic in the index tuples; each column lives
     in C^(dim^k) with the row index running over plain product tuples.
     For k > dim there are no increasing tuples and the shape is
-    (dim^k, 0).
+    (dim^k, 0). The basis is built once per (dim, k) and shared, so it is
+    read-only.
     """
     if dim < 1 or k < 1:
         raise ValueError("dim and k must be positive")
+    return _wedge_basis(dim, k)
+
+
+@functools.lru_cache(maxsize=64)
+def _wedge_basis(dim: int, k: int) -> np.ndarray:
     strides = [dim ** (k - 1 - l) for l in range(k)]
     norm = 1.0 / math.sqrt(math.factorial(k))
     perms = [(perm, _perm_sign(perm)) for perm in itertools.permutations(range(k))]
@@ -55,6 +62,7 @@ def wedge_basis(dim: int, k: int) -> np.ndarray:
     for col, combo in enumerate(itertools.combinations(range(dim), k)):
         for perm, sign in perms:
             B[sum(combo[p] * s for p, s in zip(perm, strides)), col] = sign * norm
+    B.setflags(write=False)
     return B
 
 
@@ -78,8 +86,7 @@ def _wedge_block(f: ScalarField, A: np.ndarray, k: int):
         raise ValueError(f"field arity {f.arity} does not match k = {k}")
     sd = analyze(A)
     T = f_otimes(f, [A] * k, spectra=[sd] * k)
-    B = wedge_basis(A.shape[0], k)
-    return B.conj().T @ T.as_matrix() @ B
+    return _sandwich(T, wedge_basis(A.shape[0], k))
 
 
 def distinct_tuple_sum(f: ScalarField, M, k: int) -> complex:

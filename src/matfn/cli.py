@@ -6,8 +6,9 @@ counts from 0. JSON results go to stdout, notes and errors to stderr.
 
 Exit codes: 0 success, 1 bad input (unparsable field, malformed file,
 out-of-range slot), 2 numerical failure (clustering, interpolation,
-domain trouble, a failed numpy.linalg routine or an allocation beyond
-the memory available), 3 verification suite failure. The package's
+domain trouble, a failed numpy.linalg routine, an allocation beyond
+the memory available, or a RuntimeWarning that ``-W error`` turned into
+an exception), 3 verification suite failure. The package's
 warnings go to stderr as one ``matfn: warning:`` line each, before the
 one-line error, which is always the last line.
 """
@@ -275,8 +276,9 @@ def main(argv=None) -> int:
             code = args.handler(args)
         except FieldParseError as exc:
             code, error = 1, f"field error: {exc}"
-        except (MatfnError, np.linalg.LinAlgError) as exc:
-            # before ValueError, which LinAlgError subclasses
+        except (MatfnError, np.linalg.LinAlgError, RuntimeWarning) as exc:
+            # before ValueError, which LinAlgError subclasses; a RuntimeWarning
+            # arrives here as an exception when warnings are errors (-W error)
             code, error = 2, f"numerical failure: {exc}"
         except MemoryError as exc:
             reason = str(exc) or "allocation refused"

@@ -50,72 +50,94 @@ def confluent(a, b, floor=1.0):
 
 
 class Node:
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen, slotted dataclass whose hash is computed once per node.
+
+    The generated hash walks the whole subtree, and the derivative cache
+    and the divided-difference lookups hash the same nodes again and
+    again, so the first value is kept in the ``_hash`` slot of ``Node``,
+    which is no dataclass field: equality, repr and pickling ignore it.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    subtree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = subtree_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Const(Node):
     value: complex
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Node):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Node):
     lhs: Node
     rhs: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sub(Node):
     lhs: Node
     rhs: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Node):
     lhs: Node
     rhs: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Div(Node):
     lhs: Node
     rhs: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Node):
     arg: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Node):
     base: Node
     exponent: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exp(Node):
     arg: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Log(Node):
     arg: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AbsVal(Node):
     """|z| as a real number. Evaluation only; has no derivative node."""
 
     arg: Node
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class MinConst(Node):
     """min(Re z, c) for a real constant c. Evaluation only.
 
@@ -127,7 +149,7 @@ class MinConst(Node):
     bound: float
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class SlotDividedDifference(Node):
     """Divided difference of ``base`` taken in one of its variables.
 
@@ -146,7 +168,7 @@ class SlotDividedDifference(Node):
     mults: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ProjKernel(Node):
     """The coefficient function of the eigenprojector perturbation series.
 

@@ -1,17 +1,15 @@
-"""Dense tensors with one (up, down) index pair per matrix slot.
+"""Operator tensors T[i1, j1, ..., ik, jk], one (up, down) index pair per 0-based slot.
 
-A k-slot operator tensor stores coefficients T[i1, j1, ..., ik, jk] with
-the up index i_l and down index j_l of slot l adjacent, so axis 2l is up
-and axis 2l+1 is down. Reshaping with all up indices grouped before all
-down indices identifies the tensor with an endomorphism of the tensor
-product space; that reshape is :func:`as_matrix` and it is an algebra
-isomorphism (matrix product of views = slotwise composition).
-
-Slot indices in this module are 0-based.
+Axis 2l of ``.data`` is slot l's up index and axis 2l+1 its down index; ``as_matrix``
+(up indices first) is an algebra isomorphism. A tensor is a contraction network:
+operands, their einsum subscripts and one (up, down) letter pair per slot.
+Contractions edit subscripts and append operands; ``.data`` materialises it once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import string
 import warnings
 
@@ -23,59 +21,102 @@ from .spectral import as_square_matrix
 _LETTERS = string.ascii_letters
 
 
-class OperatorTensor:
-    """Immutable dense tensor with paired slot indices."""
+@functools.lru_cache(maxsize=1024)
+def _plan(spec: str, shapes: tuple) -> list:
+    """The pairwise steps of ``spec`` on operands of these shapes, as einsum calls."""
+    ins, out = spec.split("->")
+    subs = ins.split(",")
+    sizes = dict(zip("".join(subs), (n for shape in shapes for n in shape)))
+    # Plain "greedy" caps intermediates at the largest operand or output; when
+    # no pair fits, numpy contracts the rest in one loop over all indices
+    # (0.24 s, not 0.12 ms, for a wedge at k = 3, d = 5). Hence a 2**22 floor.
+    limit = max([2**22, math.prod(sizes[c] for c in out)] + [math.prod(s) for s in shapes])
+    views = [np.broadcast_to(np.complex128(0), shape) for shape in shapes]
+    steps = []
+    for inds in np.einsum_path(spec, *views, optimize=("greedy", limit))[0][1:]:
+        inds = sorted(inds, reverse=True)
+        taken = [subs.pop(i) for i in inds]
+        rest = "".join(subs) + out
+        kept = "".join(dict.fromkeys(c for c in "".join(taken) if c in rest)) if subs else out
+        subs.append(kept)
+        # numpy's own loop beats its matmul route below about 8,000 multiply-adds
+        big = math.prod(sizes[c] for c in set("".join(taken))) > 8192
+        steps.append((inds, ",".join(taken) + "->" + kept, big))
+    return steps
 
-    __slots__ = ("data",)
+
+def _contract(operands, subs, out: str) -> np.ndarray:
+    """``einsum(subs -> out, *operands)`` along a memoised contraction path."""
+    ops = list(operands)
+    for inds, step, big in _plan(",".join(subs) + "->" + out, tuple(a.shape for a in ops)):
+        taken = [ops.pop(i) for i in inds]
+        path = big and ["einsum_path", tuple(range(len(taken)))]
+        ops.append(np.einsum(step, *taken, optimize=path))
+    return ops[0]
+
+
+class OperatorTensor:
+    """Immutable tensor with paired slot indices, held as a contraction network."""
+
+    __slots__ = ("_operands", "_subs", "_out", "_dense")
 
     def __init__(self, data):
         arr = np.array(data, dtype=complex)
-        if arr.ndim == 0 or arr.ndim % 2 != 0:
-            raise ValueError(f"operator tensors need an even number of axes, got {arr.ndim}")
-        for l in range(arr.ndim // 2):
-            if arr.shape[2 * l] != arr.shape[2 * l + 1]:
-                raise ValueError(
-                    f"slot {l} has mismatched index dimensions "
-                    f"{arr.shape[2 * l]} and {arr.shape[2 * l + 1]}"
-                )
+        if arr.ndim == 0 or arr.ndim % 2 != 0 or arr.shape[::2] != arr.shape[1::2]:
+            raise ValueError(f"operator tensors need an even number of axes, paired "
+                             f"(up, down) with equal sizes, got shape {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        pairs = _pairs(arr.ndim // 2)
+        _network((arr,), ("".join(pairs),), pairs, arr, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorTensor is immutable")
 
     @property
+    def data(self) -> np.ndarray:
+        """The dense tensor: evaluated on first read, then cached read-only."""
+        if self._dense is None:
+            arr = _contract(self._operands, self._subs, "".join(self._out))
+            arr.setflags(write=False)
+            object.__setattr__(self, "_dense", arr)
+        return self._dense
+
+    @property
     def k(self) -> int:
-        return self.data.ndim // 2
+        return len(self._out)
 
     @property
     def slot_dims(self) -> tuple[int, ...]:
-        return tuple(self.data.shape[2 * l] for l in range(self.k))
+        sizes = dict(zip("".join(self._subs), (n for a in self._operands for n in a.shape)))
+        return tuple(sizes[up] for up, _ in self._out)
+
+    def _parts(self, fresh: int = 0):
+        """(operands, subscripts, ``fresh`` free letters), dense once read or short of letters."""
+        ops, subs = self._operands, self._subs
+        if self._dense is not None or len(set("".join(subs))) + fresh > len(_LETTERS):
+            ops, subs = (self.data,), ("".join(self._out),)
+        return ops, subs, [c for c in _LETTERS if c not in "".join(subs)][:fresh]
 
     def as_matrix(self) -> np.ndarray:
         """The (prod d) x (prod d) matrix view, up indices first."""
-        k = self.k
-        perm = [2 * l for l in range(k)] + [2 * l + 1 for l in range(k)]
-        n = int(np.prod(self.slot_dims))
-        return np.transpose(self.data, perm).reshape(n, n)
+        ops, subs, _ = self._parts()
+        ups, downs = zip(*self._out)
+        return _contract(ops, subs, "".join(ups + downs)).reshape(2 * (math.prod(self.slot_dims),))
 
     def hs_norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
     def __add__(self, other):
-        if not isinstance(other, OperatorTensor):
-            return NotImplemented
-        return OperatorTensor(self.data + other.data)
+        ok = isinstance(other, OperatorTensor)
+        return OperatorTensor(self.data + other.data) if ok else NotImplemented
 
     def __sub__(self, other):
-        if not isinstance(other, OperatorTensor):
-            return NotImplemented
-        return OperatorTensor(self.data - other.data)
+        ok = isinstance(other, OperatorTensor)
+        return OperatorTensor(self.data - other.data) if ok else NotImplemented
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        return OperatorTensor(self.data * scalar)
+        ok = isinstance(scalar, (int, float, complex))
+        return OperatorTensor(self.data * scalar) if ok else NotImplemented
 
     __rmul__ = __mul__
 
@@ -86,28 +127,33 @@ class OperatorTensor:
         return f"OperatorTensor(slot_dims={self.slot_dims})"
 
 
+def _network(operands, subs, out, dense=None, T=None) -> OperatorTensor:
+    """The tensor ``einsum(subs -> out, *operands)``; no operand may change later."""
+    T = object.__new__(OperatorTensor) if T is None else T
+    values = (tuple(operands), tuple(subs), tuple(out), dense)
+    for name, value in zip(OperatorTensor.__slots__, values):
+        object.__setattr__(T, name, value)
+    return T
+
+
+def _pairs(k: int) -> list[str]:
+    return [_LETTERS[2 * l : 2 * l + 2] for l in range(k)]
+
+
 def from_matrix(mat, slot_dims) -> OperatorTensor:
     """Inverse of :meth:`OperatorTensor.as_matrix` for given slot sizes."""
     dims = tuple(int(d) for d in slot_dims)
-    n = int(np.prod(dims))
     arr = np.asarray(mat, dtype=complex)
-    if arr.shape != (n, n):
+    if arr.shape != (math.prod(dims),) * 2:
         raise ValueError(f"matrix shape {arr.shape} does not match slot dims {dims}")
-    k = len(dims)
-    split = arr.reshape(dims + dims)
-    perm = []
-    for l in range(k):
-        perm.extend([l, k + l])
-    return OperatorTensor(np.transpose(split, perm))
+    perm = np.arange(2 * len(dims)).reshape(2, -1).T.ravel()  # (up, down) of each slot
+    return OperatorTensor(np.transpose(arr.reshape(dims + dims), perm))
 
 
 def tensor_product(mats) -> OperatorTensor:
     """M_1 (x) ... (x) M_k as an operator tensor."""
-    arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
-    out = arrs[0]
-    for M in arrs[1:]:
-        out = np.multiply.outer(out, M)
-    return OperatorTensor(out)
+    arrs = [as_square_matrix(M, f"slot {l} matrix").copy() for l, M in enumerate(mats)]
+    return _network(arrs, _pairs(len(arrs)), _pairs(len(arrs)))
 
 
 def _power_stack(M: np.ndarray, n: int) -> np.ndarray:
@@ -119,29 +165,27 @@ def _power_stack(M: np.ndarray, n: int) -> np.ndarray:
 
 
 def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
-    """sum_alpha c_alpha M_1^{a_1} (x) ... (x) M_k^{a_k}, c_alpha = ``poly.dense[alpha]``."""
+    """sum_alpha c_alpha M_1^{a_1} (x) ... (x) M_k^{a_k}: ``poly.dense`` and the power stacks."""
     arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
     if poly.arity != len(arrs):
-        raise ValueError(
-            f"polynomial in {poly.arity} variables but {len(arrs)} matrices given"
-        )
-    total = poly.dense
-    # Each tensordot sums the leading exponent axis against the slot's
-    # power stack and appends that slot's (up, down) pair, so the result
-    # ends in (i1, j1, ..., ik, jk) order.
-    for M, n in zip(arrs, total.shape):
-        total = np.tensordot(total, _power_stack(M, n - 1), axes=(0, 0))
-    return OperatorTensor(total)
+        raise ValueError(f"polynomial in {poly.arity} variables but {len(arrs)} matrices given")
+    C, k = poly.dense, len(arrs)
+    distinct = {M.tobytes(): M for M in arrs}
+    stacks = {key: _power_stack(M, max(C.shape) - 1) for key, M in distinct.items()}
+    factors = [stacks[M.tobytes()][:n] for M, n in zip(arrs, C.shape)]
+    if not 0 < 3 * k <= len(_LETTERS):  # no slots, or more indices than einsum has letters
+        for S in factors:
+            C = np.tensordot(C, S, axes=(0, 0))
+        return OperatorTensor(C)
+    exps = _LETTERS[2 * k : 3 * k]
+    subs = [exps] + [e + pair for e, pair in zip(exps, _pairs(k))]
+    return _network([C] + factors, subs, _pairs(k))
 
 
 def _chain_fold(poly: MultiPoly, M: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """sum_alpha c_alpha M^{a_1} H M^{a_2} H ... H M^{a_k} as one matrix.
+    """sum_alpha c_alpha M^{a_1} H M^{a_2} H ... H M^{a_k}, folded as Y <- sum_a M^a H Y[..., a].
 
-    This is ``poly_tensor_eval(poly, [M] * k)`` with every pair of
-    adjacent slots contracted through H, computed without the d^(2k)
-    tensor: a right fold Y <- sum_a M^a H Y[..., a] over the slots, which
-    holds one d x d matrix per index of the slots not yet folded.
-    """
+    This is ``poly_tensor_eval(poly, [M] * k)`` with adjacent slots contracted through H."""
     C = poly.dense
     S = _power_stack(M, max(C.shape) - 1)
     Y = np.tensordot(C, S[: C.shape[-1]], axes=(-1, 0))
@@ -150,150 +194,105 @@ def _chain_fold(poly: MultiPoly, M: np.ndarray, H: np.ndarray) -> np.ndarray:
     return Y
 
 
-def transpose_slot(T: OperatorTensor, slot: int) -> OperatorTensor:
-    """Swap the up and down index of one slot."""
-    _check_slot(T, slot)
-    return OperatorTensor(np.swapaxes(T.data, 2 * slot, 2 * slot + 1))
-
-
 def _check_slot(T: OperatorTensor, slot: int):
     if not 0 <= slot < T.k:
         raise ValueError(f"slot {slot} out of range for a {T.k}-slot tensor")
 
 
+def _edited(T: OperatorTensor, out, rename="", operands=(), subs=()):
+    """T's network read out as ``out``, ``rename`` = (old, new) summing old against new."""
+    ops, mine, _ = T._parts()
+    mine = [s.replace(*rename) for s in mine] if rename else list(mine)
+    ops, mine = ops + tuple(operands), mine + list(subs)
+    return _network(ops, mine, out) if out else complex(_contract(ops, mine, ""))
+
+
+def transpose_slot(T: OperatorTensor, slot: int) -> OperatorTensor:
+    """Swap the up and down index of one slot."""
+    _check_slot(T, slot)
+    return _edited(T, T._out[:slot] + (T._out[slot][::-1],) + T._out[slot + 1 :])
+
+
 def contract_pair(T: OperatorTensor, up_slot: int, down_slot: int):
     """Sum the up index of one slot against the down index of another.
 
-    For distinct slots the two surviving indices (up of ``down_slot``,
-    down of ``up_slot``) merge into a single slot placed at
-    ``min(up_slot, down_slot)``; the result has one slot fewer. With
-    ``up_slot == down_slot`` this is the slot trace. A 0-slot result is
-    returned as a plain complex number.
-
-    Chaining ``contract_pair(T, l+1, l)`` composes slots like a matrix
-    product: on M (x) N it yields the matrix MN.
-    """
+    The survivors (up of ``down_slot``, down of ``up_slot``) form one slot at
+    ``min(up_slot, down_slot)``; equal slots give the slot trace, a complex
+    number at 0 slots. ``contract_pair(T, 1, 0)`` on M (x) N yields MN."""
     _check_slot(T, up_slot)
     _check_slot(T, down_slot)
     if up_slot == down_slot:
         return trace_slot(T, up_slot)
     p, q = up_slot, down_slot
-    if T.data.shape[2 * p] != T.data.shape[2 * q + 1]:
-        raise ValueError(
-            f"cannot contract slot {p} (dim {T.data.shape[2 * p]}) with "
-            f"slot {q} (dim {T.data.shape[2 * q + 1]})"
-        )
-    k = T.k
-    sub = list(_LETTERS[: 2 * k])
-    sum_letter = _LETTERS[2 * k]
-    sub[2 * p] = sum_letter  # up index of the up_slot
-    sub[2 * q + 1] = sum_letter  # down index of the down_slot
-    merged = (_LETTERS[2 * q], _LETTERS[2 * p + 1])  # (surviving up, surviving down)
-    out = []
-    for l in sorted(set(range(k)) - {p, q}):
-        out.append((l, (_LETTERS[2 * l], _LETTERS[2 * l + 1])))
-    out.append((min(p, q), merged))
-    out.sort(key=lambda item: item[0])
-    out_letters = "".join(a + b for _, (a, b) in out)
-    result = np.einsum("".join(sub) + "->" + out_letters, T.data)
-    if result.ndim == 0:
-        return complex(result)
-    return OperatorTensor(result)
+    if T.slot_dims[p] != T.slot_dims[q]:
+        raise ValueError(f"cannot contract slot {p} (dim {T.slot_dims[p]}) with "
+                         f"slot {q} (dim {T.slot_dims[q]})")
+    out = list(T._out)
+    out[min(p, q)] = out[q][0] + out[p][1]  # (surviving up, surviving down)
+    del out[max(p, q)]
+    return _edited(T, out, (T._out[q][1], T._out[p][0]))
 
 
 def trace_slot(T: OperatorTensor, slot: int):
     """Sum the paired indices of one slot; drops that slot."""
     _check_slot(T, slot)
-    k = T.k
-    sub = list(_LETTERS[: 2 * k])
-    sub[2 * slot + 1] = sub[2 * slot]
-    out_letters = "".join(
-        _LETTERS[2 * l] + _LETTERS[2 * l + 1] for l in range(k) if l != slot
-    )
-    result = np.einsum("".join(sub) + "->" + out_letters, T.data)
-    if result.ndim == 0:
-        return complex(result)
-    return OperatorTensor(result)
+    return _edited(T, T._out[:slot] + T._out[slot + 1 :], T._out[slot][::-1])
 
 
 def contract_adjacent_through(T: OperatorTensor, left_slot: int, H) -> OperatorTensor:
-    """Contract two adjacent slots through a matrix.
+    """T[..., (i, a), (b, j), ...] H[a, b] -> S[..., (i, j), ...] at ``left_slot``.
 
-    Sums the down index of ``left_slot`` against the row index of ``H``
-    and the up index of ``left_slot + 1`` against its column index. The
-    two surviving indices form one slot in place, so the result has one
-    slot fewer. This is the index pattern
-
-        T[..., (i, a), (b, j), ...] H[a, b]  ->  S[..., (i, j), ...]
-
-    used by the derivative formulas to feed a direction matrix between
-    two copies of the same argument slot.
-    """
+    This feeds a direction matrix between two copies of one argument slot."""
     if not 0 <= left_slot < T.k - 1:
-        raise ValueError(
-            f"left_slot {left_slot} needs a following slot in a {T.k}-slot tensor"
-        )
-    Hm = as_square_matrix(H, "through matrix")
-    p = left_slot
+        raise ValueError(f"left_slot {left_slot} needs a following slot in a {T.k}-slot tensor")
+    p, Hm = left_slot, as_square_matrix(H, "through matrix")
     if T.slot_dims[p] != Hm.shape[0] or T.slot_dims[p + 1] != Hm.shape[0]:
-        raise ValueError(
-            f"through matrix of dim {Hm.shape[0]} does not fit slots of dims "
-            f"{T.slot_dims[p]} and {T.slot_dims[p + 1]}"
-        )
-    # tensordot removes the two contracted axes; the survivors (up of p,
-    # down of p+1) are adjacent and already in slot order.
-    data = np.tensordot(T.data, Hm, axes=([2 * p + 1, 2 * p + 2], [0, 1]))
-    return OperatorTensor(data)
+        raise ValueError(f"through matrix of dim {Hm.shape[0]} does not fit slots of dims "
+                         f"{T.slot_dims[p]} and {T.slot_dims[p + 1]}")
+    (up, a), (b, down) = T._out[p : p + 2]
+    return _edited(T, T._out[:p] + (up + down,) + T._out[p + 2 :], "", [Hm.copy()], [a + b])
 
 
 def apply_vectors(T: OperatorTensor, vectors) -> np.ndarray:
     """Contract every down index with a vector; returns a k-index array."""
-    k = T.k
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if len(vecs) != k:
-        raise ValueError(f"{k}-slot tensor needs {k} vectors, got {len(vecs)}")
-    sub = list(_LETTERS[: 2 * k])
-    operands = [T.data]
-    pieces = ["".join(sub)]
-    for l, v in enumerate(vecs):
-        if v.shape[0] != T.slot_dims[l]:
-            raise ValueError(
-                f"vector {l} has length {v.shape[0]}, slot needs {T.slot_dims[l]}"
-            )
-        operands.append(v)
-        pieces.append(sub[2 * l + 1])
-    out_letters = "".join(sub[2 * l] for l in range(k))
-    return np.einsum(",".join(pieces) + "->" + out_letters, *operands)
+    if tuple(len(v) for v in vecs) != T.slot_dims:
+        raise ValueError(f"vectors of lengths {[len(v) for v in vecs]} "
+                         f"for slots of dims {T.slot_dims}")
+    ops, subs, _ = T._parts()
+    ups, downs = zip(*T._out)
+    return _contract(ops + tuple(vecs), subs + downs, "".join(ups))
+
+
+def _sandwich(T: OperatorTensor, B: np.ndarray) -> np.ndarray:
+    """B^H T B, T in its matrix view, as one contraction; B has prod(slot_dims) rows."""
+    ops, subs, (r, c) = T._parts(2)
+    ups, downs = ("".join(letters) for letters in zip(*T._out))
+    Bt = B.reshape(T.slot_dims + B.shape[1:])
+    return _contract(ops + (Bt.conj(), Bt), subs + (ups + r, downs + c), r + c)
 
 
 def conjugate_slots(T: OperatorTensor, mats) -> OperatorTensor:
-    """Apply A_l to the up index and A_l^{-1} to the down index of slot l.
+    """A_l on the up and A_l^{-1} on the down index of slot l: M_l -> A_l M_l A_l^{-1}.
 
-    This is how a tensor built from matrices M_l transforms when every
-    M_l is replaced by A_l M_l A_l^{-1}. Near-singular A_l (condition
-    above 1e12) triggers a warning; singular A_l raises.
-    """
-    k = T.k
+    A condition of A_l above 1e12 warns; singular A_l raises."""
     arrs = [as_square_matrix(A, f"slot {l} conjugator") for l, A in enumerate(mats)]
-    if len(arrs) != k:
-        raise ValueError(f"{k}-slot tensor needs {k} conjugators, got {len(arrs)}")
-    data = T.data
+    if tuple(len(A) for A in arrs) != T.slot_dims:
+        raise ValueError(f"conjugators of dims {[len(A) for A in arrs]} "
+                         f"for slots of dims {T.slot_dims}")
+    ops, subs, fresh = T._parts(2 * T.k)
+    out = []
     for l, A in enumerate(arrs):
-        if A.shape[0] != T.slot_dims[l]:
-            raise ValueError(
-                f"conjugator {l} has dim {A.shape[0]}, slot needs {T.slot_dims[l]}"
-            )
         kappa = float(np.linalg.cond(A))
         if not np.isfinite(kappa) or kappa > 1e12:
-            warnings.warn(
-                f"conjugator for slot {l} has condition {kappa:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"conjugator for slot {l} has condition {kappa:.3e}", RuntimeWarning,
+                          stacklevel=2)
         try:
             Ainv = np.linalg.inv(A)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"conjugator for slot {l} is singular") from exc
-        data = np.moveaxis(np.tensordot(A, data, axes=(1, 2 * l)), 0, 2 * l)
-        data = np.moveaxis(np.tensordot(data, Ainv, axes=(2 * l + 1, 0)), -1, 2 * l + 1)
-    return OperatorTensor(data)
+        (up, down), new_up, new_down = T._out[l], fresh[2 * l], fresh[2 * l + 1]
+        ops += (A.copy(), Ainv)
+        subs += (new_up + up, down + new_down)
+        out.append(new_up + new_down)
+    return _network(ops, subs, out)

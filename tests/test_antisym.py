@@ -183,3 +183,16 @@ def test_det_from_traces_matches_numpy(d):
 def test_det_from_traces_singular():
     M = np.array([[1.0, 2.0], [2.0, 4.0]])
     assert abs(det_from_traces(M)) < 1e-12
+
+
+def test_wedge_basis_is_shared_and_read_only():
+    B = wedge_basis(4, 2)
+    assert wedge_basis(4, 2) is B
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        B.real[:] = 0.0
+    # a caller's copy is theirs to change; the shared basis is untouched
+    C = np.array(B)
+    C[:] = 0.0
+    assert np.allclose(B.conj().T @ B, np.eye(math.comb(4, 2)))

@@ -275,6 +275,25 @@ def test_split_defective_eigenvalue_exit_2(tmp_path, capsys):
     assert "runpy" not in err and "RuntimeWarning" not in err
 
 
+def test_warning_raised_as_error_exit_2(tmp_path, capsys):
+    # under -W error::RuntimeWarning the first rank-fragility warning is an
+    # exception; it is a numerical failure, not a traceback
+    M = np.eye(5, dtype=complex) + np.eye(5, k=1)
+    M[3, 4] = 0.0
+    M[4, 4] = 2.5
+    M[3, 0] = 1e-14
+    m = write_matrix(tmp_path, "j4.json", M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("matfn: numerical failure: rank decision")
+    assert "within 10x" in lines[0]
+
+
 def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     # a high --order asks for a derivative grid beyond memory; the allocation
     # failure is simulated, since a real one may start on an overcommitting host

@@ -456,3 +456,33 @@ def test_array_domain_errors_leak_no_warning():
         dd = divided_difference_field(parse_field("exp(x1)"), 2)
         G = derivative_grid(dd, [[(0.5, 2), (1.0, 1)]] * 3)
         assert G[0, 0, 0] == pytest.approx(np.exp(0.5) / 2)
+
+
+def test_node_hash_is_computed_once_per_node():
+    class CountedHash:
+        calls = 0
+
+        def __hash__(self):
+            CountedHash.calls += 1
+            return 7
+
+    leaf = sf.Const(CountedHash())
+    inner = sf.Mul(leaf, sf.Var(0))
+    node = sf.Add(inner, sf.Exp(inner))
+    assert hash(node) == hash(node)
+    hash(sf.Add(node, sf.Var(1)))
+    hash(inner)
+    assert CountedHash.calls == 1  # every node above the leaf reused its cached value
+
+
+def test_equal_nodes_hash_equal():
+    f = parse_field("exp(x1*x2)/(x1 + 3) - x2^3", 2)
+    g = parse_field("exp(x1*x2)/(x1 + 3) - x2^3", 2)
+    assert f.root is not g.root
+    hash(f.root)  # one side cached, the other computed fresh
+    assert f.root == g.root and hash(f.root) == hash(g.root)
+    for var in (0, 1):
+        df, dg = sf._diff(f.root, var), sf._diff(g.root, var)
+        assert df is dg  # the derivative cache finds the equal node
+    assert sf.Const(2.0) == sf.Const(2.0 + 0j) and hash(sf.Const(2.0)) == hash(sf.Const(2.0 + 0j))
+    assert sf.Add(sf.Var(0), sf.Var(1)) != sf.Add(sf.Var(1), sf.Var(0))

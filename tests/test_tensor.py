@@ -1,5 +1,7 @@
 """Operator tensors: layout, pairing contractions, conjugation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,14 @@ from matfn import (
     MultiPoly,
     OperatorTensor,
     apply_vectors,
+    chain_contract,
     conjugate_slots,
     contract_adjacent_through,
     contract_pair,
+    distinct_tuple_sum,
+    f_otimes,
     from_matrix,
+    parse_field,
     poly_tensor_eval,
     tensor_product,
     trace_slot,
@@ -231,3 +237,108 @@ def test_algebra_of_add_and_scale():
     assert np.allclose((T - S).data, T.data - S.data)
     assert np.allclose((2.5 * T).data, 2.5 * T.data)
     assert np.allclose((-T).data, -T.data)
+
+
+# ------------------------------------------------ the extension as a network
+
+
+def _extension(k, d, seed):
+    gen = np.random.default_rng(seed)
+    mats = [gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)) for _ in range(k)]
+    mats = [M / (2 * np.sqrt(d)) for M in mats]
+    terms = " + ".join(f"x{l + 1}" for l in range(k))
+    return parse_field(f"1/({terms} + {2 * k + 1})", k), mats
+
+
+def _contractions(k, d, gen):
+    """(name, operation) for every contraction of a k-slot tensor with slot dim d."""
+    H = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    A = [np.eye(d) + 0.3 * gen.normal(size=(d, d)) for _ in range(k)]
+    vecs = [gen.normal(size=d) + 1j * gen.normal(size=d) for _ in range(k)]
+    ops = [
+        ("as_matrix", lambda T: T.as_matrix()),
+        ("apply_vectors", lambda T: apply_vectors(T, vecs)),
+        ("conjugate_slots", lambda T: conjugate_slots(T, A)),
+    ]
+    for s in range(k):
+        ops.append((f"trace_slot {s}", lambda T, s=s: trace_slot(T, s)))
+        ops.append((f"transpose_slot {s}", lambda T, s=s: transpose_slot(T, s)))
+        for t in range(k):
+            ops.append((f"contract_pair {s} {t}", lambda T, s=s, t=t: contract_pair(T, s, t)))
+    for s in range(k - 1):
+        ops.append((f"contract_adjacent_through {s}",
+                    lambda T, s=s: contract_adjacent_through(T, s, H)))
+    return ops
+
+
+def _value(x):
+    return x.data if isinstance(x, OperatorTensor) else np.asarray(x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_network_contractions_match_the_dense_tensor(k, d):
+    f, mats = _extension(k, d, seed=10 * k + d)
+    T = f_otimes(f, mats)
+    D = OperatorTensor(f_otimes(f, mats).data)
+    gen = np.random.default_rng(k + 7 * d)
+    for name, op in _contractions(k, d, gen):
+        got, want = op(T), op(D)
+        pairs = [(name, got, want)]
+        if isinstance(want, OperatorTensor):
+            pairs += [(f"{name}, {second}", then(op(T)), then(want))
+                      for second, then in _contractions(want.k, d, gen)]
+        for label, x, y in pairs:
+            x, y = _value(x), _value(y)
+            assert x.shape == y.shape, label
+            assert np.linalg.norm(x - y) <= 1e-13 * np.linalg.norm(y), label
+    assert T._dense is None  # every contraction above ran on the network
+
+
+def test_data_is_cached_read_only():
+    f, mats = _extension(3, 3, seed=4)
+    for T in (f_otimes(f, mats), trace_slot(f_otimes(f, mats), 1), random_tensor([2, 3])):
+        first = T.data
+        assert T.data is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[(0,) * first.ndim] = 1.0
+    # the public constructor still copies the caller's array
+    arr = np.ones((2, 2), dtype=complex)
+    T = OperatorTensor(arr)
+    arr[0, 0] = 5.0
+    assert T.data[0, 0] == 1.0
+
+
+def test_contractions_of_a_five_slot_extension_stay_small():
+    f, mats = _extension(5, 4, seed=5)
+    runs = {
+        "chain_contract": lambda: chain_contract(f_otimes(f, mats)),
+        "trace_slot": lambda: trace_slot(f_otimes(f, mats), 2).data,
+        "distinct_tuple_sum": lambda: distinct_tuple_sum(f, mats[0], 5),
+    }
+    for name, run in runs.items():
+        run()  # warm the derivative and contraction-path caches
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense 5-slot tensor alone is 16 MiB
+        assert peak < 8 * 2**20, (name, peak)
+
+
+def test_networks_beyond_einsums_letters():
+    # 18 slots need 54 index letters as a network, more than einsum's 52;
+    # conjugating 11 slots needs 55. Both fall back to the dense tensor.
+    lams = np.linspace(0.5, 2.0, 18)
+    f = parse_field("1/(" + " + ".join(f"x{l + 1}" for l in range(18)) + " + 1)", 18)
+    T = f_otimes(f, [[[lam]] for lam in lams])
+    assert T.slot_dims == (1,) * 18
+    assert trace_slot(T, 4).data.reshape(-1)[0] == pytest.approx(1 / (lams.sum() + 1), rel=1e-12)
+    g = parse_field("exp(" + " + ".join(f"x{l + 1}" for l in range(11)) + ")", 11)
+    S = f_otimes(g, [[[lam]] for lam in lams[:11]])
+    C = conjugate_slots(S, [[[2.0]]] * 11)
+    assert C.data.reshape(-1)[0] == pytest.approx(np.exp(lams[:11].sum()), rel=1e-12)
+    assert S._dense is not None  # the conjugation ran on the dense tensor
