@@ -263,6 +263,23 @@ def _pow(a: Node, n: int) -> Node:
 
 
 # ---------------------------------------------------------------------------
+# the grammar: one table of binary operators for parsing, rendering and rebuilding
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+#: node class -> (text symbol, precedence, smart constructor); all left-associative
+_BINARY = {
+    Add: ("+", _PREC_ADD, _add),
+    Sub: ("-", _PREC_ADD, _sub),
+    Mul: ("*", _PREC_MUL, _mul),
+    Div: ("/", _PREC_MUL, _div),
+}
+
+#: one-argument builtins written name(arg); ``abs`` is evaluation-only and not parsed
+_CALLS = {Exp: "exp", Log: "log", AbsVal: "abs"}
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -525,8 +542,6 @@ def _diff_slot_dd(node: SlotDividedDifference, var: int) -> Node:
 # ---------------------------------------------------------------------------
 # rendering
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
 
 def _fmt_const(v: complex) -> tuple[str, int]:
     if v.imag == 0:
@@ -544,49 +559,29 @@ def _render(node: Node) -> tuple[str, int]:
         return _fmt_const(node.value)
     if isinstance(node, Var):
         return (f"x{node.index + 1}", _PREC_ATOM)
-    if isinstance(node, Add):
+    if type(node) in _BINARY:
+        sym, prec, _ = _BINARY[type(node)]
         a, pa = _render(node.lhs)
         b, pb = _render(node.rhs)
-        return (f"{a} + {b}", _PREC_ADD)
-    if isinstance(node, Sub):
-        a, pa = _render(node.lhs)
-        b, pb = _render(node.rhs)
-        if pb <= _PREC_ADD:
+        if pa < prec:
+            a = f"({a})"
+        # - and / do not associate, so their right operand is grouped at equal precedence
+        if pb < prec or (pb == prec and sym in "-/"):
             b = f"({b})"
-        return (f"{a} - {b}", _PREC_ADD)
+        return (f"{a} {sym} {b}" if prec == _PREC_ADD else f"{a}{sym}{b}", prec)
     if isinstance(node, Neg):
         a, pa = _render(node.arg)
         if pa < _PREC_NEG:
             a = f"({a})"
         return (f"-{a}", _PREC_NEG)
-    if isinstance(node, Mul):
-        a, pa = _render(node.lhs)
-        b, pb = _render(node.rhs)
-        if pa < _PREC_MUL:
-            a = f"({a})"
-        if pb < _PREC_MUL:
-            b = f"({b})"
-        return (f"{a}*{b}", _PREC_MUL)
-    if isinstance(node, Div):
-        a, pa = _render(node.lhs)
-        b, pb = _render(node.rhs)
-        if pa < _PREC_MUL:
-            a = f"({a})"
-        if pb <= _PREC_MUL:
-            b = f"({b})"
-        return (f"{a}/{b}", _PREC_MUL)
     if isinstance(node, Pow):
         a, pa = _render(node.base)
         if pa < _PREC_ATOM:
             a = f"({a})"
         e = node.exponent
         return (f"{a}^{e}" if e >= 0 else f"{a}^({e})", _PREC_POW)
-    if isinstance(node, Exp):
-        return (f"exp({_render(node.arg)[0]})", _PREC_ATOM)
-    if isinstance(node, Log):
-        return (f"log({_render(node.arg)[0]})", _PREC_ATOM)
-    if isinstance(node, AbsVal):
-        return (f"abs({_render(node.arg)[0]})", _PREC_ATOM)
+    if type(node) in _CALLS:
+        return (f"{_CALLS[type(node)]}({_render(node.arg)[0]})", _PREC_ATOM)
     if isinstance(node, MinConst):
         return (f"min({_render(node.arg)[0]}, {node.bound:g})", _PREC_ATOM)
     if isinstance(node, SlotDividedDifference):
@@ -742,36 +737,23 @@ def min_const(f: ScalarField, bound: float) -> ScalarField:
 # variable plumbing: substitution, merging, composition
 
 
+#: the smart constructor of each node class that has one; the others use the class
+_REBUILD = {Neg: _neg, Pow: _pow, **{cls: ctor for cls, (_, _, ctor) in _BINARY.items()}}
+
+
 def _map_vars(node: Node, fn) -> Node:
-    if isinstance(node, Const):
+    """``node`` with each variable i replaced by ``fn(i)``, rebuilt bottom-up."""
+    t = type(node)
+    if t is Const:
         return node
-    if isinstance(node, Var):
+    if t is Var:
         return fn(node.index)
-    if isinstance(node, Add):
-        return _add(_map_vars(node.lhs, fn), _map_vars(node.rhs, fn))
-    if isinstance(node, Sub):
-        return _sub(_map_vars(node.lhs, fn), _map_vars(node.rhs, fn))
-    if isinstance(node, Mul):
-        return _mul(_map_vars(node.lhs, fn), _map_vars(node.rhs, fn))
-    if isinstance(node, Div):
-        return _div(_map_vars(node.lhs, fn), _map_vars(node.rhs, fn))
-    if isinstance(node, Neg):
-        return _neg(_map_vars(node.arg, fn))
-    if isinstance(node, Pow):
-        return _pow(_map_vars(node.base, fn), node.exponent)
-    if isinstance(node, Exp):
-        return Exp(_map_vars(node.arg, fn))
-    if isinstance(node, Log):
-        return Log(_map_vars(node.arg, fn))
-    if isinstance(node, AbsVal):
-        return AbsVal(_map_vars(node.arg, fn))
-    if isinstance(node, MinConst):
-        return MinConst(_map_vars(node.arg, fn), node.bound)
-    if isinstance(node, (SlotDividedDifference, ProjKernel)):
+    if t is SlotDividedDifference or t is ProjKernel:
         raise FieldDomainError(
-            f"variable substitution through a {type(node).__name__} node is not supported"
+            f"variable substitution through a {t.__name__} node is not supported"
         )
-    raise TypeError(f"unknown node type {type(node).__name__}")
+    parts = (getattr(node, name) for name in t.__slots__)
+    return _REBUILD.get(t, t)(*(_map_vars(p, fn) if isinstance(p, Node) else p for p in parts))
 
 
 def substitute_value(f: ScalarField, var: int, value) -> ScalarField:
@@ -818,19 +800,11 @@ def compose(outer: ScalarField, inners: list[ScalarField]) -> ScalarField:
         raise ValueError(
             f"outer field has arity {outer.arity} but {len(inners)} inner fields were given"
         )
-    offsets = []
-    total = 0
-    for g in inners:
-        offsets.append(total)
-        total += g.arity
-    shifted = []
-    for g, off in zip(inners, offsets):
-        shifted.append(_map_vars(g.root, lambda i, off=off: Var(i + off)))
-
-    def fn(i):
-        return shifted[i]
-
-    return ScalarField(total, _map_vars(outer.root, fn))
+    offsets = list(itertools.accumulate((g.arity for g in inners), initial=0))
+    shifted = [
+        _map_vars(g.root, lambda i, off=off: Var(i + off)) for g, off in zip(inners, offsets)
+    ]
+    return ScalarField(offsets[-1], _map_vars(outer.root, shifted.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -1063,7 +1037,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
-_FUNCTIONS = {"exp", "log"}
+_FUNCTIONS = {name: cls for cls, name in _CALLS.items() if cls is not AbsVal}
+
+#: operator token -> (precedence, smart constructor)
+_OPERATORS = {("op", sym): (prec, ctor) for sym, prec, ctor in _BINARY.values()}
 
 
 def _tokenize(text: str):
@@ -1077,12 +1054,7 @@ def _tokenize(text: str):
                 break
             raise FieldParseError(f"unexpected character {stray[0]!r} at position {pos}")
         pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     tokens.append(("end", ""))
     return tokens
 
@@ -1101,49 +1073,45 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def skip_op(self, op) -> bool:
+        """Take the next token if it is the operator ``op``."""
+        found = self.peek() == ("op", op)
+        self.pos += found
+        return found
+
     def expect_op(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise FieldParseError(f"expected {op!r}, found {val!r}")
+        if not self.skip_op(op):
+            raise FieldParseError(f"expected {op!r}, found {self.peek()[1]!r}")
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.parse_term()
-            node = _add(node, rhs) if op == "+" else _sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Node:
+    def parse_expr(self, min_prec: int = _PREC_ADD) -> Node:
+        """Binary operators of precedence ``min_prec`` and above, left-associative."""
         node = self.parse_factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.parse_factor()
-            node = _mul(node, rhs) if op == "*" else _div(node, rhs)
+        while (op := _OPERATORS.get(self.peek())) is not None and op[0] >= min_prec:
+            self.take()
+            prec, ctor = op
+            node = ctor(node, self.parse_expr(prec + 1))
         return node
 
     def parse_factor(self) -> Node:
-        if self.peek() == ("op", "-"):
-            self.take()
+        if self.skip_op("-"):
             return _neg(self.parse_factor())
-        if self.peek() == ("op", "+"):
-            self.take()
+        if self.skip_op("+"):
             return self.parse_factor()
         return self.parse_power()
 
     def parse_power(self) -> Node:
+        """An atom, or an atom ^ n with n written 2, -2 or, as rendered, (-2)."""
         base = self.parse_atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            kind, val = self.take()
-            if kind != "num" or not re.fullmatch(r"\d+", val):
-                raise FieldParseError(f"exponent must be an integer literal, found {val!r}")
-            return _pow(base, sign * int(val))
-        return base
+        if not self.skip_op("^"):
+            return base
+        grouped = self.skip_op("(")
+        sign = -1 if self.skip_op("-") else 1
+        kind, val = self.take()
+        if kind != "num" or not re.fullmatch(r"\d+", val):
+            raise FieldParseError(f"exponent must be an integer literal, found {val!r}")
+        if grouped:
+            self.expect_op(")")
+        return _pow(base, sign * int(val))
 
     def parse_atom(self) -> Node:
         kind, val = self.take()
@@ -1154,7 +1122,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return Exp(arg) if val == "exp" else Log(arg)
+                return _FUNCTIONS[val](arg)
             m = re.fullmatch(r"x(\d+)", val)
             if m is None:
                 raise FieldParseError(f"unknown identifier {val!r}")

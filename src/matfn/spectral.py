@@ -156,14 +156,14 @@ def _power_svals(A: np.ndarray, lam: complex, start: int):
         P = P @ B
 
 
-def _rank_ladder(A: np.ndarray, clusters, rank_tol: float, known=None) -> tuple[int, ...]:
+def _rank_ladder(A: np.ndarray, clusters, known=None) -> tuple[int, ...]:
     """Minimal multiplicity of each (centroid, radius) pair in ``clusters``.
 
     For each centroid c the rank of (A - c I)^j is tracked until it
     stabilizes; the first stable power is the multiplicity. Ranks count
-    singular values above ``rank_tol * sigma_max(A - c I)^j``, the scale a
-    j-fold product can reach, so that numerically nilpotent powers read as
-    rank zero, floored at the rounding residual 100 eps ||A||_F
+    singular values above ``DEFAULT_RANK_TOL * sigma_max(A - c I)^j``, the
+    scale a j-fold product can reach, so that numerically nilpotent powers
+    read as rank zero, floored at the rounding residual 100 eps ||A||_F
     sigma_max^(j-1), so that a shift with a tiny sigma_max (an eigenvalue
     near another) still reads as singular. A singular value within a
     factor 10 of the threshold triggers a warning since the decision is
@@ -190,7 +190,9 @@ def _rank_ladder(A: np.ndarray, clusters, rank_tol: float, known=None) -> tuple[
         def rank_of(s, j):
             # A cluster of spread ``radius`` is one eigenvalue, so its own
             # singular values, about radius^j at power j, count as zero.
-            thr = max(rank_tol * sigma1**j, residual * sigma1 ** (j - 1), (100 * radius) ** j)
+            thr = max(
+                DEFAULT_RANK_TOL * sigma1**j, residual * sigma1 ** (j - 1), (100 * radius) ** j
+            )
             rank, fragile = 0, False
             for x in s:
                 rank += x > thr
@@ -255,7 +257,7 @@ def _ladder_svals(arrs, rows):
     return out
 
 
-def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_TOL):
+def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
     """Yield :func:`analyze` of each square complex array in ``arrs``, in order.
 
     Matrices of one size share one ``eigvals`` call, and the ladder powers
@@ -283,7 +285,7 @@ def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_TO
     for A, clusters, svals in zip(arrs, rows, known):
         if clusters is None:
             clusters = _clusters(A, _eigvals(A), cluster_tol)
-        mins = _rank_ladder(A, [(c, radius) for c, _, radius in clusters], rank_tol, svals)
+        mins = _rank_ladder(A, [(c, radius) for c, _, radius in clusters], svals)
         for (lam, s, _), r in zip(clusters, mins):
             if r > s:
                 raise SpectralError(
@@ -298,11 +300,7 @@ def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_TO
         )
 
 
-def analyze(
-    M,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SpectralData:
+def analyze(M, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
     """Cluster the spectrum and attach minimal-polynomial multiplicities.
 
     This is the one place where the package decides what counts as a
@@ -315,7 +313,7 @@ def analyze(
     This is the one-matrix case of :func:`_analyze_all`, which analyses
     the slots of one call together and decides exactly as this does.
     """
-    [data] = _analyze_all([as_square_matrix(M)], cluster_tol, rank_tol)
+    [data] = _analyze_all([as_square_matrix(M)], cluster_tol)
     return data
 
 

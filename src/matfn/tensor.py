@@ -87,15 +87,23 @@ class OperatorTensor:
 
     @property
     def slot_dims(self) -> tuple[int, ...]:
-        sizes = dict(zip("".join(self._subs), (n for a in self._operands for n in a.shape)))
-        return tuple(sizes[up] for up, _ in self._out)
+        return tuple(self._dim(l) for l in range(self.k))
+
+    def _dim(self, slot: int) -> int:
+        """The size of ``slot``, read off the operand that carries its up letter."""
+        up = self._out[slot][0]
+        return next(a.shape[s.index(up)] for a, s in zip(self._operands, self._subs) if up in s)
 
     def _parts(self, fresh: int = 0):
         """(operands, subscripts, ``fresh`` free letters), dense once read or short of letters."""
         ops, subs = self._operands, self._subs
-        if self._dense is not None or len(set("".join(subs))) + fresh > len(_LETTERS):
+        if self._dense is None and not fresh:
+            return ops, subs, []
+        used = set("".join(subs))
+        if self._dense is not None or len(used) + fresh > len(_LETTERS):
             ops, subs = (self.data,), ("".join(self._out),)
-        return ops, subs, [c for c in _LETTERS if c not in "".join(subs)][:fresh]
+            used = set(subs[0])
+        return ops, subs, [c for c in _LETTERS if c not in used][:fresh]
 
     def as_matrix(self) -> np.ndarray:
         """The (prod d) x (prod d) matrix view, up indices first."""
@@ -224,9 +232,9 @@ def contract_pair(T: OperatorTensor, up_slot: int, down_slot: int):
     if up_slot == down_slot:
         return trace_slot(T, up_slot)
     p, q = up_slot, down_slot
-    if T.slot_dims[p] != T.slot_dims[q]:
-        raise ValueError(f"cannot contract slot {p} (dim {T.slot_dims[p]}) with "
-                         f"slot {q} (dim {T.slot_dims[q]})")
+    if T._dim(p) != T._dim(q):
+        raise ValueError(f"cannot contract slot {p} (dim {T._dim(p)}) with "
+                         f"slot {q} (dim {T._dim(q)})")
     out = list(T._out)
     out[min(p, q)] = out[q][0] + out[p][1]  # (surviving up, surviving down)
     del out[max(p, q)]
@@ -246,9 +254,9 @@ def contract_adjacent_through(T: OperatorTensor, left_slot: int, H) -> OperatorT
     if not 0 <= left_slot < T.k - 1:
         raise ValueError(f"left_slot {left_slot} needs a following slot in a {T.k}-slot tensor")
     p, Hm = left_slot, as_square_matrix(H, "through matrix")
-    if T.slot_dims[p] != Hm.shape[0] or T.slot_dims[p + 1] != Hm.shape[0]:
+    if T._dim(p) != Hm.shape[0] or T._dim(p + 1) != Hm.shape[0]:
         raise ValueError(f"through matrix of dim {Hm.shape[0]} does not fit slots of dims "
-                         f"{T.slot_dims[p]} and {T.slot_dims[p + 1]}")
+                         f"{T._dim(p)} and {T._dim(p + 1)}")
     (up, a), (b, down) = T._out[p : p + 2]
     return _edited(T, T._out[:p] + (up + down,) + T._out[p + 2 :], "", [Hm.copy()], [a + b])
 

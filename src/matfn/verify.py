@@ -103,58 +103,29 @@ def random_symmetric(rng, d, scale=1.0):
 _X = sf.variable(0, 1)
 
 
-def _pool_univariate():
-    return [
-        _X**2,
-        _X**3 - 2 * _X,
-        sf.exp(_X),
-        1 / (_X + 5),
-        sf.exp(-1 * _X) + _X**2,
-    ]
-
-
-def _pool_bivariate():
+def _build_pools():
     x1, x2 = sf.variable(0, 2), sf.variable(1, 2)
-    return [
-        x1 * x2,
-        x1 + x2,
-        (x1 + x2) ** 2,
-        sf.exp(x1 + x2),
-        1 / (x1 + x2 + 5),
-        x1**2 * x2 - x2 + 1,
-    ]
-
-
-def _pool_trivariate():
-    x1, x2, x3 = (sf.variable(i, 3) for i in range(3))
-    # exp is damped so matrix views stay small enough for the absolute
-    # commutator bound in the product suite
-    return [
-        x1 * x2 * x3,
-        x1 + x2 + x3,
-        sf.exp(0.5 * (x1 + x2 + x3)),
-        x1 * x3 + x2**2,
-    ]
-
-
-def _pool_quadrivariate():
-    xs = [sf.variable(i, 4) for i in range(4)]
-    total = xs[0] + xs[1] + xs[2] + xs[3]
-    return [
-        xs[0] * xs[1] * xs[2] * xs[3],
-        total,
-        total**2,
-        xs[0] * xs[2] + xs[1] * xs[3],
-    ]
-
-
-def _pool(k):
+    y1, y2, y3 = (sf.variable(i, 3) for i in range(3))
+    zs = [sf.variable(i, 4) for i in range(4)]
+    total = zs[0] + zs[1] + zs[2] + zs[3]
     return {
-        1: _pool_univariate(),
-        2: _pool_bivariate(),
-        3: _pool_trivariate(),
-        4: _pool_quadrivariate(),
-    }[k]
+        1: [_X**2, _X**3 - 2 * _X, sf.exp(_X), 1 / (_X + 5), sf.exp(-1 * _X) + _X**2],
+        2: [x1 * x2, x1 + x2, (x1 + x2) ** 2, sf.exp(x1 + x2), 1 / (x1 + x2 + 5),
+            x1**2 * x2 - x2 + 1],
+        # exp is damped so matrix views stay small enough for the absolute
+        # commutator bound in the product suite
+        3: [y1 * y2 * y3, y1 + y2 + y3, sf.exp(0.5 * (y1 + y2 + y3)), y1 * y3 + y2**2],
+        4: [zs[0] * zs[1] * zs[2] * zs[3], total, total**2, zs[0] * zs[2] + zs[1] * zs[3]],
+    }
+
+
+#: The field pool of each arity, the fields' order fixed: draws index it.
+_POOLS = _build_pools()
+
+
+def _draw(rng, pool):
+    """One field of ``pool``, picked by one ``rng.integers`` call."""
+    return pool[int(rng.integers(len(pool)))]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +167,7 @@ def suite_paths(seed, trials=30):
         k = k_cycle[t % len(k_cycle)]
         blocks = [random_jordan_blocks(rng, max_dim=4, max_block=3) for _ in range(k)]
         mats = [jordan_matrix(b) for b in blocks]
-        f = _pool(k)[int(rng.integers(len(_pool(k))))]
+        f = _draw(rng, _POOLS[k])
         via_interp = f_otimes(f, mats)
         via_jordan = jordan_closed_form(f, mats, blocks)
         scale = max(via_jordan.hs_norm(), 1e-30)
@@ -206,7 +177,7 @@ def suite_paths(seed, trials=30):
         k = k_cycle[t % len(k_cycle)]
         dims = [int(rng.integers(2, 5)) for _ in range(k)]
         mats = [random_diagonalizable(rng, d) for d in dims]
-        f = _pool(k)[int(rng.integers(len(_pool(k))))]
+        f = _draw(rng, _POOLS[k])
         via_interp = f_otimes(f, mats)
         via_diag = f_otimes_diagonalizable(f, mats)
         scale = max(via_diag.hs_norm(), 1e-30)
@@ -244,9 +215,8 @@ def suite_product(seed, trials=20):
                 mats.append(jordan_matrix(random_jordan_blocks(rng, max_dim=d if d > 1 else 2)))
             else:
                 mats.append(random_diagonalizable(rng, d))
-        pool = _pool(k)
-        f1 = pool[int(rng.integers(len(pool)))]
-        f2 = pool[int(rng.integers(len(pool)))]
+        f1 = _draw(rng, _POOLS[k])
+        f2 = _draw(rng, _POOLS[k])
         check = aops.product_identity_check(f1, f2, mats)
         out.append(
             CheckResult("product", f"product-{t}", check.product_residual, 1e-8 * check.scale)
@@ -275,8 +245,7 @@ def _compose_instance(rng, r, defective):
         ok = True
         for q in range(r):
             kq = 1 + int(rng.integers(2))
-            pool = inner_pools[kq]
-            fq = pool[int(rng.integers(len(pool)))]
+            fq = _draw(rng, inner_pools[kq])
             grp = []
             for j in range(kq):
                 if defective and q == 0 and j == 0:
@@ -325,8 +294,7 @@ def suite_contr(seed, trials=8):
         k = 2 + t % 2
         dims = [int(rng.integers(2, 4)) for _ in range(k)]
         mats = [random_diagonalizable(rng, d) for d in dims]
-        pool = _pool(k)
-        f = pool[int(rng.integers(len(pool)))]
+        f = _draw(rng, _POOLS[k])
         slot = t % k
         check = aops.contract_trace_theorem(f, mats, slot)
         out.append(CheckResult("contr", f"trace-{t}", check.residual, 1e-8))
@@ -340,8 +308,7 @@ def suite_contr(seed, trials=8):
         mats = [shared] + (
             [random_diagonalizable(rng, int(rng.integers(2, 4)))] if k == 3 else []
         ) + [shared]
-        pool = _pool(k)
-        f = pool[int(rng.integers(len(pool)))]
+        f = _draw(rng, _POOLS[k])
         check = aops.contract_equal_slots_theorem(f, mats, 0, k - 1)
         out.append(CheckResult("contr", f"equal-orders-{t}", check.order_residual, 1e-8))
         out.append(CheckResult("contr", f"equal-reduced-{t}", check.reduced_residual, 1e-8))
@@ -349,7 +316,7 @@ def suite_contr(seed, trials=8):
         d = int(rng.integers(2, 4))
         M = random_diagonalizable(rng, d)
         N = 0.7 * M @ M - 1.3 * M + 0.4 * np.eye(d)
-        f = _pool(2)[int(rng.integers(len(_pool(2))))]
+        f = _draw(rng, _POOLS[2])
         check = aops.commuting_swap_check(f, [M, N], 0, 1)
         out.append(CheckResult("contr", f"swap-{t}", check.residual, 1e-8))
     return out
@@ -367,8 +334,7 @@ def suite_diff(seed, trials=6):
         slot = t % k
         H = rng.normal(size=mats[slot].shape) + 1j * rng.normal(size=mats[slot].shape)
         H /= np.linalg.norm(H)
-        pool = _pool(k)
-        f = pool[int(rng.integers(len(pool)))]
+        f = _draw(rng, _POOLS[k])
         D = calc.frechet_derivative(f, mats, slot, H)
         h = 1e-5
 
@@ -388,7 +354,7 @@ def suite_diff(seed, trials=6):
         M = random_diagonalizable(rng, d)
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         H /= np.linalg.norm(H)
-        f = _pool(1)[int(rng.integers(len(_pool(1))))]
+        f = _draw(rng, _POOLS[1])
         z0 = 0.1
         exact = calc.nth_derivative_curve(f, M, H, n, z0)
 
@@ -421,7 +387,7 @@ def suite_diff(seed, trials=6):
     # cyclic identity of the doubled-node fields, and the trace derivative
     for t in range(trials):
         n = 1 + t % 3
-        f = _pool(1)[int(rng.integers(len(_pool(1))))]
+        f = _draw(rng, _POOLS[1])
         fprime = f.partial(0)
         lhs_field = calc.divided_difference_field(fprime, n - 1)
         pts = [complex(rng.normal(), rng.normal()) for _ in range(n)]
@@ -534,8 +500,7 @@ def suite_antisym(seed, trials=10):
             M = random_diagonalizable(rng, int(rng.integers(2, 5)))
         d = M.shape[0]
         for k in range(1, min(d, 4) + 1):
-            pool = _pool(k)
-            f = pool[int(rng.integers(len(pool)))]
+            f = _draw(rng, _POOLS[k])
             got = asym.distinct_tuple_sum(f, M, k)
             w = np.linalg.eigvals(M)
             idx = np.array(list(itertools.permutations(range(d), k)))

@@ -138,6 +138,47 @@ def test_parser_precedence_round_trip():
         parse_field("x1^2^3")  # chained powers need parentheses
 
 
+def _left_nested(node) -> bool:
+    """No + or * holds an operator of its own precedence as its right operand.
+
+    Rendering drops the parentheses of such a right operand, so only these
+    trees can parse back node for node.
+    """
+    if isinstance(node, sf.Add) and isinstance(node.rhs, (sf.Add, sf.Sub)):
+        return False
+    if isinstance(node, sf.Mul) and isinstance(node.rhs, (sf.Mul, sf.Div)):
+        return False
+    kids = (getattr(node, name) for name in type(node).__slots__)
+    return all(_left_nested(k) for k in kids if isinstance(k, sf.Node))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1^-2",
+        "(x1 + 3)^-1*x2",
+        "-x1*x2 - -(x1 - x2) + -x2^3",
+        "x1 - (x2 - (x1 - x2/3)) - 2",
+        "x1/(x2/(x1 + 4))/(x2*(x1 - 5))",
+        "exp(x1 - x2)/log(x1 + 3) + log(x2)^2",
+        "0.1*x1 + 2.5e-3/x2^(-2)",
+    ],
+)
+def test_rendered_fields_parse_back(text):
+    f = parse_field(text)
+    fields = [f, f.partial(0), substitute_value(f, 0, 0.75)]
+    if f.arity > 1:
+        fields.append(merge_variables(f, 0, 1))
+    rng = np.random.default_rng(5)
+    for g in fields:
+        again = parse_field(str(g), g.arity)
+        pts = [rng.uniform(0.5, 2.0, 20) for _ in range(g.arity)]
+        np.testing.assert_allclose(again(*pts), g(*pts), rtol=1e-13, atol=0)
+        if _left_nested(g.root):
+            assert again == g, str(g)
+    assert _left_nested(f.root) and parse_field(str(f), f.arity) == f
+
+
 def test_substitute_and_merge():
     f = parse_field("x1*x2 + x2^2")
     g = substitute_value(f, 1, 3.0)

@@ -14,7 +14,7 @@ from matfn import (
     parse_field,
 )
 from matfn.funcalc import jordan_matrix
-from matfn.spectral import DEFAULT_RANK_TOL, _analyze_all, _rank_ladder, merge_clusters
+from matfn.spectral import _analyze_all, _rank_ladder, merge_clusters
 
 
 def companion(coeffs):
@@ -126,7 +126,7 @@ def test_minimal_multiplicities_rejects_non_eigenvalue():
     # the rank ladder's guard: a centroid where M - c I has full rank
     A = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(SpectralError, match="not an eigenvalue"):
-        _rank_ladder(A, [(5.0, 0.0)], DEFAULT_RANK_TOL)
+        _rank_ladder(A, [(5.0, 0.0)])
 
 
 def test_eigen_cluster_swap_matrix():
