@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpectralError
-from .funcalc import _interpolant, f_otimes
+from .funcalc import f_otimes
 from .scalarfield import (
     ProjKernel,
     ScalarField,
@@ -25,7 +25,7 @@ from .scalarfield import (
     divided_difference_levels,
 )
 from .spectral import analyze, as_square_matrix, cluster_threshold
-from .tensor import OperatorTensor, _chain_fold, contract_adjacent_through
+from .tensor import OperatorTensor, contract_adjacent_through
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +138,9 @@ def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.nd
     """d^n/dz^n f(M + zH) at z = ``at``, for a one-variable field.
 
     n! times the extension of the n-th divided-difference field of f at
-    n + 1 copies of A = M + at H, chained through H between consecutive
-    copies. The chain is folded slot by slot from the interpolant, so
-    only d x d matrices are formed, never the d^(2(n+1)) tensor.
+    n + 1 copies of A = M + at H, with every adjacent pair of slots
+    contracted through H. The contractions edit the extension's network,
+    so the d^(2(n+1)) tensor is never formed.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
@@ -173,8 +173,10 @@ def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
 
 def _chain(g: ScalarField, A: np.ndarray, Hm: np.ndarray) -> np.ndarray:
     """The extension of ``g`` at copies of A, its adjacent slots chained through H."""
-    poly = _interpolant(g, [A] * g.arity, [analyze(A)] * g.arity)
-    return _chain_fold(poly, A, Hm)
+    T = f_otimes(g, [A] * g.arity, spectra=[analyze(A)] * g.arity)
+    for slot in reversed(range(g.arity - 1)):
+        T = contract_adjacent_through(T, slot, Hm)
+    return T.data
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ Malformed input raises ValueError.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -41,20 +42,35 @@ def matrix_to_obj(M) -> dict:
     }
 
 
-def matrix_from_obj(obj) -> np.ndarray:
+def _read_entries(obj, what: str, key: str, shape_of) -> np.ndarray:
+    """The ``entries`` of a JSON ``what`` object, shaped by ``shape_of(obj[key])``.
+
+    ``shape_of`` checks the value and returns (shape, the object's name in errors)."""
     if not isinstance(obj, dict):
-        raise ValueError(f"matrix object must be a JSON object, got {type(obj).__name__}")
-    if "dim" not in obj or "entries" not in obj:
-        raise ValueError("matrix object needs 'dim' and 'entries'")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != dim * dim:
+        raise ValueError(f"{what} object must be a JSON object, got {type(obj).__name__}")
+    if key not in obj or "entries" not in obj:
+        raise ValueError(f"{what} object needs '{key}' and 'entries'")
+    shape, name = shape_of(obj[key])
+    size, entries = math.prod(shape), obj["entries"]
+    if not isinstance(entries, list) or len(entries) != size:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
-        raise ValueError(f"matrix of dim {dim} needs {dim * dim} entries, got {got}")
+        raise ValueError(f"{name} needs {size} entries, got {got}")
     flat = [_parse_pair(e, f"entry {i}") for i, e in enumerate(entries)]
-    return np.array(flat, dtype=complex).reshape(dim, dim)
+    return np.array(flat, dtype=complex).reshape(shape)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
+def _matrix_shape(dim):
+    if not _is_count(dim):
+        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
+    return (dim, dim), f"matrix of dim {dim}"
+
+
+def matrix_from_obj(obj) -> np.ndarray:
+    return _read_entries(obj, "matrix", "dim", _matrix_shape)
 
 
 def tensor_to_obj(T: OperatorTensor) -> dict:
@@ -64,30 +80,14 @@ def tensor_to_obj(T: OperatorTensor) -> dict:
     }
 
 
-def tensor_from_obj(obj) -> OperatorTensor:
-    if not isinstance(obj, dict):
-        raise ValueError(f"tensor object must be a JSON object, got {type(obj).__name__}")
-    if "slot_dims" not in obj or "entries" not in obj:
-        raise ValueError("tensor object needs 'slot_dims' and 'entries'")
-    dims = obj["slot_dims"]
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
+def _tensor_shape(dims):
+    if not isinstance(dims, list) or not dims or not all(_is_count(d) for d in dims):
         raise ValueError(f"'slot_dims' must be a nonempty list of positive integers, got {dims!r}")
-    total = 1
-    for d in dims:
-        total *= d * d
-    entries = obj["entries"]
-    if not isinstance(entries, list) or len(entries) != total:
-        got = len(entries) if isinstance(entries, list) else type(entries).__name__
-        raise ValueError(f"tensor with slot dims {dims} needs {total} entries, got {got}")
-    flat = [_parse_pair(e, f"entry {i}") for i, e in enumerate(entries)]
-    shape = []
-    for d in dims:
-        shape.extend([d, d])
-    return OperatorTensor(np.array(flat, dtype=complex).reshape(shape))
+    return [n for d in dims for n in (d, d)], f"tensor with slot dims {dims}"
+
+
+def tensor_from_obj(obj) -> OperatorTensor:
+    return OperatorTensor(_read_entries(obj, "tensor", "slot_dims", _tensor_shape))
 
 
 def scalar_to_obj(z) -> dict:

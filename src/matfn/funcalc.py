@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FieldDomainError, NotDiagonalizableError
 from .interp import hermite_basis, interpolate
-from .scalarfield import MultiPoly, ScalarField, derivative_grid
+from .scalarfield import ScalarField, derivative_grid
 # ``analyze`` stays bound for bench/tracer.py, which rebinds imported names
 from .spectral import SpectralData, _analyze_all, analyze, as_square_matrix  # noqa: F401
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
@@ -58,11 +58,6 @@ def f_otimes(
     change the result; the invariance tests rely on that knob.
     """
     arrs = _slot_matrices(f, mats)
-    return poly_tensor_eval(_interpolant(f, arrs, spectra, extra_multiplicity), arrs)
-
-
-def _interpolant(f: ScalarField, arrs, spectra, extra_multiplicity=0) -> MultiPoly:
-    """The polynomial that :func:`f_otimes` evaluates at ``arrs``."""
     if spectra is None:
         data = list(_analyze_all(arrs))
     else:
@@ -85,7 +80,7 @@ def _interpolant(f: ScalarField, arrs, spectra, extra_multiplicity=0) -> MultiPo
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
         ) from exc
-    return interpolate(G, bases)
+    return poly_tensor_eval(interpolate(G, bases), arrs)
 
 
 def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:

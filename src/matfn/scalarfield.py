@@ -551,7 +551,7 @@ def _fmt_const(v: complex) -> tuple[str, int]:
         else:
             s = repr(r)
         return (s, _PREC_ATOM if r >= 0 else _PREC_NEG)
-    return (f"({v.real:g}{v.imag:+g}i)", _PREC_ATOM)
+    return (f"({v.real!r}{v.imag:+}i)", _PREC_ATOM)
 
 
 def _render(node: Node) -> tuple[str, int]:
@@ -583,7 +583,7 @@ def _render(node: Node) -> tuple[str, int]:
     if type(node) in _CALLS:
         return (f"{_CALLS[type(node)]}({_render(node.arg)[0]})", _PREC_ATOM)
     if isinstance(node, MinConst):
-        return (f"min({_render(node.arg)[0]}, {node.bound:g})", _PREC_ATOM)
+        return (f"min({_render(node.arg)[0]}, {node.bound!r})", _PREC_ATOM)
     if isinstance(node, SlotDividedDifference):
         inner, _ = _render(node.base)
         reps = ",".join(str(m) for m in node.mults)
@@ -1032,7 +1032,7 @@ def poly_to_field(poly: MultiPoly) -> ScalarField:
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
@@ -1115,8 +1115,8 @@ class _Parser:
 
     def parse_atom(self) -> Node:
         kind, val = self.take()
-        if kind == "num":
-            return _const(float(val))
+        if kind == "num":  # a trailing i makes an imaginary literal
+            return _const(complex(0.0, float(val[:-1])) if val[-1] == "i" else float(val))
         if kind == "name":
             if val in _FUNCTIONS:
                 self.expect_op("(")

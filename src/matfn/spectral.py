@@ -35,7 +35,7 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
 

@@ -190,18 +190,6 @@ def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
     return _network([C] + factors, subs, _pairs(k))
 
 
-def _chain_fold(poly: MultiPoly, M: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """sum_alpha c_alpha M^{a_1} H M^{a_2} H ... H M^{a_k}, folded as Y <- sum_a M^a H Y[..., a].
-
-    This is ``poly_tensor_eval(poly, [M] * k)`` with adjacent slots contracted through H."""
-    C = poly.dense
-    S = _power_stack(M, max(C.shape) - 1)
-    Y = np.tensordot(C, S[: C.shape[-1]], axes=(-1, 0))
-    for n in reversed(C.shape[:-1]):
-        Y = (S[:n] @ (H @ Y)).sum(axis=-3)
-    return Y
-
-
 def _check_slot(T: OperatorTensor, slot: int):
     if not 0 <= slot < T.k:
         raise ValueError(f"slot {slot} out of range for a {T.k}-slot tensor")

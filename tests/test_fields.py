@@ -162,6 +162,10 @@ def _left_nested(node) -> bool:
         "x1/(x2/(x1 + 4))/(x2*(x1 - 5))",
         "exp(x1 - x2)/log(x1 + 3) + log(x2)^2",
         "0.1*x1 + 2.5e-3/x2^(-2)",
+        # complex constants, as `matfn contract` renders its reduced fields
+        "x1*(-1.43415765279684-0.7407406799999998i) + x1*(-1.4341576527968394+0.7407406799999999i)",
+        "(0.3+1.2345678i)*x1^2 - x2/1e-3i",
+        "exp(2.5i*x1)/(x2 - (-0.1-7i))",
     ],
 )
 def test_rendered_fields_parse_back(text):

@@ -90,6 +90,35 @@ def test_tensor_from_obj_rejects_malformed(obj):
         tensor_from_obj(obj)
 
 
+_MESSAGES = [
+    (matrix_from_obj, 42, "matrix object must be a JSON object, got int"),
+    (matrix_from_obj, {"dim": 1}, "matrix object needs 'dim' and 'entries'"),
+    (matrix_from_obj, {"dim": True, "entries": []}, "'dim' must be a positive integer, got True"),
+    (matrix_from_obj, {"dim": 2, "entries": [[1.0, 0.0]]}, "matrix of dim 2 needs 4 entries, got 1"),
+    (matrix_from_obj, {"dim": 1, "entries": "nope"}, "matrix of dim 1 needs 1 entries, got str"),
+    (matrix_from_obj, {"dim": 1, "entries": [[1.0, "zero"]]},
+     "entry 0: expected a [re, im] pair, got [1.0, 'zero']"),
+    (tensor_from_obj, [], "tensor object must be a JSON object, got list"),
+    (tensor_from_obj, {"entries": []}, "tensor object needs 'slot_dims' and 'entries'"),
+    (tensor_from_obj, {"slot_dims": [2, 0], "entries": []},
+     "'slot_dims' must be a nonempty list of positive integers, got [2, 0]"),
+    (tensor_from_obj, {"slot_dims": [2], "entries": [[1.0, 0.0]] * 3},
+     "tensor with slot dims [2] needs 4 entries, got 3"),
+    (tensor_from_obj, {"slot_dims": [1], "entries": "x"},
+     "tensor with slot dims [1] needs 1 entries, got str"),
+    (tensor_from_obj, {"slot_dims": [2], "entries": [[1.0, 0.0]] * 3 + [[1.0]]},
+     "entry 3: expected a [re, im] pair, got [1.0]"),
+]
+
+
+def test_from_obj_error_messages():
+    """Matrices and tensors share one reader; each keeps its own wording."""
+    for reader, obj, message in _MESSAGES:
+        with pytest.raises(ValueError) as err:
+            reader(obj)
+        assert str(err.value) == message
+
+
 def test_scalar_from_obj_rejects_malformed():
     with pytest.raises(ValueError):
         scalar_from_obj({"val": [1.0, 0.0]})

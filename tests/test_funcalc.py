@@ -14,19 +14,16 @@ from matfn import (
     analyze,
     apply_vectors,
     chain_contract,
-    derivative_grid,
+    contract_adjacent_through,
     divided_difference_field,
     f_otimes,
     f_otimes_diagonalizable,
-    hermite_basis,
-    interpolate,
     jordan_closed_form,
     jordan_matrix,
     matrix_function,
     nth_derivative_curve,
     parse_field,
 )
-from matfn.tensor import _chain_fold
 
 rng = np.random.default_rng(23)
 
@@ -302,10 +299,10 @@ def test_curve_derivative_shares_one_basis_across_equal_slots():
     A = local.normal(size=(4, 4)) / 2
     H = local.normal(size=(4, 4))
     got = nth_derivative_curve(f, A, H, 3)
-    nodes = [analyze(A).grid_entries()] * 4
-    g = divided_difference_field(f, 3)
-    poly = interpolate(derivative_grid(g, nodes), [hermite_basis(n) for n in nodes])
-    want = math.factorial(3) * _chain_fold(poly, A, H)
+    T = f_otimes(divided_difference_field(f, 3), [A] * 4, spectra=[analyze(A)] * 4)
+    for slot in (2, 1, 0):
+        T = contract_adjacent_through(T, slot, H)
+    want = math.factorial(3) * T.data
     assert got.tobytes() == want.tobytes()
 
 
