@@ -21,11 +21,7 @@ import warnings
 
 import numpy as np
 
-from . import algebraic_ops as aops
-from . import antisym as asym
-from . import calculus as calc
 from . import fileio
-from . import verify as verify_mod
 from .errors import FieldParseError, MatfnError
 from .funcalc import f_otimes
 from .scalarfield import parse_field
@@ -66,7 +62,7 @@ def _contracted_obj(contracted):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; each imports the layers beyond f_otimes that it uses
 
 
 def _cmd_eval(args) -> int:
@@ -79,6 +75,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_derivative(args) -> int:
+    from . import calculus as calc
+
     mats = _load_mats(args.mat)
     f = parse_field(args.func, arity=len(mats))
     slot = _slot_index(args.slot, len(mats))
@@ -90,6 +88,8 @@ def _cmd_derivative(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import calculus as calc
+
     M = fileio.load_matrix(args.mat)
     H = fileio.load_matrix(args.dir)
     f = parse_field(args.func, arity=1)
@@ -101,6 +101,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_contract(args) -> int:
+    from . import algebraic_ops as aops
+
     mats = _load_mats(args.mat)
     f = parse_field(args.func, arity=len(mats))
     if args.theorem == "trace":
@@ -144,6 +146,8 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_wedge(args) -> int:
+    from . import antisym as asym
+
     if args.k < 1:
         raise ValueError("--k must be at least 1")
     M = fileio.load_matrix(args.mat)
@@ -160,12 +164,16 @@ def _cmd_wedge(args) -> int:
 
 
 def _cmd_det_traces(args) -> int:
+    from . import antisym as asym
+
     M = fileio.load_matrix(args.mat)
     _emit(fileio.scalar_to_obj(asym.det_from_traces(M)), args.out)
     return 0
 
 
 def _cmd_projderiv(args) -> int:
+    from . import calculus as calc
+
     M = fileio.load_matrix(args.mat)
     H = fileio.load_matrix(args.dir)
     if args.order < 0:
@@ -186,7 +194,9 @@ def _cmd_projderiv(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_suites([args.suite], seed=args.seed, trials=args.trials)
+    from .verify import run_suites
+
+    results = run_suites([args.suite], seed=args.seed, trials=args.trials)
     failed = 0
     for r in results:
         print(r.line())
@@ -259,7 +269,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--suite",
         default="all",
-        help="all or one of: " + ", ".join(sorted(verify_mod.SUITES)),
+        help="all, or the name of one suite",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None)

@@ -37,11 +37,12 @@ def confluent(a, b, floor=1.0):
     The rule is |a - b| <= CONFLUENCE_TOL * max(floor, |a|, |b|), spelt
     out without ``max`` so that scalars stay Python scalars: relative above
     magnitude ``floor``, absolute below it. The divided difference tables
-    and the projector kernel ask it with floor 1, the unit of the field's
-    argument, since a difference quotient of nodes closer than that loses
-    eps/gap of its digits. The interpolation basis is unchanged by scaling
-    its nodes, so :func:`~matfn.interp.hermite_basis` asks with a smaller
-    floor; at magnitude 1 and above all three agree.
+    ask it with floor 1, the unit of the field's argument, since a
+    difference quotient of nodes closer than that loses eps/gap of its
+    digits; the projector kernel asks it with the same floor to refuse an
+    argument that nearly hits its anchor. The interpolation basis is
+    unchanged by scaling its nodes, so :func:`~matfn.interp.hermite_basis`
+    asks with a smaller floor; at magnitude 1 and above all three agree.
     """
     gap = abs(a - b)
     return (gap <= CONFLUENCE_TOL * floor) | (gap <= CONFLUENCE_TOL * abs(a)) | (
@@ -395,26 +396,39 @@ def _slot_dd(node: SlotDividedDifference, point: tuple):
 def _proj_kernel(node: ProjKernel, point: tuple):
     """The divided difference, over ``point``, of the anchor's indicator.
 
-    The indicator is 1 on the nodes :func:`confluent` with the anchor and
-    0 elsewhere, so its derivatives vanish; the table merges the anchor's
-    copies into a centroid that may miss the anchor by rounding, hence
-    the test by confluence rather than equality.
+    In closed form, the residue at the anchor a of prod_h 1/(zeta - z_h):
+    with m arguments equal to a and y_h = 1/(a - z_h) for the others,
+    u = (-1)^(m-1) prod_h y_h h_{m-1}(y), where h_j is the complete
+    homogeneous symmetric polynomial of degree j, and u = 0 when m = 0.
+    The anchor test and the reciprocals run on each argument's own array;
+    only the recurrence h_j <- h_j - y h_{j-1}, which builds h_j(-y) =
+    (-1)^j h_j(y), and the choice of h_{m-1} run on the broadcast grid. No
+    difference of two arguments is divided by, so arguments that repeat or
+    nearly coincide away from the anchor cost no accuracy. An argument
+    :func:`confluent` with the anchor but not equal to it is refused.
     """
     lam = node.anchor
-    nodes = np.stack(np.broadcast_arrays(*point), axis=-1)
-    bad = confluent(nodes, lam) & (nodes != lam)
-    if bad.any():
-        z = complex(nodes[bad][0])
+    bad = [confluent(z, lam) & (z != lam) for z in point]
+    if any(b.any() for b in bad):
+        nodes = np.stack(np.broadcast_arrays(*point), axis=-1)
+        z = complex(nodes[np.stack(np.broadcast_arrays(*bad), axis=-1)][0])
         raise FieldDomainError(
             f"kernel argument {z} is confluent with the anchor {lam} "
             "but not equal to it; ambiguous confluence"
         )
-
-    def deriv(x, m, mask):
-        x = x if mask is None else x[mask]
-        return confluent(x, lam) + 0j if m == 0 else np.zeros(x.shape, dtype=complex)
-
-    return confluent_divided_difference(deriv, nodes)
+    m, prod = 0, 1.0
+    h = [1.0] + [0.0] * node.order  # h_j(-y) over the arguments so far
+    for z in point:
+        at = z == lam
+        y = np.where(at, 0.0, 1.0 / (lam - z))  # the 1/0 at the anchor is discarded
+        m = m + at
+        prod = prod * np.where(at, 1.0, y)
+        for j in range(1, node.order + 1):
+            h[j] = h[j] - y * h[j - 1]
+    u = 0j
+    for j, hj in enumerate(h):
+        u = np.where(m == j + 1, hj, u)
+    return prod * u
 
 
 # ---------------------------------------------------------------------------
@@ -1031,8 +1045,12 @@ def poly_to_field(poly: MultiPoly) -> ScalarField:
 # ---------------------------------------------------------------------------
 # parsing
 
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+#: a complex constant as rendered, (a+bi), read as one token: folded from
+#: its parts, -0.0 + bi would come out as 0.0 + bi and lose the sign
+_COMPLEX_RE = re.compile(rf"\(\s*(-?)\s*({_NUMBER})\s*([+-])\s*({_NUMBER})i\s*\)")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)"
+    rf"\s*(?:(?P<complex>{_COMPLEX_RE.pattern})|(?P<num>{_NUMBER}i?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
@@ -1115,10 +1133,15 @@ class _Parser:
 
     def parse_atom(self) -> Node:
         kind, val = self.take()
+        if kind == "complex":
+            sign, re_part, im_sign, im_part = _COMPLEX_RE.fullmatch(val).groups()
+            return _const(complex(float(sign + re_part), float(im_sign + im_part)))
         if kind == "num":  # a trailing i makes an imaginary literal
             return _const(complex(0.0, float(val[:-1])) if val[-1] == "i" else float(val))
         if kind == "name":
             if val in _FUNCTIONS:
+                if self.peek()[0] == "complex":  # exp(2+3i): the call's parentheses
+                    return _FUNCTIONS[val](self.parse_atom())
                 self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")")

@@ -258,18 +258,23 @@ def _contour_projector_derivative(A, H, lam, radius, n, points=256):
 
 
 def test_projector_derivative_high_orders_match_contour():
-    d = 6
     r = np.random.default_rng(11)
-    lams = np.array([-2.0, -1.0, 0.2, 1.0, 2.1, 3.0])
-    S = np.eye(d) + 0.3 * r.standard_normal((d, d))
-    A = S @ np.diag(lams) @ np.linalg.inv(S)
-    H = 0.3 * r.standard_normal((d, d))
-    for which in (0, 2, 5):
-        radius = 0.5 * min(abs(lams[which] - z) for z in lams if z != lams[which])
-        for n in (3, 4):
-            want = _contour_projector_derivative(A, H, lams[which], radius, n)
-            got = projector_derivative(A, H, which, n)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (which, n)
+    # d = 8 is the size of the deep-orders benchmark's projector and eigenvalue cases
+    for lams, anchors in [
+        (np.array([-2.0, -1.0, 0.2, 1.0, 2.1, 3.0]), (0, 2, 5)),
+        (np.array([-2.6, -2.0, -1.0, 0.2, 1.0, 2.1, 3.0, 3.8]), (0, 3, 7)),
+    ]:
+        d = len(lams)
+        S = np.eye(d) + 0.3 * r.standard_normal((d, d))
+        A = S @ np.diag(lams) @ np.linalg.inv(S)
+        H = 0.3 * r.standard_normal((d, d))
+        for which in anchors:
+            radius = 0.5 * min(abs(lams[which] - z) for z in lams if z != lams[which])
+            for n in (3, 4):
+                want = _contour_projector_derivative(A, H, lams[which], radius, n)
+                got = projector_derivative(A, H, which, n)
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert err <= 1e-12, (d, which, n, err)
 
 
 def test_perturbation_requires_simple_spectrum():

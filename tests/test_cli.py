@@ -302,7 +302,7 @@ def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli.calc, "nth_derivative_curve", refuse)
+    monkeypatch.setattr("matfn.calculus.nth_derivative_curve", refuse)
     m = write_matrix(tmp_path, "m2.json", [[1.0, 2.0], [0.0, 3.0]])
     argv = ["curve", "--func", "x1", "--mat", m, "--dir", m, "--order", "30"]
     code, out, err = run_cli(capsys, argv)

@@ -115,6 +115,15 @@ def test_parser_one_based_names():
         parse_field("x3", arity=2)
 
 
+def test_parser_reads_a_function_of_a_complex_literal():
+    # the call's parentheses are also those of the literal (a+bi)
+    for text, cls, value in [("exp(2+3i)*x1", sf.Exp, 2 + 3j), ("log(1-2i)*x1", sf.Log, 1 - 2j),
+                             ("log( -0.0 + 2i )*x1", sf.Log, complex(-0.0, 2.0))]:
+        root = parse_field(text).root
+        assert root == sf.Mul(cls(sf.Const(value)), sf.Var(0)), text
+        assert root.lhs.arg.value.real.hex() == value.real.hex(), text
+
+
 def test_parser_rejects_negative_arity():
     with pytest.raises(ValueError, match="arity must be nonnegative"):
         parse_field("1", arity=-2)
@@ -152,8 +161,21 @@ def _left_nested(node) -> bool:
     return all(_left_nested(k) for k in kids if isinstance(k, sf.Node))
 
 
+def _const_bits(node) -> list:
+    """The bits of the constants that rendering writes out, so -0.0 and 0.0 differ.
+
+    Both parts of a complex constant; of a real one only the real part,
+    since its zero imaginary part is not written.
+    """
+    if isinstance(node, sf.Const):
+        v = node.value
+        return [(v.real.hex(), v.imag.hex()) if v.imag else (v.real.hex(),)]
+    kids = (getattr(node, name) for name in type(node).__slots__)
+    return [bits for k in kids if isinstance(k, sf.Node) for bits in _const_bits(k)]
+
+
 @pytest.mark.parametrize(
-    "text",
+    "source",
     [
         "x1^-2",
         "(x1 + 3)^-1*x2",
@@ -166,10 +188,16 @@ def _left_nested(node) -> bool:
         "x1*(-1.43415765279684-0.7407406799999998i) + x1*(-1.4341576527968394+0.7407406799999999i)",
         "(0.3+1.2345678i)*x1^2 - x2/1e-3i",
         "exp(2.5i*x1)/(x2 - (-0.1-7i))",
+        # a function applied straight to a complex literal
+        "exp(2+3i)*x1",
+        "log(1-2i)*x1",
+        # built, not parsed: the text must carry a zero real part's sign
+        pytest.param(sf.ScalarField(1, sf.Mul(sf.Const(complex(-0.0, 2.5)), sf.Var(0))),
+                     id="(-0.0+2.5i)*x1"),
     ],
 )
-def test_rendered_fields_parse_back(text):
-    f = parse_field(text)
+def test_rendered_fields_parse_back(source):
+    f = source if isinstance(source, sf.ScalarField) else parse_field(source)
     fields = [f, f.partial(0), substitute_value(f, 0, 0.75)]
     if f.arity > 1:
         fields.append(merge_variables(f, 0, 1))
@@ -180,6 +208,7 @@ def test_rendered_fields_parse_back(text):
         np.testing.assert_allclose(again(*pts), g(*pts), rtol=1e-13, atol=0)
         if _left_nested(g.root):
             assert again == g, str(g)
+            assert _const_bits(again.root) == _const_bits(g.root), str(g)
     assert _left_nested(f.root) and parse_field(str(f), f.arity) == f
 
 
@@ -317,19 +346,60 @@ def test_projector_kernel_values():
     assert u2(a, a, 5.0) == pytest.approx(-1.0 / (a - 5.0) ** 2)
     assert u2(a, 5.0, a) == pytest.approx(-1.0 / (a - 5.0) ** 2)
     assert u2(a, 5.0, 7.0) == pytest.approx(1.0 / ((a - 5.0) * (a - 7.0)))
-    # three copies of the anchor: (a - z)^-3 in any argument order. At
-    # 0.7 the table's centroid of the copies misses the anchor by rounding,
-    # so only a test by confluence finds the anchor there
+    # three copies of the anchor: (a - z)^-3 in any argument order
     for a in (2.0, 0.7, 0.3 + 0.7j):
         u3 = u_function(a, 3)
         for args in set(itertools.permutations((a, a, a, 5.0))):
             assert u3(*args) == pytest.approx((a - 5.0) ** -3, rel=1e-13), (a, args)
 
 
+def _kernel_oracle(anchor, args) -> complex:
+    """The (m-1)-st Taylor coefficient at the anchor of prod_h 1/(zeta - z_h).
+
+    m counts the arguments equal to the anchor, z_h are the others. Each
+    factor is expanded on its own, 1/(s + c) = sum_j (-s)^j / c^(j+1) with
+    s = zeta - anchor and c = anchor - z_h, and the series are multiplied
+    out with numpy's polynomial product.
+    """
+    m = sum(z == anchor for z in args)
+    if m == 0:
+        return 0j
+    series = np.array([1.0 + 0j])
+    for z in args:
+        if z != anchor:
+            c = anchor - z
+            series = np.polynomial.polynomial.polymul(
+                series, [(-1) ** j / c ** (j + 1) for j in range(m)]
+            )[:m]
+    return complex(series[m - 1]) if m <= len(series) else 0j
+
+
+@pytest.mark.parametrize("anchor", [0.5, 0.3 + 0.7j])
+def test_projector_kernel_matches_series_oracle(anchor):
+    # the anchor sits on every axis; the others repeat along the grid, and
+    # three of them lie 1e-7 apart
+    values = np.array([anchor, anchor + 2.0, anchor + 2.0 + 1e-7, anchor + 2.0 - 1e-7,
+                       anchor - 1.5j])
+    for n in (1, 2, 3):
+        axes = [values.reshape((-1,) + (1,) * (n - l)) for l in range(n + 1)]
+        got = u_function(anchor, n)(*axes)
+        for idx in itertools.product(range(len(values)), repeat=n + 1):
+            want = _kernel_oracle(anchor, [values[i] for i in idx])
+            assert got[idx] == pytest.approx(want, rel=1e-12, abs=0), (n, idx)
+
+
 def test_projector_kernel_rejects_near_miss():
     u1 = u_function(1.0, 1)
     with pytest.raises(FieldDomainError):
         u1(1.0, 1.0 + 1e-13)
+    # the near copy named, on the first axis, the last axis, or the last of broadcast axes
+    u2 = u_function(1.0, 2)
+    near = 1.0 + 1e-13
+    refusal = r"kernel argument \(1\.0000000000001\+0j\) is confluent with the anchor"
+    for args in [(near, 5.0, 1.0), (1.0, 5.0, near),
+                 (np.array([[[1.0]], [[5.0]]]), np.array([[[1.0]]]), np.array([2.0, near]))]:
+        with pytest.raises(FieldDomainError, match=refusal):
+            u2(*args)
     # the confluence window scales with the anchor above magnitude 1
     u20 = u_function(20.0, 1)
     with pytest.raises(FieldDomainError, match="confluent"):
