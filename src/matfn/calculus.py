@@ -22,7 +22,7 @@ from .scalarfield import (
     ProjKernel,
     ScalarField,
     SlotDividedDifference,
-    divided_difference_levels,
+    field_divided_difference_levels,
 )
 from .spectral import analyze, as_square_matrix, cluster_threshold
 from .tensor import OperatorTensor, contract_adjacent_through
@@ -50,16 +50,8 @@ class DividedDifferenceTable:
 
 
 def divided_difference_table(f: ScalarField, nodes) -> DividedDifferenceTable:
-    if f.arity != 1:
-        raise ValueError("divided differences need a one-variable field")
-    derivs = [f]
-
-    def deriv(x, m, mask):
-        while len(derivs) <= m:
-            derivs.append(derivs[-1].partial(0))
-        return derivs[m](x if mask is None else x[mask])
-
-    zs, levels = divided_difference_levels(deriv, np.array([complex(z) for z in nodes]))
+    """The table over ``nodes``; confluent groups take f's Taylor coefficients."""
+    zs, levels = field_divided_difference_levels(f, np.array([complex(z) for z in nodes]))
     return DividedDifferenceTable(
         nodes=tuple(zs.tolist()), levels=tuple(tuple(row.tolist()) for row in levels)
     )

@@ -4,15 +4,17 @@ A :class:`ScalarField` is an arity together with an immutable expression
 tree. Fields evaluate elementwise over numpy arrays of points that
 broadcast against each other, in one walk of the tree; a point of C^k is
 walked as one-entry arrays (not 0-d ones, whose numpy-scalar results
-round differently), so point and array calls agree to the bit. Fields
-differentiate symbolically, closed on the node set, so mixed partial
-derivatives of any order stay representable. Besides the rational
-operations, integer powers, exp and log, the tree supports divided
-differences of another field in one of its slots (closed under
-differentiation through the node-repetition rule) and the kernel
-functions used by the eigenprojector perturbation series. Two
-evaluation-only builtins, ``abs`` and a clipped minimum, exist for the
-piecewise tests and refuse differentiation.
+round differently), so point and array calls agree to the bit. The same
+walk can carry truncated Taylor series (jets) instead of values; that is
+how derivative grids and divided-difference tables get their
+derivatives. ``ScalarField.partial`` differentiates symbolically, closed
+on the node set, so mixed partial derivatives of any order stay
+representable as fields. Besides the rational operations, integer
+powers, exp and log, the tree supports divided differences of another
+field in one of its slots (closed under differentiation through the
+node-repetition rule) and the kernel functions used by the eigenprojector
+perturbation series. Two evaluation-only builtins, ``abs`` and a clipped
+minimum, exist for the piecewise tests and refuse differentiation.
 """
 
 from __future__ import annotations
@@ -281,65 +283,89 @@ _CALLS = {Exp: "exp", Log: "log", AbsVal: "abs"}
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation, of values and of Taylor jets
 
 
-def _evaluate(node: Node, point: tuple, memo: dict):
+def _evaluate(node: Node, point: tuple, memo: dict, box: "_Box | None" = None):
     """Values of ``node`` over the broadcast of the arrays in ``point``.
 
     ``point`` holds one complex array per variable (a subtree without
     variables gives a scalar); callers silence numpy's floating-point
     warnings, see :func:`_evaluate_on`. ``memo`` maps ``id(node)`` to the
-    values already computed in this call: derivative trees share subtrees
-    heavily, and keying on node equality would hash whole subtrees.
-    Domain violations raise :class:`FieldDomainError` naming the first
-    offending point.
+    values already computed in this call: trees share subtrees, and
+    keying on node equality would hash whole subtrees. Domain violations
+    raise :class:`FieldDomainError` naming the first offending point.
+
+    With a ``box`` the same walk carries Taylor jets (see :class:`_Box`):
+    every value that depends on a variable gets a trailing axis of
+    ``box.size`` coefficients. Each node computes coefficient 0 with the
+    numpy operation of the plain walk and runs its domain checks on it;
+    only then does it extend the jet. The evaluation-only nodes refuse a
+    box.
     """
     t = type(node)
     if t is Const:
         return node.value
     if t is Var:
-        return point[node.index]
+        x = point[node.index]
+        return x if box is None else box.seed(x, node.index)
     if t is ProjKernel:
+        _plain_only(node, box)
         return _proj_kernel(node, point)
     key = id(node)
     v = memo.get(key)
     if v is not None:
         return v
-    if t is Add:
-        v = _evaluate(node.lhs, point, memo) + _evaluate(node.rhs, point, memo)
-    elif t is Sub:
-        v = _evaluate(node.lhs, point, memo) - _evaluate(node.rhs, point, memo)
+    if t is Add or t is Sub:
+        a = _evaluate(node.lhs, point, memo, box)
+        b = _evaluate(node.rhs, point, memo, box)
+        if box is not None and _is_jet(a) != _is_jet(b):
+            a, b = box.lift(a), box.lift(b)  # a constant moves coefficient 0 only
+        v = a + b if t is Add else a - b
     elif t is Mul:
-        v = _evaluate(node.lhs, point, memo) * _evaluate(node.rhs, point, memo)
+        a = _evaluate(node.lhs, point, memo, box)
+        b = _evaluate(node.rhs, point, memo, box)
+        v = box.mul(a, b) if box is not None and _is_jet(a) and _is_jet(b) else a * b
     elif t is Div:
-        num = _evaluate(node.lhs, point, memo)
-        den = _evaluate(node.rhs, point, memo)
-        _check(den == 0, point, "division by zero", node)
-        v = num / den
+        num = _evaluate(node.lhs, point, memo, box)
+        den = _evaluate(node.rhs, point, memo, box)
+        jet, den0 = _split(den, box)
+        _check(den0 == 0, point, "division by zero", node)
+        v = box.div(num, den) if jet else num / den
     elif t is Neg:
-        v = -_evaluate(node.arg, point, memo)
+        v = -_evaluate(node.arg, point, memo, box)
     elif t is Pow:
-        base = _evaluate(node.base, point, memo)
+        base = _evaluate(node.base, point, memo, box)
+        jet, b0 = _split(base, box)
         if node.exponent < 0:
-            _check(base == 0, point, "zero raised to negative power", node)
-        v = base**node.exponent
+            _check(b0 == 0, point, "zero raised to negative power", node)
+        v = b0**node.exponent
         if not np.isfinite(v).all():
-            _check(~np.isfinite(v) & np.isfinite(base), point, "power overflow", node)
+            _check(~np.isfinite(v) & np.isfinite(b0), point, "power overflow", node)
+        if jet:
+            v = box.power(base, node.exponent, v)
     elif t is Exp:
-        arg = _evaluate(node.arg, point, memo)
-        v = np.exp(arg)
+        arg = _evaluate(node.arg, point, memo, box)
+        jet, a0 = _split(arg, box)
+        v = np.exp(a0)
         if not np.isfinite(v).all():
-            _check(~np.isfinite(v) & np.isfinite(arg), point, "exp overflow", node)
+            _check(~np.isfinite(v) & np.isfinite(a0), point, "exp overflow", node)
+        if jet:
+            v = box.exp(arg, v)
     elif t is Log:
-        arg = _evaluate(node.arg, point, memo)
-        _check(arg == 0, point, "log of zero", node)
-        v = np.log(arg)
+        arg = _evaluate(node.arg, point, memo, box)
+        jet, a0 = _split(arg, box)
+        _check(a0 == 0, point, "log of zero", node)
+        v = np.log(a0)
+        if jet:
+            v = box.log(arg, v)
     elif t is SlotDividedDifference:
-        v = _slot_dd(node, point)
+        v = _slot_dd(node, point, box)
     elif t is AbsVal:
+        _plain_only(node, box)
         v = np.abs(_evaluate(node.arg, point, memo)) + 0j
     elif t is MinConst:
+        _plain_only(node, box)
         z = _evaluate(node.arg, point, memo)
         bad = abs(z.imag) > 1e-9 * (1.0 + abs(z))
         _check(bad, point, "min builtin applied to a non-real value", node)
@@ -348,6 +374,30 @@ def _evaluate(node: Node, point: tuple, memo: dict):
         raise TypeError(f"unknown node type {type(node).__name__}")
     memo[key] = v
     return v
+
+
+def _is_jet(v) -> bool:
+    """In a walk with a box, whether ``v`` is a jet rather than a constant."""
+    return type(v) is np.ndarray
+
+
+def _split(v, box):
+    """Whether ``v`` is a jet, and its coefficient 0: ``v`` itself in a plain walk."""
+    jet = box is not None and _is_jet(v)
+    return jet, (v[..., 0] if jet else v)
+
+
+def _no_derivative(node: Node) -> FieldDomainError:
+    if isinstance(node, ProjKernel):
+        return FieldDomainError("the projector kernel is evaluation-only and has no derivative")
+    return FieldDomainError(
+        f"{type(node).__name__} is an evaluation-only builtin and has no derivative"
+    )
+
+
+def _plain_only(node: Node, box):
+    if box is not None:
+        raise _no_derivative(node)
 
 
 def _check(bad, point: tuple, what: str, node: Node):
@@ -371,26 +421,264 @@ def _evaluate_on(root: Node, point) -> np.ndarray:
     return np.full(shape, v, dtype=complex)
 
 
-def _slot_dd(node: SlotDividedDifference, point: tuple):
-    lo, hi = node.slot, node.slot + len(node.mults)
+def _jets_on(root: Node, point, orders: tuple) -> np.ndarray:
+    """Taylor jets of ``root`` over the broadcast of the arrays in ``point``.
+
+    ``orders`` holds one order per variable; the result has the broadcast
+    shape plus one trailing axis of prod(orders) coefficients, the box in
+    C order (see :class:`_Box`). Where every order is 1 that axis holds
+    the plain values.
+    """
+    if max(orders, default=1) == 1:
+        return _evaluate_on(root, point)[..., None]
+    box = _box(orders)
+    shape = np.broadcast_shapes(*(p.shape for p in point)) + (box.size,)
+    with np.errstate(all="ignore"):
+        v = _evaluate(root, tuple(point), {}, box)
+    # every jet is built by the walk, so a full-shaped one is fresh
+    if _is_jet(v) and v.shape == shape:
+        return v
+    return np.broadcast_to(box.lift(v), shape).copy()
+
+
+class _Box:
+    """Index tables of truncated Taylor series in ``len(orders)`` variables.
+
+    The jet of f at a point holds its Taylor coefficients d^j f / j! for
+    the multi-indices j < ``orders`` (componentwise), flattened in C order
+    along one axis of ``size`` entries; entry 0 is the value. A product
+    is the truncated convolution: entry n sums a_i b_j over the pairs
+    i + j = n, and reads no entry above n. Division, exp, log and
+    negative integer powers use the standard recurrences (Griewank &
+    Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13) with
+    the total degree |n| in the role of the order: every entry of degree
+    d is a sum over pairs with i != 0, whose j are of lower degree, so
+    one shell of entries is solved at a time. In one variable these are
+    the textbook recurrences; positive powers are repeated products.
+    """
+
+    def __init__(self, orders: tuple):
+        self.orders = orders
+        strides = np.cumprod((1,) + orders[:0:-1])[::-1]
+        self.size = int(np.prod(orders))
+        self.unit = [int(s) if r > 1 else None for r, s in zip(orders, strides)]
+        # every pair i + j = n inside the box, in order of n
+        i = j = np.zeros(1, dtype=int)
+        for r, s in zip(orders, strides):
+            il, jl = np.nonzero(np.add.outer(np.arange(r), np.arange(r)) < r)
+            i, j = (i[:, None] + s * il).ravel(), (j[:, None] + s * jl).ravel()
+        by_n = np.argsort(i + j, kind="stable")
+        self.i, self.j = i[by_n], j[by_n]
+        n = self.i + self.j
+        self.starts = np.flatnonzero(np.diff(n, prepend=-1))
+        degree = np.indices(orders).reshape(len(orders), -1).sum(axis=0)
+        self.degree = degree.astype(float)
+        # per degree d: its entries, and their pairs with i != 0 (and where each n starts)
+        self.shells = []
+        one_variable = sum(r > 1 for r in orders) == 1
+        for d in range(1, int(degree.max()) + 1):
+            if one_variable:  # entry d and its pairs (1, d-1) .. (d, 0), as slices
+                self.shells.append((slice(d, d + 1), slice(1, d + 1), slice(d - 1, None, -1), None))
+                continue
+            keep = (degree[n] == d) & (self.i != 0)
+            starts = np.flatnonzero(np.diff(n[keep], prepend=-1))
+            self.shells.append((np.flatnonzero(degree == d), self.i[keep], self.j[keep], starts))
+
+    def seed(self, x, var: int) -> np.ndarray:
+        """The jet of variable ``var`` at the values ``x``."""
+        v = np.zeros(x.shape + (self.size,), dtype=complex)
+        v[..., 0] = x
+        if self.unit[var] is not None:
+            v[..., self.unit[var]] = 1.0
+        return v
+
+    def lift(self, v):
+        """``v`` as a jet: a constant has coefficient 0 only."""
+        if _is_jet(v):
+            return v
+        c = np.zeros(self.size, dtype=complex)
+        c[0] = v
+        return c
+
+    def mul(self, a, b):
+        return _conv(a, b, self.i, self.j, self.starts)
+
+    def _shells(self, v0, step):
+        """The jet whose coefficient 0 is ``v0`` and whose shells ``step`` gives in turn."""
+        v = np.empty(np.shape(v0) + (self.size,), dtype=complex)
+        v[..., 0] = v0
+        for at, i, j, starts in self.shells:
+            v[..., at] = step(v, at, i, j, starts)
+        return v
+
+    def div(self, a, b):
+        """a / b: b q = a, so b_0 q_n = a_n - sum b_i q_j."""
+        a, b0 = self.lift(a), b[..., :1]
+        return self._shells(
+            a[..., 0] / b[..., 0],
+            lambda q, at, i, j, s: (a[..., at] - _conv(b, q, i, j, s)) / b0,
+        )
+
+    def exp(self, a, e0):
+        """exp(a) from e0 = exp(a_0): |n| e_n = sum |i| a_i e_j."""
+        deg = self.degree
+        da = a * deg
+        return self._shells(e0, lambda e, at, i, j, s: _conv(da, e, i, j, s) / deg[at])
+
+    def log(self, a, l0):
+        """log(a) from l0 = log(a_0): a_0 |n| l_n = |n| a_n - sum a_i |j| l_j."""
+        a0, deg = a[..., :1], self.degree
+        return self._shells(
+            l0,
+            lambda l, at, i, j, s: (a[..., at] - _conv(a, l * deg, i, j, s) / deg[at]) / a0,
+        )
+
+    def power(self, a, r: int, p0):
+        """a^r with coefficient 0 ``p0`` as the plain walk computes it."""
+        if r < 0:  # a_0 |n| p_n = sum (r |i| - |j|) a_i p_j; a_0 != 0 is checked
+            a0, deg = a[..., :1], self.degree
+            ra = a * (r * deg)
+            return self._shells(
+                p0,
+                lambda p, at, i, j, s: (_conv(ra, p, i, j, s) - _conv(a, p * deg, i, j, s))
+                / (deg[at] * a0),
+            )
+        p = a if r else np.zeros_like(a)
+        for bit in bin(r)[3:]:  # left to right: square, then multiply where the bit is set
+            p = self.mul(p, p)
+            if bit == "1":
+                p = self.mul(p, a)
+        p = p.copy() if p is a else p
+        p[..., 0] = p0
+        return p
+
+
+def _conv(a, b, i, j, starts):
+    """The sums of a_i b_j over the pairs (i, j) of each entry: in runs from ``starts``, or all."""
+    prods = a[..., i] * b[..., j]
+    if starts is None:
+        return prods.sum(axis=-1, keepdims=True)
+    return np.add.reduceat(prods, starts, axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _box(orders: tuple) -> _Box:
+    return _Box(orders)
+
+
+def _slot_dd(node: SlotDividedDifference, point: tuple, box):
+    """Values, or with a ``box`` jets, of a divided difference in one slot.
+
+    Node variable y_t enters the table ``mults[t]`` times, so the jet
+    coefficient of order j_t in y_t is C(mults[t] + j_t - 1, j_t) times
+    the table with y_t entered mults[t] + j_t times: d/dy_t bumps the
+    multiplicity, as in :func:`_diff_slot_dd`. The table is linear in the
+    base, so the coefficients in the other variables are tables of the
+    base's coefficients; they ride along as a leading axis. Bumps keep the
+    groups of merged nodes, so the base is walked once, as a jet in the
+    slot variable to the size of the largest bumped group: at each group's
+    merged node, and at the few merged nodes that a bump moves.
+    """
+    t = len(node.mults)
+    lo, hi = node.slot, node.slot + t
     cols = np.broadcast_arrays(*point)
-    nodes = np.stack(
-        [y for y, m in zip(cols[lo:hi], node.mults) for _ in range(m)], axis=-1
-    )
-    sections = [node.base]
+    shape = cols[0].shape
+    orders = box.orders if box is not None else (1,) * len(point)
+    other, own = orders[:lo] + orders[hi:], orders[lo:hi]
 
-    def deriv(x, order, mask):
-        while len(sections) <= order:
-            sections.append(_diff(sections[-1], node.slot))
-        if mask is None:
-            lead = (..., None)  # the other variables, against the node axis
-        else:
-            at = np.nonzero(mask)
-            lead, x = at[:-1], x[at]
+    def jets_at(lead, x, n):  # at x, with the other variables at ``lead``: (other, points, n)
         args = [c[lead] for c in cols[:lo]] + [x] + [c[lead] for c in cols[hi:]]
-        return _evaluate_on(sections[order], args)
+        v = _jets_on(node.base, args, other[:lo] + (n,) + other[lo:])
+        if not other:
+            return v[None]
+        # (points, other before, n, other after) -> (other, points, n)
+        g = v.ndim - 1
+        v = v.reshape(v.shape[:-1] + other[:lo] + (n,) + other[lo:])
+        perm = [*range(g, g + lo), *range(g + lo + 1, v.ndim), *range(g), g + lo]
+        return v.transpose(perm).reshape((-1,) + v.shape[:g] + (n,))
 
-    return confluent_divided_difference(deriv, nodes)
+    def taylor(x, n, mask):
+        if mask is None:
+            return jets_at((..., None), x, n)  # the other variables, against the node axis
+        at = np.nonzero(mask)
+        return jets_at(at[:-1], x[at], n)
+
+    nodes = np.stack([y for y, m in zip(cols[lo:hi], node.mults) for _ in range(m)], axis=-1)
+    if box is None:
+        return _newton_levels(taylor, nodes)[1][-1][..., 0].reshape(shape)
+    with np.errstate(all="ignore"):
+        order = np.argsort(nodes, axis=-1)
+        group, zs, _ = _merge(np.take_along_axis(nodes, order, axis=-1))
+        # each node variable's group and merged node, read at its first entry
+        entry = np.argsort(order, axis=-1)[..., np.cumsum((0,) + node.mults[:-1])]
+        vgroup = np.take_along_axis(group, entry, axis=-1)
+        y = np.take_along_axis(zs, entry, axis=-1)
+        same = vgroup[..., :, None] == vgroup[..., None, :]
+        first = ~np.triu(same, 1).any(axis=-2)  # the lowest variable of its group
+        row = np.cumsum(first).reshape(first.shape) - 1
+        row = np.take_along_axis(row, same.argmax(axis=-1), axis=-1)  # of the group's jet
+        # per (point, variable), flat at point0 + variable
+        vgroup, y, row, first = vgroup.ravel(), y.ravel(), row.ravel(), first.ravel()
+        raw = np.stack(cols[lo:hi], axis=-1).ravel()
+        point0 = np.arange(0, raw.size, t).reshape(shape + (1,))
+        # The tables of one length form one batch, along a new axis after
+        # ``other``. Bumps keep the groups, but each table merges a group at
+        # the centroid of its own multiplicities, as _merge does. Where that
+        # differs from the group's node in the table of ``mults`` (a group of
+        # unequal nodes, or a rounding), the table takes a jet of its own.
+        tables = []
+        for ids, var, scale in _bumps(node.mults, own):
+            # each table node as its flat (point, variable) index, in sorted order
+            pos = point0 + var.reshape(var.shape[:1] + (1,) * len(shape) + var.shape[1:])
+            pos = np.take_along_axis(pos, np.argsort(raw[pos], axis=-1), axis=-1)
+            tgroup = vgroup[pos]
+            merged, size = _centroids(tgroup, raw[pos])
+            moved = merged != y[pos]
+            fresh = moved.copy()  # at the first node of each moved group
+            fresh[..., 1:] &= tgroup[..., 1:] != tgroup[..., :-1]
+            tables.append((ids, scale, pos, tgroup, merged, moved, fresh, int(size.max())))
+        # the base's jet at the merged nodes of the table of ``mults``, then at the moved ones
+        where = np.concatenate([np.flatnonzero(first) // t] + [tb[2][tb[6]] // t for tb in tables])
+        x = np.concatenate([y[first]] + [tb[4][tb[6]] for tb in tables])
+        jets = jets_at(np.unravel_index(where, shape), x, max(tb[-1] for tb in tables))
+        out = np.empty((jets.shape[0], math.prod(own)) + shape, dtype=complex)
+        offset = int(first.sum())
+        for ids, scale, pos, tgroup, merged, moved, fresh, _ in tables:
+            # each node reads the jet of its group
+            rows = np.where(moved, offset + np.cumsum(fresh).reshape(fresh.shape) - 1, row[pos])
+            offset += int(fresh.sum())
+            rows = jets[:, rows]
+            value = _table(merged, tgroup, rows[..., 0], rows)[-1][..., 0]
+            out[:, ids] = value * scale.reshape(scale.shape + (1,) * len(shape))
+    # (other, own, grid) -> (grid, the variables in their order), one flat box
+    k, g = len(other), len(shape)
+    perm = [*range(k + t, k + t + g), *range(lo), *range(k, k + t), *range(lo, k)]
+    return out.reshape(other + own + shape).transpose(perm).reshape(shape + (box.size,))
+
+
+@lru_cache(maxsize=64)
+def _bumps(mults: tuple, orders: tuple):
+    """The bumped tables of a divided difference, batched by their length.
+
+    For the multi-indices js < ``orders`` of one table length: their flat
+    indices (C order), the node variables of each table (variable t
+    entered mults[t] + js[t] times), and the factors prod_t
+    C(mults[t] + js[t] - 1, js[t]).
+    """
+    batches = {}
+    for i, js in enumerate(itertools.product(*(range(r) for r in orders))):
+        batches.setdefault(sum(js), []).append((i, js))
+    return [
+        (
+            np.array([i for i, _ in batch]),
+            np.array([np.repeat(np.arange(len(mults)), np.add(mults, js)) for _, js in batch]),
+            np.array(
+                [math.prod(math.comb(m + j - 1, j) for m, j in zip(mults, js)) for _, js in batch],
+                dtype=float,
+            ),
+        )
+        for batch in batches.values()
+    ]
 
 
 def _proj_kernel(node: ProjKernel, point: tuple):
@@ -435,45 +723,97 @@ def _proj_kernel(node: ProjKernel, point: tuple):
 # divided differences (confluent, shared by calculus and the dd node)
 
 
-def divided_difference_levels(deriv, nodes):
+def _newton_levels(taylor, nodes):
     """All levels of the confluent Newton table, elementwise over points.
 
     ``nodes`` has the nodes of one table along its last axis; leading axes
     index independent tables. Along each table the nodes are sorted (real
-    part, then imaginary part), and nodes :func:`confluent` with the head
-    of their group are merged into the group's centroid; a table entry
-    spanning one group is deriv/span!.
-    ``deriv(x, m, mask)`` returns the m-th derivative at ``x[mask]`` as a
-    1-D array, or at every entry of ``x`` when ``mask`` is None; it is
-    asked only where a group is confluent. Returns ``(merged_nodes,
-    levels)`` with ``levels[s][..., i]`` the difference over
-    merged_nodes[..., i : i+s+1]; the full difference is
-    ``levels[-1][..., 0]``.
+    part, then imaginary part) and merged as :func:`_merge` says; a table
+    entry spanning one group is the group's Taylor coefficient of that
+    span. ``taylor(x, n, mask)`` returns the Taylor coefficients
+    f^(j)/j!, j < n, along a new last axis, at every entry of ``x`` when
+    ``mask`` is None and at ``x[mask]``, one row each, otherwise. It is
+    asked twice: for the values at the merged nodes, and, if a group is
+    confluent, for the derivatives at the first node of each confluent
+    group, to the size of the largest. Axes that ``taylor`` puts ahead of
+    the tables' own ride along. Returns ``(merged_nodes, levels)`` with
+    ``levels[s][..., i]`` the difference over merged_nodes[..., i : i+s+1];
+    the full difference is ``levels[-1][..., 0]``.
     """
     z = np.sort(np.asarray(nodes, dtype=complex), axis=-1)
     if z.ndim == 0 or z.shape[-1] == 0:
         raise ValueError("divided difference needs at least one node")
-    n = z.shape[-1]
     with np.errstate(all="ignore"):
-        group = np.zeros(z.shape, dtype=int)
-        head = z[..., 0]
-        for i in range(1, n):
-            same = confluent(z[..., i], head)
-            group[..., i] = group[..., i - 1] + ~same
-            head = np.where(same, head, z[..., i])
-        member = group[..., :, None] == group[..., None, :]
-        zs = (member * z[..., None, :]).sum(axis=-1) / member.sum(axis=-1)
+        group, zs, size = _merge(z)
+        values = taylor(zs, 1, None)[..., 0]
+        jets, largest = None, int(size.max())
+        if largest > 1:
+            tied = group[..., 1:] == group[..., :-1]
+            first = np.zeros(z.shape, dtype=bool)
+            first[..., :-1] = tied
+            first[..., 1:-1] &= ~tied[..., :-1]
+            jets = taylor(zs, largest, first)
+            # each node reads the jet of its group's first node (others read a stray row)
+            jets = jets[..., np.cumsum(first).reshape(first.shape) - 1, :]
+        return zs, _table(zs, group, values, jets)
 
-        levels = [np.asarray(deriv(zs, 0, None))]
-        for span in range(1, n):
-            prev = levels[-1]
-            level = (prev[..., 1:] - prev[..., :-1]) / (zs[..., span:] - zs[..., :-span])
+
+def _merge(z):
+    """Groups of the sorted nodes ``z``: ``(group, merged, size)`` per node.
+
+    Along the last axis, a node :func:`confluent` with the head of the
+    current group joins it, and every node of a group is replaced by the
+    group's centroid. Groups are numbered in order.
+    """
+    group = np.zeros(z.shape, dtype=int)
+    head = z[..., 0]
+    for i in range(1, z.shape[-1]):
+        same = confluent(z[..., i], head)
+        group[..., i] = group[..., i - 1] + ~same
+        head = np.where(same, head, z[..., i])
+    return (group, *_centroids(group, z))
+
+
+def _centroids(group, z):
+    """Each node's group centroid and group size; ``group`` numbers the groups."""
+    member = group[..., :, None] == group[..., None, :]
+    size = member.sum(axis=-1)
+    return (member * z[..., None, :]).sum(axis=-1) / size, size
+
+
+def _table(zs, group, values, jets):
+    """The levels of the Newton table over merged nodes ``zs``.
+
+    ``group`` numbers the nodes' groups, each a run along the last axis;
+    ``values`` holds the function at each node, and ``jets[..., i, s]``
+    the s-th Taylor coefficient at the node of i's group, or is None when
+    no group is confluent.
+    """
+    levels = [values]
+    largest = 1 if jets is None else jets.shape[-1]
+    for span in range(1, zs.shape[-1]):
+        prev = levels[-1]
+        level = (prev[..., 1:] - prev[..., :-1]) / (zs[..., span:] - zs[..., :-span])
+        if span < largest:
             spans_group = group[..., :-span] == group[..., span:]
-            if spans_group.any():
-                section = deriv(zs[..., :-span], span, spans_group)
-                level[spans_group] = section / math.factorial(span)
-            levels.append(level)
-    return zs, levels
+            level = np.where(spans_group, jets[..., :-span, span], level)
+        levels.append(level)
+    return levels
+
+
+def divided_difference_levels(deriv, nodes):
+    """:func:`_newton_levels` of a function given by its derivatives.
+
+    ``deriv(x, m, mask)`` returns the m-th derivative at ``x[mask]`` as a
+    1-D array, or at every entry of ``x`` when ``mask`` is None.
+    """
+
+    def taylor(x, n, mask):
+        return np.stack(
+            [np.asarray(deriv(x, m, mask)) / math.factorial(m) for m in range(n)], axis=-1
+        )
+
+    return _newton_levels(taylor, nodes)
 
 
 def confluent_divided_difference(deriv, nodes):
@@ -485,6 +825,20 @@ def confluent_divided_difference(deriv, nodes):
     _, levels = divided_difference_levels(deriv, nodes)
     value = levels[-1][..., 0]
     return value if value.ndim else complex(value)
+
+
+def field_divided_difference_levels(f: "ScalarField", nodes):
+    """:func:`divided_difference_levels` of the one-variable field ``f``.
+
+    The values and the Taylor coefficients of confluent groups come from
+    one walk each of f's tree (plain, then with jets); returns
+    ``(merged_nodes, levels)`` as :func:`divided_difference_levels` does.
+    """
+    if f.arity != 1:
+        raise ValueError("divided differences need a one-variable field")
+    return _newton_levels(
+        lambda x, n, mask: _jets_on(f.root, [x if mask is None else x[mask]], (n,)), nodes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +875,10 @@ def _diff(node: Node, var: int) -> Node:
         return _mul(Exp(node.arg), _diff(node.arg, var))
     if isinstance(node, Log):
         return _div(_diff(node.arg, var), node.arg)
-    if isinstance(node, (AbsVal, MinConst)):
-        raise FieldDomainError(
-            f"{type(node).__name__} is an evaluation-only builtin and has no derivative"
-        )
+    if isinstance(node, (AbsVal, MinConst, ProjKernel)):
+        raise _no_derivative(node)
     if isinstance(node, SlotDividedDifference):
         return _diff_slot_dd(node, var)
-    if isinstance(node, ProjKernel):
-        raise FieldDomainError("the projector kernel is evaluation-only and has no derivative")
     raise TypeError(f"unknown node type {type(node).__name__}")
 
 
@@ -836,10 +1186,15 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
     :attr:`~matfn.interp.HermiteBasis.functionals`; the entry at one row
     per axis is (prod_l d_l^{j_l}) f at the node tuple.
 
-    Each mixed partial is built and walked once per derivative
-    multi-index j: its tree is evaluated by broadcasting over the
-    eigenvalues whose order exceeds j_l in every variable l, and the
-    values land in G with one indexed assignment.
+    Where every order is 1, G is one walk of the tree broadcast over the
+    eigenvalues. Otherwise each variable's eigenvalues split into those
+    of order 1 and the rest, and the tree is walked once per combination
+    of parts, broadcast over its eigenvalues and carrying Taylor jets up
+    to each part's largest order (none on a part of order 1). Each walk
+    fills its block of G with each node's first r coefficients, times
+    prod_l j_l!, and a non-finite entry among them is a
+    :class:`FieldDomainError`. Coefficients that G does not gather are
+    not looked at.
     """
     if len(spectra) != f.arity:
         raise ValueError(
@@ -853,42 +1208,52 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
                 raise ValueError("every grid order must be at least 1")
         per_var.append(entries)
 
-    max_order = [max((r for _, r in entries), default=1) for entries in per_var]
-    # first row of each node along its axis
-    starts = [
-        list(itertools.accumulate((r for _, r in entries), initial=0))
-        for entries in per_var
-    ]
-
-    # Mixed partials, filled by raising one index at a time.
-    partials: dict[tuple[int, ...], Node] = {(0,) * f.arity: f.root}
-
-    def partial_node(jt: tuple[int, ...]) -> Node:
-        node = partials.get(jt)
-        if node is not None:
-            return node
-        l = next(i for i, j in enumerate(jt) if j > 0)
-        prev = partial_node(jt[:l] + (jt[l] - 1,) + jt[l + 1 :])
-        node = _diff(prev, l)
-        partials[jt] = node
-        return node
-
     k = f.arity
-    G = np.zeros(tuple(s[-1] for s in starts), dtype=complex)
-    for j_tuple in itertools.product(*(range(r) for r in max_order)):
-        # per variable, the eigenvalues whose order exceeds j_l
-        ms = [
-            [m for m, (_, r) in enumerate(entries) if r > j]
-            for entries, j in zip(per_var, j_tuple)
+
+    def along(l, values, dtype):  # values on axis l of the grid
+        return np.array(values, dtype=dtype).reshape((-1,) + (1,) * (k - 1 - l))
+
+    def eigenvalues(spec):
+        return [along(l, [lam for lam, _ in e], complex) for l, e in enumerate(spec)]
+
+    def split(entries):  # the eigenvalues of order 1, and the rest
+        simple = [m for m, (_, r) in enumerate(entries) if r == 1]
+        rest = [m for m, (_, r) in enumerate(entries) if r > 1]
+        return [ms for ms in (simple, rest) if ms]
+
+    if all(r == 1 for entries in per_var for _, r in entries):
+        return _evaluate_on(f.root, eigenvalues(per_var))
+    # first row of each node along its axis
+    starts = [list(itertools.accumulate((r for _, r in e), initial=0)) for e in per_var]
+    G = np.empty(tuple(s[-1] for s in starts), dtype=complex)
+    for part in itertools.product(*map(split, per_var)):
+        sub = [[per_var[l][m] for m in ms] for l, ms in enumerate(part)]
+        orders = tuple(max(r for _, r in e) for e in sub)
+        jets = _jets_on(f.root, eigenvalues(sub), orders)
+        jets = jets.reshape(jets.shape[:-1] + orders)
+        # row (i, j) of axis l in the block reads node i of the part, coefficient j
+        nodes = [
+            along(l, [i for i, (_, r) in enumerate(e) for _ in range(r)], int)
+            for l, e in enumerate(sub)
         ]
-        axes = [
-            np.array([per_var[l][m][0] for m in ml], dtype=complex).reshape(
-                (-1,) + (1,) * (k - 1 - l)
+        js = [along(l, [j for _, r in e for j in range(r)], int) for l, e in enumerate(sub)]
+        block = jets[tuple(nodes) + tuple(js)]
+        if max(orders) > 1:
+            factorial = np.cumprod([1.0, *range(1, max(orders))])
+            with np.errstate(all="ignore"):
+                block = block * math.prod(factorial[j] for j in js)
+        bad = ~np.isfinite(block)
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), block.shape)
+            where = tuple(sub[l][int(i.flat[a])][0] for l, (i, a) in enumerate(zip(nodes, at)))
+            order = tuple(int(j.flat[a]) for j, a in zip(js, at))
+            raise FieldDomainError(
+                f"non-finite derivative of order {order} in {render(f.root)} at point {where}"
             )
-            for l, ml in enumerate(ms)
+        rows = [
+            [s[m] + j for m in ms for j in range(s[m + 1] - s[m])] for s, ms in zip(starts, part)
         ]
-        rows = [[s[m] + j for m in ml] for s, ml, j in zip(starts, ms, j_tuple)]
-        G[np.ix_(*rows)] = _evaluate_on(partial_node(j_tuple), axes)
+        G[np.ix_(*rows)] = block
     return G
 
 

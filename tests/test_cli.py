@@ -236,13 +236,25 @@ def test_non_finite_values_exit_2(tmp_path, capsys):
 
 
 def test_power_overflow_exit_2(tmp_path, capsys):
-    # the 10th derivative of 1/(x1 + 5) holds (x1 + 5)^1024, which overflows
-    m = write_matrix(tmp_path, "j11.json", np.eye(11) + np.eye(11, k=1))
-    code, out, err = run_cli(capsys, ["eval", "--func", "1/(x1+5)", "--mat", m])
+    # 1000^400 overflows where the field itself is evaluated
+    m = write_matrix(tmp_path, "d.json", np.diag([1000.0, 1.0]))
+    code, out, err = run_cli(capsys, ["eval", "--func", "x1^400", "--mat", m])
     assert code == 2
     assert out == ""
     assert "power overflow" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_jordan11_resolvent_exit_0(tmp_path, capsys):
+    # the 10th derivative of 1/(x1 + 5) at 1 is 10!/6^11: in range, from Taylor jets
+    M = np.eye(11) + np.eye(11, k=1)
+    m = write_matrix(tmp_path, "j11.json", M)
+    code, out, err = run_cli(capsys, ["eval", "--func", "1/(x1+5)", "--mat", m, "--as-matrix"])
+    assert code == 0
+    assert err == ""
+    want = np.linalg.inv(M + 5 * np.eye(11))
+    got = fileio.matrix_from_obj(json.loads(out))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_close_eigenvalues_are_one_cluster(tmp_path, capsys):

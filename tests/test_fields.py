@@ -601,3 +601,180 @@ def test_equal_nodes_hash_equal():
         assert df is dg  # the derivative cache finds the equal node
     assert sf.Const(2.0) == sf.Const(2.0 + 0j) and hash(sf.Const(2.0)) == hash(sf.Const(2.0 + 0j))
     assert sf.Add(sf.Var(0), sf.Var(1)) != sf.Add(sf.Var(1), sf.Var(0))
+
+
+# ---------------------------------------------------------------------------
+# grids from Taylor jets
+
+
+def _symbolic_grid_entry(f, point, js):
+    """(prod_l d_l^{j_l}) f at ``point``, through symbolic ``partial``."""
+    for var, j in enumerate(js):
+        for _ in range(j):
+            f = f.partial(var)
+    return f(*point)
+
+
+def _jet_fields():
+    inner = sf.ScalarField(
+        2, sf.SlotDividedDifference(parse_field("exp(0.5*x1)/(x1 + 6)").root, 1, 0, (1, 1))
+    )
+    return [
+        parse_field("x1*x2 - x2^3 + 1/(x1 + x2 + 4)", 2),
+        parse_field("exp(0.3*x1*x2)/(x1 - 3) - x1^(-2)", 2),
+        parse_field("log(x1 + 2*x2 + 5)*(x1 - x2)^2", 2),
+        parse_field("exp(x1)*x2 + 1/(x1*x3 + 4) - x3^4*x1", 3),
+        inner * parse_field("x1 + x2 + 1", 2),
+        first_difference_field(parse_field("log(x1 + 2*x2 + 6)/(x2 - 5)", 2), 1),
+        # a divided difference of a divided difference, with a doubled node
+        sf.ScalarField(3, sf.SlotDividedDifference(inner.root, 2, 1, (1, 2))),
+        # variables on both sides of the slot, entering differently
+        first_difference_field(parse_field("exp(0.3*x1 + 0.5*x2)/(x3 + 4) + x1*x2*x3^3", 3), 1),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_jets_match_symbolic_partials_to_order_6(index):
+    f = _jet_fields()[index]
+    rng = np.random.default_rng(100 + index)
+    orders = {2: (4, 4), 3: (3, 3, 3), 4: (3, 2, 3, 2)}[f.arity]  # total order 6
+    for _ in range(2):
+        # variables about 1 apart keep the divided differences' own tables well conditioned
+        point = tuple(
+            c + 0.3 * complex(rng.standard_normal(), rng.standard_normal())
+            for c in (0, 1, -1, 0.5)[: f.arity]
+        )
+        G = derivative_grid(f, [[(x, r)] for x, r in zip(point, orders)])
+        for js in itertools.product(*(range(r) for r in orders)):
+            want = _symbolic_grid_entry(f, point, js)
+            assert abs(G[js] - want) <= 1e-12 * abs(want), (js, G[js], want)
+
+
+@pytest.mark.parametrize(
+    "text, derivative",
+    [
+        ("1/(x1 + 2.5)", lambda x, j: (-1) ** j * math.factorial(j) / (x + 2.5) ** (j + 1)),
+        ("exp(-1.7*x1)", lambda x, j: (-1.7) ** j * np.exp(-1.7 * x)),
+        (
+            "log(x1 + 3)",
+            lambda x, j: np.log(x + 3) if j == 0 else (-1) ** (j - 1) * math.factorial(j - 1) / (x + 3) ** j,
+        ),
+    ],
+)
+def test_jets_match_closed_forms_to_order_12(text, derivative):
+    xs = [0.7 + 0.2j, -1.3, 2.0 - 1.5j]
+    G = derivative_grid(parse_field(text), [[(x, 13) for x in xs]])
+    for m, x in enumerate(xs):
+        for j in range(13):
+            want = derivative(x, j)
+            assert abs(G[13 * m + j] - want) <= 1e-13 * abs(want), (x, j)
+
+
+def test_grid_of_order_one_is_the_broadcast_evaluation():
+    complex_lams = [np.array([0.3 + 0.1j, -1.2, 2.5j]), np.array([0.7, 1.1 - 0.4j])]
+    real_lams = [np.array([0.3, -1.2, 2.5]), np.array([0.7, 1.1])]
+    cases = [(f, complex_lams) for f in _jet_fields() if f.arity == 2] + [
+        (sf.min_const(parse_field("x1*x2 + 1", 2), 0.5), real_lams),
+        (sf.absval(parse_field("x1 - x2", 2)), complex_lams),
+    ]
+    for f, lams in cases:
+        G = derivative_grid(f, [[(x, 1) for x in xs] for xs in lams])
+        assert G.tobytes() == f(lams[0][:, None], lams[1][None, :]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        (sf.absval(parse_field("x1 + 1")) * parse_field("x2", 2), "AbsVal is an evaluation-only"),
+        (sf.min_const(parse_field("x1 + x2", 2), 0.5), "MinConst is an evaluation-only"),
+        (u_function(0.5, 1), "the projector kernel is evaluation-only"),
+    ],
+)
+def test_evaluation_only_nodes_refuse_derivative_orders(field, message):
+    ones = [[(0.5, 1), (1.5, 1)], [(0.25, 1)]]
+    G = derivative_grid(field, ones)
+    assert G.shape == (2, 1)
+    for var in range(2):
+        spectra = [list(s) for s in ones]
+        spectra[var][0] = (spectra[var][0][0], 2)
+        with pytest.raises(FieldDomainError, match=message):
+            derivative_grid(field, spectra)
+
+
+def test_ungathered_coefficients_are_not_checked():
+    # at x = 1 the second coefficient of exp(700 x) overflows; with order 1
+    # there it is never gathered, with order 3 it is named
+    f = parse_field("exp(700*x1)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = derivative_grid(f, [[(1.0, 1), (0.0, 3)]])
+        assert np.isfinite(G).all()
+        assert G.tolist() == [np.exp(700.0), 1.0, 700.0, 700.0**2]
+        with pytest.raises(FieldDomainError, match=r"non-finite derivative of order \(2,\) .* at point \(\(1\+0j\),\)"):
+            derivative_grid(f, [[(1.0, 3), (0.0, 1)]])
+
+
+def test_grid_and_extension_calls_make_no_symbolic_derivative(monkeypatch):
+    import matfn
+    from matfn import calculus
+
+    def refuse(node, var):
+        raise AssertionError("symbolic derivative on the grid path")
+
+    monkeypatch.setattr(sf, "_diff", refuse)
+    J = np.eye(4) + np.eye(4, k=1)
+    res = parse_field("1/(x1 + 5)")
+    matfn.f_otimes(parse_field("exp(x1)*x2^2", 2), [J, J], extra_multiplicity=1)
+    calculus.nth_derivative_curve(res, J, np.ones((4, 4)), 3)
+    calculus.frechet_derivative(parse_field("1/(x1 + x2 + 5)", 2), [J, J], 1, np.ones((4, 4)))
+    calculus.divided_difference(res, [0.5, 0.5, 0.5, 2.0])
+    with pytest.raises(AssertionError, match="symbolic"):
+        res.partial(0)
+
+
+def test_simple_eigenvalues_carry_no_jet(monkeypatch):
+    # one Jordan block among simple eigenvalues: every walk that carries a
+    # series in a variable is broadcast over that variable's defective
+    # eigenvalues only, and the grid equals the grids of each eigenvalue
+    # combination taken on its own
+    walks = []
+    jets_on = sf._jets_on
+
+    def record(root, point, orders):
+        if root is f.root:
+            walks.append(([p.ravel() for p in point], orders))
+        return jets_on(root, point, orders)
+
+    monkeypatch.setattr(sf, "_jets_on", record)
+    f = first_difference_field(parse_field("exp(0.5*x1)/(x1 + 6) + x2^3", 2), 0)
+    spectra = [[(1.0, 3), (0.25, 1), (-0.5 + 0.5j, 1)], [(2.0, 1), (0.5, 2)], [(1.0, 3), (0.3, 1)]]
+    G = derivative_grid(f, spectra)
+    assert len(walks) == 8
+    for axes, orders in walks:
+        for axis, r, entries in zip(axes, orders, spectra):
+            assert all((ri > 1) == (r > 1) for lam, ri in entries if lam in axis)
+    monkeypatch.setattr(sf, "_jets_on", jets_on)
+    starts = [list(itertools.accumulate((r for _, r in e), initial=0)) for e in spectra]
+    for ms in itertools.product(*(range(len(e)) for e in spectra)):
+        alone = derivative_grid(f, [[e[m]] for e, m in zip(spectra, ms)])
+        block = G[tuple(slice(s[m], s[m + 1]) for s, m in zip(starts, ms))]
+        assert np.allclose(block, alone, rtol=1e-13, atol=0)
+
+
+def test_bumped_tables_are_the_tables_with_bumped_multiplicities():
+    # jet coefficient js of f[y_1^m_1, y_2^m_2] is prod C(m + j - 1, j) times
+    # the table with multiplicities m + js: at distinct, equal and
+    # near-confluent nodes, where a bump moves the merged node
+    base = parse_field("exp(0.2*x1 + 0.5*x2)/(x2 + 6) + x1*x2^4", 2).root
+    node = sf.SlotDividedDifference(base, 2, 1, (1, 2))
+    x = np.array([0.3, 0.3, -0.2 + 0.1j])
+    y1 = np.array([0.75, 0.75, 0.75])
+    y2 = np.array([-1.0 + 0.5j, 0.75, 0.75 + 4e-11])
+    box = sf._box((2, 3, 3))
+    got = sf._slot_dd(node, (x, y1, y2), box).reshape(3, 2, 3, 3)
+    for js in itertools.product(range(3), range(3)):
+        bumped = sf.SlotDividedDifference(base, 2, 1, (1 + js[0], 2 + js[1]))
+        scale = math.comb(js[0], js[0]) * math.comb(1 + js[1], js[1])
+        want = scale * sf._slot_dd(bumped, (x, y1, y2), None)
+        assert np.allclose(got[:, 0, js[0], js[1]], want, rtol=1e-13, atol=0), js
+        assert np.abs(want).min() > 1e-8  # not a vanishing coefficient
