@@ -29,7 +29,6 @@ _EXPORTS = {
         "ScalarField",
         "absval",
         "compose",
-        "confluent_divided_difference",
         "constant",
         "derivative_grid",
         "exp",

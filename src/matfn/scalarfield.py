@@ -577,7 +577,8 @@ def _slot_dd(node: SlotDividedDifference, point: tuple, box):
     base's coefficients; they ride along as a leading axis. Bumps keep the
     groups of merged nodes, so the base is walked once, as a jet in the
     slot variable to the size of the largest bumped group: at each group's
-    merged node, and at the few merged nodes that a bump moves.
+    merged node, and at the few merged nodes that a bump moves. Order-1
+    grids on a shared spectrum skip it (:func:`_shared_spectrum_grid`).
     """
     t = len(node.mults)
     lo, hi = node.slot, node.slot + t
@@ -801,38 +802,12 @@ def _table(zs, group, values, jets):
     return levels
 
 
-def divided_difference_levels(deriv, nodes):
-    """:func:`_newton_levels` of a function given by its derivatives.
-
-    ``deriv(x, m, mask)`` returns the m-th derivative at ``x[mask]`` as a
-    1-D array, or at every entry of ``x`` when ``mask`` is None.
-    """
-
-    def taylor(x, n, mask):
-        return np.stack(
-            [np.asarray(deriv(x, m, mask)) / math.factorial(m) for m in range(n)], axis=-1
-        )
-
-    return _newton_levels(taylor, nodes)
-
-
-def confluent_divided_difference(deriv, nodes):
-    """Divided difference over ``nodes`` of the function behind ``deriv``.
-
-    Arguments as for :func:`divided_difference_levels`; one value per
-    table, a complex for a single table.
-    """
-    _, levels = divided_difference_levels(deriv, nodes)
-    value = levels[-1][..., 0]
-    return value if value.ndim else complex(value)
-
-
 def field_divided_difference_levels(f: "ScalarField", nodes):
-    """:func:`divided_difference_levels` of the one-variable field ``f``.
+    """:func:`_newton_levels` of the one-variable field ``f``.
 
     The values and the Taylor coefficients of confluent groups come from
     one walk each of f's tree (plain, then with jets); returns
-    ``(merged_nodes, levels)`` as :func:`divided_difference_levels` does.
+    ``(merged_nodes, levels)`` as :func:`_newton_levels` does.
     """
     if f.arity != 1:
         raise ValueError("divided differences need a one-variable field")
@@ -908,13 +883,9 @@ def _diff_slot_dd(node: SlotDividedDifference, var: int) -> Node:
 
 
 def _fmt_const(v: complex) -> tuple[str, int]:
-    if v.imag == 0:
-        r = v.real
-        if r == int(r) and abs(r) < 1e15:
-            s = str(int(r))
-        else:
-            s = repr(r)
-        return (s, _PREC_ATOM if r >= 0 else _PREC_NEG)
+    if v.imag == 0 and math.copysign(1.0, v.imag) > 0:  # as the parser reads a real literal
+        s = repr(v.real).removesuffix(".0")
+        return (s, _PREC_NEG if s[0] == "-" else _PREC_ATOM)
     return (f"({v.real!r}{v.imag:+}i)", _PREC_ATOM)
 
 
@@ -1187,7 +1158,9 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
     per axis is (prod_l d_l^{j_l}) f at the node tuple.
 
     Where every order is 1, G is one walk of the tree broadcast over the
-    eigenvalues. Otherwise each variable's eigenvalues split into those
+    eigenvalues, or for a divided difference on a shared spectrum one walk
+    of its base and a level recursion (:func:`_shared_spectrum_grid`).
+    Otherwise each variable's eigenvalues split into those
     of order 1 and the rest, and the tree is walked once per combination
     of parts, broadcast over its eigenvalues and carrying Taylor jets up
     to each part's largest order (none on a part of order 1). Each walk
@@ -1222,7 +1195,8 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
         return [ms for ms in (simple, rest) if ms]
 
     if all(r == 1 for entries in per_var for _, r in entries):
-        return _evaluate_on(f.root, eigenvalues(per_var))
+        G = _shared_spectrum_grid(f.root, per_var)
+        return _evaluate_on(f.root, eigenvalues(per_var)) if G is None else G
     # first row of each node along its axis
     starts = [list(itertools.accumulate((r for _, r in e), initial=0)) for e in per_var]
     G = np.empty(tuple(s[-1] for s in starts), dtype=complex)
@@ -1255,6 +1229,66 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
         ]
         G[np.ix_(*rows)] = block
     return G
+
+
+def _shared_spectrum_grid(root: Node, per_var):
+    """The order-1 grid of a divided difference on a shared spectrum, or None.
+
+    ``per_var`` holds each variable's (eigenvalue, 1) pairs. Taken where
+    ``root`` is a :class:`SlotDividedDifference`, with none below it, whose
+    node variables share one list of eigenvalues, no two :func:`confluent`.
+    The base is walked once, as jets in the slot variable at that list,
+    the other variables on broadcast axes. Sorted as :func:`_newton_levels`
+    sorts, a nondecreasing index tuple is the Newton entry
+    f[i0..ik] = (f[i1..ik] - f[i0..i(k-1)]) / (z_ik - z_i0), an all-equal
+    one a Taylor coefficient, any other its sorted permutation: the tree
+    walk's values. None elsewhere, and where the walk raises or a value is
+    not finite, so that the tree walk names the trouble.
+    """
+    if type(root) is not SlotDividedDifference or _holds_dd(root.base):
+        return None
+    lo, t, n = root.slot, len(root.mults), sum(root.mults)
+    lams = [np.array([x for x, _ in e]) for e in per_var]
+    lam, others = lams[lo], lams[:lo] + lams[lo + t :]
+    r, q = lam.size, len(others)
+    z, rank = np.sort(lam), np.argsort(np.argsort(lam))  # sorted as _newton_levels sorts
+    shared = all(y.tobytes() == lam.tobytes() for y in lams[lo + 1 : lo + t])  # -0.0 is not 0.0
+    if not shared or not all(x.size for x in lams) or confluent(z[:, None], z).sum() > r:
+        return None
+    args = [x.reshape((1,) * j + (-1,) + (1,) * (q - j)) for j, x in enumerate(others)]
+    args.insert(lo, z.reshape((1,) * q + (-1,)))
+    try:  # (the other variables' tuples, eigenvalue, coefficient)
+        jets = _jets_on(root.base, args, (1,) * lo + (n,) + (1,) * (q - lo)).reshape(-1, r, n)
+    except FieldDomainError:
+        return None
+    F, gap = jets[..., 0], z - z[:, None]  # gap[i, j] = z_j - z_i
+    with np.errstate(all="ignore"):
+        for k in range(1, n):
+            F = (F[:, None] - F[..., None]) / gap.reshape((r,) + (1,) * (k - 1) + (r,))
+            sort, equal = _sorted_tuples(r, k)
+            F = F.reshape(len(F), -1)[:, sort]
+            F[:, equal] = jets[..., k]
+            F = F.reshape((len(F),) + (r,) * (k + 1))
+    # table position p holds node variable v: a doubled variable reads a diagonal
+    axes = [rank.reshape((-1,) + (1,) * (t - 1 - v)) for v in np.repeat(range(t), root.mults)]
+    G = F[(slice(None), *axes)].reshape(tuple(x.size for x in others) + (r,) * t)
+    G = np.ascontiguousarray(np.moveaxis(G, range(q, q + t), range(lo, lo + t)))
+    return G if np.isfinite(G).all() else None
+
+
+def _holds_dd(node: Node) -> bool:
+    """Whether ``node`` or a node below it is a divided difference."""
+    if type(node) is SlotDividedDifference:
+        return True
+    parts = (getattr(node, name) for name in type(node).__slots__)
+    return any(_holds_dd(p) for p in parts if isinstance(p, Node))
+
+
+@lru_cache(maxsize=16)
+def _sorted_tuples(r: int, k: int):
+    """Flat indices over the (k+1)-tuples of range(r): each one sorted, and the all-equal ones."""
+    idx = np.sort(np.indices((r,) * (k + 1)).reshape(k + 1, -1), axis=0)
+    return np.ravel_multi_index(idx, (r,) * (k + 1)), np.flatnonzero(idx[0] == idx[k])
 
 
 # ---------------------------------------------------------------------------
@@ -1477,7 +1511,11 @@ class _Parser:
 
     def parse_factor(self) -> Node:
         if self.skip_op("-"):
-            return _neg(self.parse_factor())
+            arg = self.parse_factor()
+            # a negated real constant stays real: -2 is -2+0i, where -(2+0i) is -2-0i
+            if isinstance(arg, Const) and arg.value.imag == 0:
+                return _const(-arg.value.real)
+            return _neg(arg)
         if self.skip_op("+"):
             return self.parse_factor()
         return self.parse_power()

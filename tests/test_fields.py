@@ -162,14 +162,10 @@ def _left_nested(node) -> bool:
 
 
 def _const_bits(node) -> list:
-    """The bits of the constants that rendering writes out, so -0.0 and 0.0 differ.
-
-    Both parts of a complex constant; of a real one only the real part,
-    since its zero imaginary part is not written.
-    """
+    """The bits of both parts of every constant, so -0.0 and 0.0 differ."""
     if isinstance(node, sf.Const):
         v = node.value
-        return [(v.real.hex(), v.imag.hex()) if v.imag else (v.real.hex(),)]
+        return [(v.real.hex(), v.imag.hex())]
     kids = (getattr(node, name) for name in type(node).__slots__)
     return [bits for k in kids if isinstance(k, sf.Node) for bits in _const_bits(k)]
 
@@ -191,6 +187,8 @@ def _const_bits(node) -> list:
         # a function applied straight to a complex literal
         "exp(2+3i)*x1",
         "log(1-2i)*x1",
+        # substituting 0 makes the constant -2+0i, whose text must keep log's branch
+        "log(x1 - 2)*x2",
         # built, not parsed: the text must carry a zero real part's sign
         pytest.param(sf.ScalarField(1, sf.Mul(sf.Const(complex(-0.0, 2.5)), sf.Var(0))),
                      id="(-0.0+2.5i)*x1"),
@@ -550,6 +548,115 @@ def test_grid_pole_names_the_one_offending_tuple():
     spectrum = [[(0.0, 1), (1.0, 2)], [(0.0, 2), (2.0, 1)], [(0.0, 1), (4.0, 1)]]
     with pytest.raises(FieldDomainError, match=r"at point \(\(1\+0j\), \(2\+0j\), \(4\+0j\)\)"):
         derivative_grid(f, spectrum)
+
+
+# ---------------------------------------------------------------------------
+# order-1 grids of divided differences on a shared spectrum
+
+_SHARED = [(0.75, 1), (-1.0 + 0.5j, 1), (0.25j, 1), (1.5 - 0.25j, 1)]
+
+
+def _axes(spectrum):
+    """Each variable's eigenvalues, broadcast along its own axis."""
+    k = len(spectrum)
+    return [np.array([complex(x) for x, _ in e]).reshape((-1,) + (1,) * (k - 1 - l))
+            for l, e in enumerate(spectrum)]
+
+
+def _spy_kernel(monkeypatch):
+    """Record what each call of the shared-spectrum kernel returned."""
+    returned = []
+    kernel = sf._shared_spectrum_grid
+
+    def spy(root, per_var):
+        returned.append(kernel(root, per_var))
+        return returned[-1]
+
+    monkeypatch.setattr(sf, "_shared_spectrum_grid", spy)
+    return returned
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_shared_spectrum_grid_is_the_resolvent_closed_form(n, monkeypatch):
+    # f[x_0..x_n] of 1/(x + c) is (-1)^n / prod (x_i + c), without a table per point
+    def refuse(node, point, box):
+        raise AssertionError("per-point divided-difference table on the kernel's path")
+
+    monkeypatch.setattr(sf, "_slot_dd", refuse)
+    c = 2.5
+    spectrum = [_SHARED] * (n + 1)
+    G = derivative_grid(divided_difference_field(parse_field(f"1/(x1 + {c})"), n), spectrum)
+    want = (-1) ** n * math.prod(1.0 / (x + c) for x in _axes(spectrum))
+    assert G.shape == (len(_SHARED),) * (n + 1)
+    assert np.abs(G - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "field, spectrum",
+    [
+        (divided_difference_field(parse_field("exp(0.7*x1)"), 3), [_SHARED] * 4),
+        (divided_difference_field(parse_field("log(x1 + 4)"), 3), [_SHARED] * 4),
+        (divided_difference_field(parse_field("1/(x1 + 3 - 1i)"), 4), [_SHARED] * 5),
+        (  # the middle node doubled
+            sf.ScalarField(3, sf.SlotDividedDifference(parse_field("exp(x1)/(x1 + 5)").root, 1, 0, (1, 2, 1))),
+            [_SHARED] * 3,
+        ),
+        (  # x1, the two nodes of x2, x3
+            first_difference_field(parse_field("exp(0.3*x1 + 0.5*x2)/(x3 + 4) + x1*x2*x3^3", 3), 1),
+            [[(0.5, 1), (-0.25 + 1j, 1)], _SHARED, _SHARED, [(0.1, 1), (0.2, 1), (-0.3, 1)]],
+        ),
+    ],
+    ids=["exp", "log", "resolvent", "doubled-node", "first-difference-middle-slot"],
+)
+def test_shared_spectrum_grid_matches_the_tree_walk(field, spectrum, monkeypatch):
+    walk = field(*_axes(spectrum))
+    returned = _spy_kernel(monkeypatch)
+    G = derivative_grid(field, spectrum)
+    assert returned[0] is G
+    assert G.shape == walk.shape and G.flags.c_contiguous
+    assert np.abs(G - walk).max() <= 1e-13 * np.abs(walk).max()
+
+
+def test_other_spectra_take_the_tree_walk(monkeypatch):
+    # differing node lists, a confluent pair and an empty list leave the kernel
+    # for the tree walk, unchanged to the bit; an order of 2 never reaches it
+    field = divided_difference_field(parse_field("1/(x1 + 2.5)"), 2)
+    near = 0.75 + 4e-11
+    cases = [
+        [_SHARED, _SHARED, _SHARED[:3]],
+        [_SHARED, [(0.75, 1), (near, 1), (-1.0, 1)], _SHARED],
+        [_SHARED[:3] + [(near, 1)]] * 3,
+    ]
+    returned = _spy_kernel(monkeypatch)
+    for spectrum in cases:
+        G = derivative_grid(field, spectrum)
+        assert returned.pop() is None
+        assert G.tobytes() == field(*_axes(spectrum)).tobytes()
+    with pytest.raises(ValueError):  # as the tree walk raises it
+        derivative_grid(field, [[]] * 3)
+    assert returned.pop() is None
+    # an order of 2 takes the jet walks (their values: the closed-form test above)
+    derivative_grid(field, [[(0.75, 2), (-1.0 + 0.5j, 1)]] * 3)
+    assert not returned
+
+
+def test_grid_pole_on_a_shared_spectrum_names_the_offending_tuple(monkeypatch):
+    # the pole of the base at 1 + 2 + 4 lies on the list the two node
+    # variables share: the kernel's walk raises, and the tree walk names the point
+    field = first_difference_field(parse_field("1/(x1 + x2 + x3 - 7)"), 1)
+    shared = [(0.0, 1), (2.0, 1), (-1j, 1)]
+    spectrum = [[(0.0, 1), (1.0, 1)], shared, shared, [(0.0, 1), (4.0, 1)]]
+    returned = _spy_kernel(monkeypatch)
+    with pytest.raises(FieldDomainError) as info:
+        derivative_grid(field, spectrum)
+    assert str(info.value) == (
+        "division by zero in 1/(x1 + x2 + x3 - 7) at point ((1+0j), (2+0j), (4+0j))"
+    )
+    assert returned == [None]
+    field = divided_difference_field(parse_field("1/(x1 - 2)"), 2)
+    with pytest.raises(FieldDomainError) as info:
+        derivative_grid(field, [shared] * 3)
+    assert str(info.value) == "division by zero in 1/(x1 - 2) at point ((2+0j),)"
 
 
 def test_array_domain_errors_leak_no_warning():

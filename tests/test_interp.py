@@ -10,11 +10,9 @@ from matfn import (
     interpolate,
     parse_field,
 )
-from matfn.scalarfield import CONFLUENCE_TOL, divided_difference_levels
+from matfn.scalarfield import CONFLUENCE_TOL, field_divided_difference_levels
 
-
-def _exp_deriv(x, m, mask):
-    return np.exp(x if mask is None else x[mask])
+_EXP = parse_field("exp(x1)")
 
 
 @pytest.mark.parametrize("base", [1.0, 2.0, -3.0 + 4.0j])
@@ -23,7 +21,7 @@ def test_close_nodes_rejected_exactly_where_tables_merge(base):
     window = CONFLUENCE_TOL * abs(base)
     for factor, inside in [(0.5, True), (0.99, True), (1.01, False), (2.0, False)]:
         nodes = [base, base + factor * window]
-        zs, _ = divided_difference_levels(_exp_deriv, np.array(nodes, dtype=complex))
+        zs, _ = field_divided_difference_levels(_EXP, np.array(nodes, dtype=complex))
         assert (zs[0] == zs[1]) == inside
         if inside:
             with pytest.raises(InterpolationError, match="confluent"):
@@ -32,12 +30,28 @@ def test_close_nodes_rejected_exactly_where_tables_merge(base):
             assert hermite_basis([(z, 1) for z in nodes]).size == 2
 
 
+def test_first_confluent_pair_is_named():
+    # two confluent pairs; the message names the first in the order of
+    # itertools.combinations over the nodes as given
+    a, b = 1.0, 5.0
+    cases = [
+        ([a, b, b + 1e-12, a + 1e-12], "(1+0j) and (1.000000000001+0j)"),  # (0, 3) before (1, 2)
+        ([b, a, a + 1e-12, b + 1e-12], "(5+0j) and (5.000000000001+0j)"),
+        ([a + 1e-12, b + 1e-12, b, a], "(1.000000000001+0j) and (1+0j)"),  # in the order given
+        ([b, a, b + 1e-12, a + 1e-12], "(5+0j) and (5.000000000001+0j)"),  # (0, 2) before (1, 3)
+    ]
+    for nodes, pair in cases:
+        with pytest.raises(InterpolationError) as info:
+            hermite_basis([(z, 1) for z in nodes])
+        assert str(info.value).startswith(f"nodes {pair} are confluent"), (nodes, str(info.value))
+
+
 def test_small_well_separated_nodes_are_accepted():
     # the spectrum of 1e-11 * diag(1, 2): the tables merge it (absolute
     # window below magnitude 1), the basis is unchanged by scaling its
     # nodes and keeps them apart
     nodes = [1e-11, 2e-11]
-    zs, _ = divided_difference_levels(_exp_deriv, np.array(nodes, dtype=complex))
+    zs, _ = field_divided_difference_levels(_EXP, np.array(nodes, dtype=complex))
     assert zs[0] == zs[1]
     basis = hermite_basis([(z, 1) for z in nodes])
     assert np.allclose(basis.coeff[:, 0] * [1, 1e-11], [2.0, -1.0])
