@@ -5,13 +5,14 @@ M_1, ..., M_k, build the interpolating polynomial P that matches f's
 mixed derivatives on the product of the spectra (orders set by each
 eigenvalue's multiplicity in the minimal polynomial) and evaluate
 
-    sum_alpha c_alpha  M_1^{a_1} (x) ... (x) M_k^{a_k}.
+    sum_alpha c_alpha  M_1^{a_1} (x) ... (x) M_k^{a_k},
 
-The value does not depend on which matching polynomial is used, which is
-what the independence-of-interpolant tests exercise. Two more routes
-compute the same tensor: an eigenbasis sum for diagonalizable arguments
-and a closed form for explicit Jordan matrices; they serve as mutual
-cross-checks.
+which is computed in P's Newton form, a product (M_l - z I) per centre z
+of each slot's basis in place of each power. The value does not depend
+on which matching polynomial is used, which is what the
+independence-of-interpolant tests exercise. Two more routes compute the
+same tensor: an eigenbasis sum for diagonalizable arguments and a closed
+form for explicit Jordan matrices; they serve as mutual cross-checks.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .errors import FieldDomainError, NotDiagonalizableError
 from .interp import hermite_basis, interpolate
 from .scalarfield import ScalarField, derivative_grid
 # ``analyze`` stays bound for bench/tracer.py, which rebinds imported names
-from .spectral import SpectralData, _analyze_all, analyze, as_square_matrix  # noqa: F401
+from .spectral import SpectralData, _analyze_all, analyze, as_slot_matrices  # noqa: F401
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
 
 _LETTERS = string.ascii_letters
 
 
 def _slot_matrices(f: ScalarField, mats) -> list[np.ndarray]:
-    arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
+    arrs = as_slot_matrices(mats)
     if f.arity != len(arrs):
         raise ValueError(f"field of arity {f.arity} applied to {len(arrs)} matrices")
     if not arrs:

@@ -776,10 +776,15 @@ def _merge(z):
 
 
 def _centroids(group, z):
-    """Each node's group centroid and group size; ``group`` numbers the groups."""
+    """Each node's group centroid and group size; ``group`` numbers the groups.
+
+    A group of equal nodes sits at the node itself: its mean (m z)/m can
+    be an ulp off z, and the table's cancellation amplifies that ulp.
+    """
     member = group[..., :, None] == group[..., None, :]
     size = member.sum(axis=-1)
-    return (member * z[..., None, :]).sum(axis=-1) / size, size
+    alike = ~(member & (z[..., :, None] != z[..., None, :])).any(axis=-1)
+    return np.where(alike, z, (member * z[..., None, :]).sum(axis=-1) / size), size
 
 
 def _table(zs, group, values, jets):
@@ -1296,19 +1301,23 @@ def _sorted_tuples(r: int, k: int):
 
 
 class MultiPoly:
-    """Polynomial in several variables, one dense coefficient array.
+    """Polynomial in several variables: one dense coefficient array, a Newton basis per variable.
 
-    ``dense`` has one axis per variable and ``dense[a_1, ..., a_k]`` is
-    the coefficient of x_1^{a_1} ... x_k^{a_k}. Trailing all-zero slices
-    are trimmed, so axis l has length ``degree(l) + 1``; the zero
-    polynomial is one zero, of shape (1, ..., 1). The constructor takes
-    that array or an {exponent tuple: coefficient} map, and
-    :attr:`coeffs` gives the map of the nonzero coefficients back.
+    ``dense`` has one axis per variable and ``dense[a_1, ..., a_k]`` is the
+    coefficient of N_{1 a_1}(x_1) ... N_{k a_k}(x_k), with
+    N_{l a}(x) = prod_{j < a} (x - centres[l][j]). Every centre is 0 unless
+    ``centres`` is given, so the basis is the monomials x_1^{a_1} ... x_k^{a_k}.
+    Trailing all-zero slices are trimmed, so axis l has length
+    ``degree(l) + 1`` and ``centres[l]`` the ``degree(l)`` centres it uses;
+    the zero polynomial is one zero, of shape (1, ..., 1). The constructor
+    takes that array or an {exponent tuple: coefficient} map, and
+    :attr:`coeffs` gives the map of the nonzero monomial coefficients back.
+    Sums, products and partials are taken in the monomial basis.
     """
 
-    __slots__ = ("arity", "dense")
+    __slots__ = ("arity", "dense", "centres")
 
-    def __init__(self, arity: int, coeffs=None):
+    def __init__(self, arity: int, coeffs=None, centres=None):
         self.arity = k = int(arity)
         if coeffs is None or isinstance(coeffs, dict):
             coeffs = coeffs or {}
@@ -1326,6 +1335,11 @@ class MultiPoly:
             dense = np.array(coeffs, dtype=complex)
             if dense.ndim != k:
                 raise ValueError(f"coefficient array of rank {dense.ndim} is not arity {k}")
+        if centres is not None:
+            centres = [np.asarray(z, dtype=complex).reshape(-1) for z in centres]
+            if len(centres) != k or any(z.size < n - 1 for z, n in zip(centres, dense.shape)):
+                raise ValueError(f"centres of lengths {[z.size for z in centres]} "
+                                 f"for coefficients of shape {dense.shape}")
         dense += 0  # -0.0 parts become 0.0, so equal arrays hold equal bytes
         nonzero = np.argwhere(dense)
         if len(nonzero):
@@ -1335,28 +1349,52 @@ class MultiPoly:
             dense = np.zeros((1,) * k, dtype=complex)
         dense.flags.writeable = False
         self.dense = dense
+        if centres is None:
+            self.centres = tuple(np.zeros(n - 1, dtype=complex) for n in dense.shape)
+        else:  # -0.0 parts become 0.0 here too
+            self.centres = tuple(z[: n - 1] + 0 for z, n in zip(centres, dense.shape))
+        for z in self.centres:
+            z.flags.writeable = False
+
+    def _monomial(self) -> np.ndarray:
+        """``dense`` in the monomial basis."""
+        T = self.dense
+        if not any(z.any() for z in self.centres):
+            return T
+        for z in self.centres:
+            # row a: the monomial coefficients of prod_{j < a} (x - z_j)
+            basis = np.zeros((z.size + 1,) * 2, dtype=complex)
+            basis[0, 0] = 1.0
+            for a, c in enumerate(z):
+                basis[a + 1, 1:] = basis[a, :-1]
+                basis[a + 1] -= c * basis[a]
+            T = np.tensordot(T, basis, axes=(0, 0))
+        return T
 
     @property
     def coeffs(self) -> dict:
-        """{exponent tuple: coefficient} of the nonzero coefficients."""
-        mask = self.dense != 0
-        return dict(zip(map(tuple, np.argwhere(mask).tolist()), self.dense[mask].tolist()))
+        """{exponent tuple: coefficient} of the nonzero monomial coefficients."""
+        dense = self._monomial()
+        mask = dense != 0
+        return dict(zip(map(tuple, np.argwhere(mask).tolist()), dense[mask].tolist()))
 
     def __eq__(self, other):
         return (
             isinstance(other, MultiPoly)
             and self.arity == other.arity
             and np.array_equal(self.dense, other.dense)
+            and all(map(np.array_equal, self.centres, other.centres))
         )
 
     def __hash__(self):
-        return hash((self.arity, self.dense.shape, self.dense.tobytes()))
+        centres = b"".join(z.tobytes() for z in self.centres)
+        return hash((self.arity, self.dense.shape, self.dense.tobytes(), centres))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.dense, other.dense
+        a, b = self._monomial(), other._monomial()
         total = np.zeros(tuple(map(max, a.shape, b.shape)), dtype=complex)
         total[tuple(map(slice, a.shape))] += a
         total[tuple(map(slice, b.shape))] += b
@@ -1378,12 +1416,12 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return MultiPoly(self.arity, self.dense * other)
+            return MultiPoly(self.arity, self.dense * other, self.centres)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if other.arity != self.arity:
             raise ValueError("polynomial arities differ")
-        a, b = self.dense, other.dense
+        a, b = self._monomial(), other._monomial()
         total = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)), dtype=complex)
         # each nonzero term of ``a`` adds a shifted copy of ``b``
         for alpha in np.argwhere(a).tolist():
@@ -1402,7 +1440,7 @@ class MultiPoly:
         return None
 
     def partial(self, var: int) -> "MultiPoly":
-        last = np.moveaxis(self.dense, var, -1)
+        last = np.moveaxis(self._monomial(), var, -1)
         scaled = last[..., 1:] * np.arange(1, last.shape[-1])
         return MultiPoly(self.arity, np.moveaxis(scaled, -1, var))
 
@@ -1412,9 +1450,13 @@ class MultiPoly:
         if len(point) != self.arity:
             raise ValueError(f"polynomial of arity {self.arity} called with {len(point)} values")
         total = self.dense
-        for p in point:
-            # Horner along the leading axis, the one of this variable
-            total = np.polynomial.polynomial.polyval(complex(p), total)
+        for p, z in zip(point, self.centres):
+            # nested multiplication along the leading axis, the one of this
+            # variable: c_0 + (p - z_0) (c_1 + (p - z_1) (c_2 + ...))
+            p, acc = complex(p), total[-1]
+            for c, centre in zip(total[-2::-1], z[::-1]):
+                acc = c + (p - centre) * acc
+            total = acc
         return complex(total)
 
     def degree(self, var: int) -> int:

@@ -40,6 +40,19 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def as_slot_matrices(mats) -> list[np.ndarray]:
+    """:func:`as_square_matrix` of each slot's matrix, named "slot l matrix".
+
+    An object that fills several slots is checked once, at its first.
+    """
+    seen, arrs = {}, []  # seen: id -> (object, array), the object held so its id stays its own
+    for l, M in enumerate(mats):
+        if id(M) not in seen:
+            seen[id(M)] = (M, as_square_matrix(M, f"slot {l} matrix"))
+        arrs.append(seen[id(M)][1])
+    return arrs
+
+
 def hs_norm(A) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(A)))

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .scalarfield import MultiPoly
-from .spectral import as_square_matrix
+from .spectral import as_slot_matrices, as_square_matrix
 
 _LETTERS = string.ascii_letters
 
@@ -164,23 +164,35 @@ def tensor_product(mats) -> OperatorTensor:
     return _network(arrs, _pairs(len(arrs)), _pairs(len(arrs)))
 
 
-def _power_stack(M: np.ndarray, n: int) -> np.ndarray:
-    """(I, M, M^2, ..., M^n) as one array of shape (n + 1, d, d)."""
-    stack = [np.eye(M.shape[0], dtype=complex)]
-    for _ in range(n):
-        stack.append(stack[-1] @ M)
-    return np.array(stack)
+def _newton_stack(M: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """(N_0, ..., N_n), N_i = prod_{j<i} (M - z_j I) over the n centres, as one array."""
+    d, n = M.shape[0], centres.size
+    shifted = np.repeat(M[None], n, axis=0)
+    shifted.reshape(n, d * d)[:, :: d + 1] -= centres[:, None]  # the factors M - z_j I
+    stack = np.empty((n + 1, d, d), dtype=complex)
+    stack[0] = np.eye(d)
+    for i in range(n):
+        np.matmul(stack[i], shifted[i], out=stack[i + 1])
+    return stack
 
 
 def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
-    """sum_alpha c_alpha M_1^{a_1} (x) ... (x) M_k^{a_k}: ``poly.dense`` and the power stacks."""
-    arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
+    """sum_alpha c_alpha N_{1 a_1}(M_1) (x) ... (x) N_{k a_k}(M_k) from ``poly.dense``.
+
+    N_{l a}(M) = prod_{j<a} (M - z_{lj} I) over the polynomial's centres for
+    variable l; all of them 0, this is the power M^a. One stack is built
+    per distinct matrix and centre sequence.
+    """
+    arrs = as_slot_matrices(mats)
     if poly.arity != len(arrs):
         raise ValueError(f"polynomial in {poly.arity} variables but {len(arrs)} matrices given")
     C, k = poly.dense, len(arrs)
-    distinct = {M.tobytes(): M for M in arrs}
-    stacks = {key: _power_stack(M, max(C.shape) - 1) for key, M in distinct.items()}
-    factors = [stacks[M.tobytes()][:n] for M, n in zip(arrs, C.shape)]
+    stacks, factors = {}, []
+    for M, z in zip(arrs, poly.centres):
+        key = (M.tobytes(), z.tobytes())
+        if key not in stacks:
+            stacks[key] = _newton_stack(M, z)
+        factors.append(stacks[key])
     if not 0 < 3 * k <= len(_LETTERS):  # no slots, or more indices than einsum has letters
         for S in factors:
             C = np.tensordot(C, S, axes=(0, 0))

@@ -16,6 +16,7 @@ from matfn import (
     compose,
     derivative_grid,
     divided_difference_field,
+    doubled_node_difference_field,
     first_difference_field,
     merge_variables,
     parse_field,
@@ -885,3 +886,55 @@ def test_bumped_tables_are_the_tables_with_bumped_multiplicities():
         want = scale * sf._slot_dd(bumped, (x, y1, y2), None)
         assert np.allclose(got[:, 0, js[0], js[1]], want, rtol=1e-13, atol=0), js
         assert np.abs(want).min() > 1e-8  # not a vanishing coefficient
+
+
+def test_multipoly_in_newton_form():
+    # dense[a, b] weighs N_a(x1) N_b(x2), N_a = prod_{j<a} (x - z_j); the
+    # monomial form, sums, products, partials and the text all agree with it
+    rng = np.random.default_rng(9)
+    dense = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    centres = [rng.normal(size=4) + 1j * rng.normal(size=4), np.array([0.5, -2.0])]
+    p = MultiPoly(2, dense, centres)
+    assert [z.tolist() for z in p.centres] == [centres[0][:3].tolist(), [0.5, -2.0]]
+    mono = MultiPoly(2, p.coeffs)
+    assert mono.centres[0].tolist() == [0, 0, 0] and not mono.centres[1].any()
+    text = parse_field(str(p))
+    for _ in range(4):
+        x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+        want = sum(dense[a, b] * np.prod(x - centres[0][:a]) * np.prod(y - centres[1][:b])
+                   for a in range(4) for b in range(3))
+        for q in (p, mono, text):
+            assert q(x, y) == pytest.approx(want, rel=1e-12)
+        assert (p + p)(x, y) == pytest.approx(2 * want, rel=1e-12)
+        assert (2.5 * p)(x, y) == pytest.approx(2.5 * want, rel=1e-12)
+        assert (p * p)(x, y) == pytest.approx(want * want, rel=1e-12)
+        assert p.partial(0)(x, y) == pytest.approx(mono.partial(0)(x, y), rel=1e-12)
+    assert all(map(np.array_equal, (2.5 * p).centres, p.centres))
+    assert p == MultiPoly(2, dense, centres) and hash(p) == hash(MultiPoly(2, dense, centres))
+    assert p != MultiPoly(2, dense) and p != mono
+    with pytest.raises(ValueError, match="centres"):
+        MultiPoly(2, dense, [centres[0][:2], centres[1]])
+
+
+def test_centroid_of_equal_nodes_is_the_node():
+    # (m * lam) / m can be an ulp off lam for m = 3, 5, 6 or 7
+    rng = np.random.default_rng(11)
+    lams = rng.normal(size=200) + 1j * rng.normal(size=200)
+    for m in range(1, 9):
+        z = np.repeat(lams[:, None], m, axis=1)
+        centroid, size = sf._centroids(np.zeros(z.shape, dtype=int), z)
+        assert (size == m).all()
+        assert centroid.tobytes() == z.tobytes(), m
+
+
+@pytest.mark.parametrize("base", ["exp(0.7*x1)/(x1 + 5)", "1/(x1 + 3 - 1i)", "log(x1 + 4)"])
+def test_doubled_node_kernel_grid_is_the_tree_walk_to_the_bit(base, monkeypatch):
+    # the trace derivative's field: the kernel and the per-point tables meet
+    # the equal nodes of a doubled variable at the same point
+    field = doubled_node_difference_field(parse_field(base), 3, 2)
+    spectrum = [_SHARED + [(2.25 + 0.5j, 1), (-0.6 - 0.8j, 1)]] * 3
+    walk = field(*_axes(spectrum))
+    returned = _spy_kernel(monkeypatch)
+    G = derivative_grid(field, spectrum)
+    assert returned[0] is G
+    assert G.tobytes() == walk.tobytes()

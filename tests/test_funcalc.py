@@ -312,3 +312,80 @@ def test_fragility_warning_names_the_caller():
         f_otimes(parse_field("exp(x1)"), [_warning_but_valid()])
     assert rec
     assert {Path(w.filename).resolve() for w in rec} == {Path(__file__).resolve()}
+
+
+# The accuracy defects of the ROADMAP Baseline, against in-repo oracles:
+# the exact eigenbasis and the Jordan closed form. The monomial basis
+# missed the first two groups by up to 1.1 and 3.9e-9, silently.
+_BASELINE_NORMAL = [(8, "1/x1", 1), (14, "1/x1", 1), (14, "log(x1)", 20), (16, "exp(x1)", 1),
+                    (12, "1/x1", 10)]
+_SCALAR = {"1/x1": lambda x: 1 / x, "log(x1)": np.log, "exp(x1)": np.exp}
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _assert_padding_keeps(f, M, got):
+    # more nodes, the same tensor
+    padded = np.asarray(f_otimes(f, [M], extra_multiplicity=1).data)
+    assert _relative(padded, got) <= 1e-13
+
+
+@pytest.mark.parametrize("d, text, s", _BASELINE_NORMAL)
+def test_baseline_normal_inputs_are_accurate(d, text, s):
+    # Q diag(lam) Q^H, Q from the QR of a complex Gaussian, a spread spectrum
+    r = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(r.standard_normal((d, d)) + 1j * r.standard_normal((d, d)))
+    lam = s * (np.linspace(1.5, 2.5, d) + 0.25j * np.arange(d) / d)
+    f, M = parse_field(text), Q @ np.diag(lam) @ Q.conj().T
+    got = matrix_function(f, M)
+    assert _relative(got, Q @ np.diag(_SCALAR[text](lam)) @ Q.conj().T) <= 1e-12
+    _assert_padding_keeps(f, M, got)
+
+
+def test_baseline_non_normal_exp_is_accurate():
+    # S diag(linspace(1, 3, 10)) S^-1, S the first draw with condition in (15, 25)
+    r = np.random.default_rng(5)
+    S = r.standard_normal((10, 10))
+    while not 15 < np.linalg.cond(S) < 25:
+        S = r.standard_normal((10, 10))
+    lam = np.linspace(1, 3, 10)
+    f, M = parse_field("exp(x1)"), S @ np.diag(lam) @ np.linalg.inv(S)
+    got = matrix_function(f, M)
+    assert _relative(got, S @ np.diag(np.exp(lam)) @ np.linalg.inv(S)) <= 1e-12
+    _assert_padding_keeps(f, M, got)
+
+
+@pytest.mark.parametrize("blocks", [[(1.5, 8), (3.0 + 0.5j, 2)],
+                                    [(0.7 + 0.2j, 8), (2.0, 1), (2.6, 1)]])
+def test_jordan8_log_matches_the_closed_form(blocks):
+    f, J = parse_field("log(x1)"), jordan_matrix(blocks)
+    got = matrix_function(f, J)
+    assert _relative(got, np.asarray(jordan_closed_form(f, [J], [blocks]).data)) <= 1e-13
+    _assert_padding_keeps(f, J, got)
+
+
+def test_each_distinct_matrix_is_validated_once(monkeypatch):
+    import matfn.spectral as spectral
+
+    A = rng.normal(size=(3, 3))
+    field = divided_difference_field(parse_field("1/(x1 + 6)"), 3)
+    spectra = [analyze(A)] * 4
+    names = []
+
+    def counting(M, name="matrix"):
+        names.append(name)
+        return as_square_matrix(M, name)
+
+    as_square_matrix = spectral.as_square_matrix
+    monkeypatch.setattr(spectral, "as_square_matrix", counting)
+    f_otimes(field, [A] * 4, spectra=spectra)
+    # once in f_otimes, once in poly_tensor_eval, for four slots
+    assert names == ["slot 0 matrix", "slot 0 matrix"]
+    # the messages name the first slot that holds the bad matrix
+    bad = np.ones((2, 3))
+    with pytest.raises(ValueError, match=r"^slot 1 matrix must be square, got shape \(2, 3\)$"):
+        f_otimes(parse_field("x1 + x2 + x3"), [A, bad, bad])
+    with pytest.raises(ValueError, match=r"^slot 2 matrix contains non-finite entries$"):
+        f_otimes(parse_field("x1 + x2 + x3"), [A, A, np.full((3, 3), np.nan)])

@@ -199,6 +199,32 @@ def test_poly_tensor_eval_after_leading_term_cancels():
     assert np.allclose(got, expected, atol=1e-12)
 
 
+def test_poly_tensor_eval_in_newton_form():
+    # sum c_ab N_a(A) (x) N_b(B), N_a(M) = prod_{j<a} (M - z_j I); one matrix in
+    # two slots with one centre sequence shares a stack, and both stacks equal
+    # the power stacks' value of the same polynomial
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    B = rng.normal(size=(2, 2))
+    dense = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    centres = [rng.normal(size=3) + 1j * rng.normal(size=3), np.array([0.5, -2.0])]
+
+    def newton(M, z, a):
+        out = np.eye(len(M), dtype=complex)
+        for c in z[:a]:
+            out = out @ (M - c * np.eye(len(M)))
+        return out
+
+    p = MultiPoly(2, dense, centres)
+    for mats in ([A, B], [A, A]):
+        want = sum(dense[a, b] * np.kron(newton(mats[0], centres[0], a),
+                                         newton(mats[1], centres[1], b))
+                   for a in range(4) for b in range(3))
+        got = poly_tensor_eval(p, mats).as_matrix()
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        monomial = poly_tensor_eval(MultiPoly(2, p.coeffs), mats).as_matrix()
+        assert np.allclose(monomial, want, rtol=1e-12, atol=1e-12)
+
+
 def test_apply_vectors():
     A = rng.normal(size=(2, 2))
     B = rng.normal(size=(3, 3))
