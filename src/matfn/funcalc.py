@@ -2,8 +2,8 @@
 
 The central construction: given f of k variables and square matrices
 M_1, ..., M_k, build the interpolating polynomial P that matches f's
-mixed derivatives on the product of the spectra (orders set by each
-eigenvalue's multiplicity in the minimal polynomial) and evaluate
+mixed derivatives on the product of the spectra (a node per block of
+eigenvalues, its order the block's size plus a Taylor pad) and evaluate
 
     sum_alpha c_alpha  M_1^{a_1} (x) ... (x) M_k^{a_k},
 
@@ -22,7 +22,7 @@ import string
 
 import numpy as np
 
-from .errors import FieldDomainError, NotDiagonalizableError
+from .errors import FieldDomainError, NotDiagonalizableError, SpectralError
 from .interp import hermite_basis, interpolate
 from .scalarfield import ScalarField, derivative_grid
 # ``analyze`` stays bound for bench/tracer.py, which rebinds imported names
@@ -30,6 +30,9 @@ from .spectral import SpectralData, _analyze_all, analyze, as_slot_matrices  # n
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
 
 _LETTERS = string.ascii_letters
+#: The largest Taylor pad of a block (:func:`_padded_grid`): radius rho at distance R
+#: from f's nearest singularity needs about log(eps) / log(rho / R); 32 covers rho / R <= 1/3.
+PAD_CAP = 32
 
 
 def _slot_matrices(f: ScalarField, mats) -> list[np.ndarray]:
@@ -50,13 +53,17 @@ def f_otimes(
 ) -> OperatorTensor:
     """The tensor extension of ``f`` at ``mats`` via interpolation.
 
+    The grid of each slot has one node per block of its spectrum
+    (:attr:`~matfn.spectral.SpectralData.blocks`), at the block's centre,
+    with the order s + p for a block of size s: p is the Taylor pad of
+    :func:`_padded_grid`, 0 at radius 0. No rank ladder runs.
     ``spectra`` overrides the per-slot eigenvalue analysis; pass it when
     the spectra are known exactly or are over-provisioned upper bounds
     (matching on a finer grid still yields the same tensor, it only asks
-    more smoothness of ``f``), or to loosen the spectral decision, e.g.
-    ``spectra=[analyze(M, cluster_tol=1e-4)]``. ``extra_multiplicity``
-    pads every grid order, which changes the interpolant but must not
-    change the result; the invariance tests rely on that knob.
+    more smoothness of ``f``): data built with an explicit ``min_mult``
+    takes those orders. ``extra_multiplicity`` pads every grid order,
+    which changes the interpolant but must not change the result; the
+    invariance tests rely on that knob.
     """
     arrs = _slot_matrices(f, mats)
     if spectra is None:
@@ -68,20 +75,63 @@ def f_otimes(
     pad = int(extra_multiplicity)
     if pad < 0:
         raise ValueError("extra_multiplicity must be nonnegative")
-    grid_nodes = [
-        [(lam, r + pad) for lam, r in sd.grid_entries()] for sd in data
-    ]
-    # one solve per distinct node list; repr, unlike ==, tells -0.0 from 0.0
-    keys = [repr(nodes) for nodes in grid_nodes]
-    solved = {key: hermite_basis(nodes) for key, nodes in dict(zip(keys, grid_nodes)).items()}
-    bases = [solved[key] for key in keys]
     try:
-        G = derivative_grid(f, grid_nodes)
+        G, grid_nodes = _padded_grid(f, [sd.blocks for sd in data], pad)
     except FieldDomainError as exc:
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
         ) from exc
-    return poly_tensor_eval(interpolate(G, bases), arrs)
+    # one solve per distinct node list; repr, unlike ==, tells -0.0 from 0.0
+    keys = [repr(nodes) for nodes in grid_nodes]
+    solved = {key: hermite_basis(nodes) for key, nodes in dict(zip(keys, grid_nodes)).items()}
+    return poly_tensor_eval(interpolate(G, [solved[key] for key in keys]), arrs)
+
+
+def _padded_grid(f: ScalarField, blocks, pad: int):
+    """The derivative grid of ``f`` on the blocks of each slot, and its node lists.
+
+    A block (c, s, rho) is the node c of order s + ``pad`` + p. Radius 0
+    means p = 0. Otherwise p is the smallest pad past which every Taylor
+    term rho^j |d^j f| / j! up to order s + ``pad`` + ``PAD_CAP`` is at
+    most eps times the largest Taylor coefficient of order below the block
+    sizes on the grid, the entries of f(J) at a Jordan block J. That tail
+    bounds the remainder on eigenvalues within rho of c (Davies & Higham,
+    SIMAX 25(2), 2003, sec. 2.3); one small term does not, since a
+    coefficient can vanish, as sin's does at pi. The terms come from one
+    walk per slot that holds such a block, its blocks of positive radius
+    walked to the cap and every other node at its unpadded order; the
+    derivative is at its largest over the other slots' nodes. A term above
+    the bound at the cap is a :class:`SpectralError`.
+    """
+    base = [[(c, s + pad) for c, s, _ in b] for b in blocks]
+    final = [list(e) for e in base]
+    for l, b in enumerate(blocks):
+        if not any(rho > 0 for _, _, rho in b):
+            continue
+        nodes = list(base)
+        nodes[l] = [(c, o + PAD_CAP + 1 if blk[2] > 0 else o) for (c, o), blk in zip(base[l], b)]
+        # |G| / prod_i j_i!, the Taylor coefficients; j_i is the order of a row along axis i
+        js = [np.concatenate([np.arange(r) for _, r in e]) for e in nodes]
+        coef = np.abs(derivative_grid(f, nodes))
+        for i, j in enumerate(js):
+            fact = np.array([math.factorial(x) for x in j.tolist()], dtype=float)
+            coef = coef / fact.reshape((-1,) + (1,) * (len(js) - 1 - i))
+        sized = [np.concatenate([np.arange(r) < s for (_, r), (_, s, _) in zip(e, bs)])
+                 for e, bs in zip(nodes, blocks)]
+        tol = np.finfo(float).eps * coef[np.ix_(*sized)].max(initial=0.0)
+        rows = [np.arange(j.size) if i == l else np.flatnonzero(j == 0) for i, j in enumerate(js)]
+        along = np.moveaxis(coef[np.ix_(*rows)], l, 0).reshape(js[l].size, -1).max(axis=1)
+        at = 0
+        for m, ((c, s, rho), (_, r)) in enumerate(zip(b, nodes[l])):
+            o = s + pad
+            big = np.flatnonzero(along[at + o : at + r] * rho ** np.arange(o, r) > tol)
+            if big.size and big[-1] == r - o - 1:
+                raise SpectralError(f"no Taylor pad up to {PAD_CAP} settles the block of {s} "
+                                    f"eigenvalue(s) at {c:.6g} of radius {rho:.3e}")
+            if big.size:  # empty at radius 0, where r = o
+                final[l][m] = (c, o + int(big[-1]) + 1)
+            at += r
+    return derivative_grid(f, final), final
 
 
 def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:

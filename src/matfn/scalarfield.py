@@ -1289,11 +1289,22 @@ def _holds_dd(node: Node) -> bool:
     return any(_holds_dd(p) for p in parts if isinstance(p, Node))
 
 
-@lru_cache(maxsize=16)
+#: :func:`_sorted_tuples` caches its index arrays up to this many tuples (16 shapes, at
+#: most 1 MiB); a grid over more builds them per call, so they do not outlive it.
+_TUPLES_KEPT = 4096
+
+
 def _sorted_tuples(r: int, k: int):
     """Flat indices over the (k+1)-tuples of range(r): each one sorted, and the all-equal ones."""
+    return (_kept_tuples if r ** (k + 1) <= _TUPLES_KEPT else _tuples)(r, k)
+
+
+def _tuples(r: int, k: int):
     idx = np.sort(np.indices((r,) * (k + 1)).reshape(k + 1, -1), axis=0)
     return np.ravel_multi_index(idx, (r,) * (k + 1)), np.flatnonzero(idx[0] == idx[k])
+
+
+_kept_tuples = lru_cache(maxsize=16)(_tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Eigenvalue clustering and minimal-polynomial multiplicities.
+"""Eigenvalue clustering, the blocks of the grid, and minimal-polynomial multiplicities.
 
 Computed spectra of nearby-defective matrices scatter; every consumer in
 this package goes through the clustering here so that one tolerance
-discipline decides what counts as a single eigenvalue.
+discipline decides what counts as a single eigenvalue. The tensor
+extension reads the blocks, which need one eigenvalue call; the rank
+ladder that decides minimal multiplicities runs only for the callers
+that read them.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +28,11 @@ DEFAULT_CLUSTER_TOL = 1e-8
 #: ``commuting_swap_check`` counts a commutator below this times
 #: ||M_p|| ||M_q|| as zero; changing it moves both decisions.
 DEFAULT_RANK_TOL = 1e-10
+#: Clusters within this times min(||M||_F, 10 max(1, rho(M))) are one block
+#: of the tensor extension's grid (:attr:`SpectralData.blocks`). A defective
+#: eigenvalue of index m splits by about eps^(1/m) ||M||; the value sits
+#: between the widest such split and the narrowest genuine gap measured.
+BLOCK_TOL = 5e-3
 
 # the code objects of the package's modules carry this prefix as co_filename
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
@@ -62,37 +69,82 @@ def _describe(M: np.ndarray) -> str:
     return np.array2string(M, precision=4, suppress_small=True, threshold=16)
 
 
-@dataclass(frozen=True)
 class SpectralData:
     """Clustered spectrum of one matrix.
 
     ``eigenvalues`` are cluster centroids sorted by (real, imag);
-    ``alg_mult`` counts computed eigenvalues per cluster; ``min_mult`` is
-    the multiplicity of each eigenvalue in the minimal polynomial (1 for
-    every eigenvalue iff the matrix is diagonalizable).
+    ``alg_mult`` counts computed eigenvalues per cluster and ``radii``
+    bounds their distance from the centroid; ``min_mult`` is the
+    multiplicity of each eigenvalue in the minimal polynomial (1 for
+    every eigenvalue iff the matrix is diagonalizable). Data from
+    :func:`analyze` holds its matrix and runs the rank ladder, with its
+    warnings and errors, on the first read of ``min_mult``.
+
+    ``blocks`` holds the (centre, size, radius) of each node of the
+    tensor extension's grid, which reads nothing else: with an explicit
+    ``min_mult``, each eigenvalue at that size and radius 0; with a
+    ``matrix``, the clusters within ``BLOCK_TOL`` times its scale of each
+    other, merged as :func:`merge_clusters` merges, at the mean of their
+    eigenvalues (the value itself if all are equal). So a defective
+    eigenvalue that rounding split is one block again. Equality and hash
+    read ``min_mult``, so they run the ladder of such data once.
     """
 
-    eigenvalues: tuple[complex, ...]
-    alg_mult: tuple[int, ...]
-    min_mult: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self):
-        if not (len(self.eigenvalues) == len(self.alg_mult) == len(self.min_mult)):
+    def __init__(self, eigenvalues, alg_mult, min_mult, dim, *, radii=None, matrix=None):
+        self.eigenvalues, self.alg_mult, self.dim = tuple(eigenvalues), tuple(alg_mult), dim
+        self.radii = (0.0,) * len(self.alg_mult) if radii is None else tuple(radii)
+        if not (len(self.eigenvalues) == len(self.alg_mult) == len(self.radii)):
             raise ValueError("spectral data fields have mismatched lengths")
-        if sum(self.alg_mult) != self.dim:
+        if sum(self.alg_mult) != dim:
             raise ValueError("algebraic multiplicities must sum to the dimension")
-        for s, r in zip(self.alg_mult, self.min_mult):
-            if not 1 <= r <= s:
-                raise ValueError(f"minimal multiplicity {r} outside [1, {s}]")
+        self._matrix, self._min_mult = matrix, None
+        if matrix is None:
+            if len(min_mult) != len(self.alg_mult):
+                raise ValueError("spectral data fields have mismatched lengths")
+            for s, r in zip(self.alg_mult, min_mult):
+                if not 1 <= r <= s:
+                    raise ValueError(f"minimal multiplicity {r} outside [1, {s}]")
+            self._min_mult = tuple(min_mult)
+            self.blocks = tuple((c, r, 0.0) for c, r in zip(self.eigenvalues, self._min_mult))
+            return
+        scale = min(hs_norm(matrix), 10 * max(1.0, max(map(abs, self.eigenvalues), default=0.0)))
+        blocks = []
+        for g in merge_clusters(self.eigenvalues, BLOCK_TOL * scale):
+            cs, ns = [self.eigenvalues[i] for i in g], [self.alg_mult[i] for i in g]
+            c = cs[0] if cs.count(cs[0]) == len(cs) else sum(map(operator.mul, ns, cs)) / sum(ns)
+            blocks.append((c, sum(ns), max(abs(x - c) + self.radii[i] for x, i in zip(cs, g))))
+        self.blocks = tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))
+
+    @property
+    def min_mult(self) -> tuple[int, ...]:
+        if self._min_mult is None:
+            mins = _rank_ladder(self._matrix, list(zip(self.eigenvalues, self.radii)))
+            for lam, s, r in zip(self.eigenvalues, self.alg_mult, mins):
+                if r > s:
+                    raise SpectralError(
+                        f"cluster at {lam:.6g} holds {s} eigenvalue(s) but its rank ladder "
+                        f"gives minimal multiplicity {r}; a defective eigenvalue was split"
+                    )
+            self._min_mult = mins
+        return self._min_mult
 
     @property
     def is_diagonalizable(self) -> bool:
         return all(r == 1 for r in self.min_mult)
 
-    def grid_entries(self) -> list[tuple[complex, int]]:
-        """(eigenvalue, multiplicity) pairs in the stored order."""
-        return list(zip(self.eigenvalues, self.min_mult))
+    def _key(self):
+        return self.eigenvalues, self.alg_mult, self.min_mult, self.dim
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, SpectralData) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        mins = "<rank ladder, on first read>" if self._min_mult is None else self._min_mult
+        return (f"SpectralData(eigenvalues={self.eigenvalues}, alg_mult={self.alg_mult}, "
+                f"min_mult={mins}, dim={self.dim})")
 
 
 def merge_clusters(values, threshold: float) -> list[list[int]]:
@@ -133,16 +185,18 @@ def _eigvals(A: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _clusters(A: np.ndarray, w, tol: float) -> list[tuple[complex, int, float]]:
-    """(centroid, count, radius) of each cluster of the eigenvalues ``w`` of ``A``.
+def _clusters(w, threshold: float) -> list[tuple[complex, int, float]]:
+    """(centroid, count, radius) of each cluster of the eigenvalues ``w``.
 
     Sorted by (real, imag); the radius is the largest distance of a
-    member from its centroid.
+    member from its centroid. A cluster of equal values sits at the value
+    itself, with radius 0: their mean can be an ulp off it.
     """
     rows = []
-    for g in merge_clusters(w, cluster_threshold(A, tol)):
-        c = complex(sum(w[i] for i in g) / len(g))
-        rows.append((c, len(g), max(abs(w[i] - c) for i in g)))
+    for g in merge_clusters(w, threshold):
+        vals = [complex(w[i]) for i in g]
+        c = vals[0] if vals.count(vals[0]) == len(vals) else sum(vals) / len(vals)
+        rows.append((c, len(g), max(abs(v - c) for v in vals)))
     return sorted(rows, key=lambda p: (p[0].real, p[0].imag))
 
 
@@ -158,18 +212,7 @@ def _outside_package() -> int:
     return level
 
 
-def _power_svals(A: np.ndarray, lam: complex, start: int):
-    """Singular values of (A - lam I)^j, as lists, for j = start, start + 1, ..."""
-    B = A - complex(lam) * np.eye(A.shape[0])
-    P = B
-    for _ in range(start - 1):
-        P = P @ B
-    while True:
-        yield np.linalg.svd(P, compute_uv=False).tolist()
-        P = P @ B
-
-
-def _rank_ladder(A: np.ndarray, clusters, known=None) -> tuple[int, ...]:
+def _rank_ladder(A: np.ndarray, clusters) -> tuple[int, ...]:
     """Minimal multiplicity of each (centroid, radius) pair in ``clusters``.
 
     For each centroid c the rank of (A - c I)^j is tracked until it
@@ -180,22 +223,18 @@ def _rank_ladder(A: np.ndarray, clusters, known=None) -> tuple[int, ...]:
     sigma_max^(j-1), so that a shift with a tiny sigma_max (an eigenvalue
     near another) still reads as singular. A singular value within a
     factor 10 of the threshold triggers a warning since the decision is
-    then fragile; it names the first caller outside this package.
-
-    ``known[m]``, if given, lists the singular values of the first powers
-    of cluster m (:func:`_analyze_all` computes powers 1 ... count + 1 of
-    every cluster in one call); any further power is computed here, one
-    at a time, so the decisions and warnings are those of a ladder that
-    computes every power itself.
+    then fragile; it names the first caller outside this package. The
+    first two powers of every cluster, all a simple eigenvalue reads, take
+    one stacked ``svd`` call.
     """
-    d = A.shape[0]
+    d, m = A.shape[0], len(clusters)
     residual = 100 * np.finfo(float).eps * hs_norm(A)
+    Bs = A - np.array([complex(lam) for lam, _ in clusters])[:, None, None] * np.eye(d)
+    first = np.linalg.svd(np.concatenate([Bs, Bs @ Bs]), compute_uv=False) if m else None
     out = []
-    for m, (lam, radius) in enumerate(clusters):
-        rows = () if known is None else known[m]
-        svals = itertools.chain(rows, _power_svals(A, lam, len(rows) + 1))
-        s = next(svals)
-        sigma1 = s[0]
+    for i, (lam, radius) in enumerate(clusters):
+        B, s = Bs[i], first[i]
+        sigma1 = float(s[0])
         if sigma1 == 0.0:
             out.append(1)  # B = 0, the eigenvalue is the whole spectrum
             continue
@@ -207,7 +246,7 @@ def _rank_ladder(A: np.ndarray, clusters, known=None) -> tuple[int, ...]:
                 DEFAULT_RANK_TOL * sigma1**j, residual * sigma1 ** (j - 1), (100 * radius) ** j
             )
             rank, fragile = 0, False
-            for x in s:
+            for x in s.tolist():
                 rank += x > thr
                 fragile = fragile or thr / 10 < x < thr * 10
             if fragile:
@@ -224,62 +263,24 @@ def _rank_ladder(A: np.ndarray, clusters, known=None) -> tuple[int, ...]:
             raise SpectralError(
                 f"{lam} is not an eigenvalue of the matrix (full-rank shift)"
             )
-        r = None
+        P, r = B @ B, d
         for j in range(1, d + 1):
-            cur = rank_of(next(svals), j + 1)
+            if j > 1:
+                P = P @ B
+            cur = rank_of(first[m + i] if j == 1 else np.linalg.svd(P, compute_uv=False), j + 1)
             if cur == prev:
                 r = j
                 break
             prev = cur
-        out.append(r if r is not None else d)
+        out.append(r)
     return tuple(out)
-
-
-def _ladder_svals(arrs, rows):
-    """Singular values of the ladder powers of every cluster, one svd call per size.
-
-    ``out[i][m]`` lists the singular values of (A - c I)^j for
-    j = 1 ... s + 1, where A = ``arrs[i]`` and (c, s, _) = ``rows[i][m]``:
-    every power a ladder reads unless its cluster is a split eigenvalue.
-    Matrices whose ``rows`` are None, and every matrix of a size whose
-    stacked svd fails, get None and compute their powers one at a time.
-    """
-    out = [None] * len(arrs)
-    by_dim = {}
-    for i, clusters in enumerate(rows):
-        for m, (c, s, _) in enumerate(clusters or ()):
-            by_dim.setdefault(arrs[i].shape[0], []).append((s + 1, i, m, c))
-    for d, items in by_dim.items():
-        # deepest first: the items that need power j are then a prefix
-        items.sort(key=lambda t: -t[0])
-        owned = np.array([arrs[t[1]] for t in items])
-        B = owned - np.array([t[3] for t in items])[:, None, None] * np.eye(d)
-        levels = [B]
-        for j in range(1, items[0][0]):
-            n = sum(t[0] > j for t in items)
-            levels.append(levels[-1][:n] @ B[:n])
-        try:
-            S = np.linalg.svd(np.concatenate(levels), compute_uv=False).tolist()
-        except np.linalg.LinAlgError:
-            continue
-        starts = [0, *itertools.accumulate(len(P) for P in levels[:-1])]
-        for t, (D, i, m, _) in enumerate(items):
-            if out[i] is None:
-                out[i] = [None] * len(rows[i])
-            out[i][m] = [S[o + t] for o in starts[:D]]
-    return out
 
 
 def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
     """Yield :func:`analyze` of each square complex array in ``arrs``, in order.
 
-    Matrices of one size share one ``eigvals`` call, and the ladder powers
-    of all their clusters one ``svd`` call. The decisions are then
-    replayed matrix by matrix, cluster by cluster, as :func:`analyze`
-    takes them: a matrix's warnings are issued, and its
-    :class:`SpectralError` raised, only when its result is due, after
-    those of the matrices before it. A stacked call that fails leaves its
-    matrices to be computed one at a time, so a failure also surfaces at
+    Matrices of one size share one ``eigvals`` call. A stacked call that
+    fails leaves its matrices to one call each, so a failure surfaces at
     its own matrix.
     """
     eigs = [None] * len(arrs)
@@ -293,38 +294,28 @@ def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
             continue
         for i, wi in zip(idx, w):
             eigs[i] = wi
-    rows = [None if w is None else _clusters(A, w, cluster_tol) for A, w in zip(arrs, eigs)]
-    known = _ladder_svals(arrs, rows)
-    for A, clusters, svals in zip(arrs, rows, known):
-        if clusters is None:
-            clusters = _clusters(A, _eigvals(A), cluster_tol)
-        mins = _rank_ladder(A, [(c, radius) for c, _, radius in clusters], svals)
-        for (lam, s, _), r in zip(clusters, mins):
-            if r > s:
-                raise SpectralError(
-                    f"cluster at {lam:.6g} holds {s} eigenvalue(s) but its rank ladder "
-                    f"gives minimal multiplicity {r}; a defective eigenvalue was split"
-                )
-        yield SpectralData(
-            eigenvalues=tuple(c for c, _, _ in clusters),
-            alg_mult=tuple(n for _, n, _ in clusters),
-            min_mult=mins,
-            dim=A.shape[0],
-        )
+    for A, w in zip(arrs, eigs):
+        w = _eigvals(A) if w is None else w
+        rows = _clusters(w, cluster_threshold(A, cluster_tol))
+        yield SpectralData([c for c, _, _ in rows], [n for _, n, _ in rows], None, A.shape[0],
+                           radii=[r for _, _, r in rows], matrix=A)
 
 
 def analyze(M, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
-    """Cluster the spectrum and attach minimal-polynomial multiplicities.
+    """Cluster the spectrum; minimal multiplicities follow on first read.
 
     This is the one place where the package decides what counts as a
     single eigenvalue; every other routine takes that decision from here
-    or from ``spectra=`` data built with it. The rank threshold of a
-    cluster is at least (100 radius)^j at power j; since the smallest
-    singular value of M - c I is at most the radius, a merged cluster
-    always reads as an eigenvalue. A cluster whose rank ladder still
-    exceeds its algebraic multiplicity raises :class:`SpectralError`.
-    This is the one-matrix case of :func:`_analyze_all`, which analyses
-    the slots of one call together and decides exactly as this does.
+    or from ``spectra=`` data built with it. It costs one ``eigvals``
+    call. The rank ladder runs only when ``min_mult`` is first read
+    (:func:`minimal_polynomial`, ``is_diagonalizable``, the eigenbasis
+    route, derived spectra): the rank threshold of a cluster is at least
+    (100 radius)^j at power j, and since the smallest singular value of
+    M - c I is at most the radius, a merged cluster always reads as an
+    eigenvalue. A cluster whose ladder still exceeds its algebraic
+    multiplicity raises :class:`SpectralError` on that read. The tensor
+    extension reads :attr:`SpectralData.blocks` instead, which needs no
+    ladder. This is the one-matrix case of :func:`_analyze_all`.
     """
     [data] = _analyze_all([as_square_matrix(M)], cluster_tol)
     return data

@@ -1,6 +1,7 @@
 """Exercise the command line surface in-process plus one installed-script run."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -215,16 +216,31 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
 
 
 def test_linalg_failure_exit_2(tmp_path, capsys, monkeypatch):
-    # numpy's LinAlgError subclasses ValueError, which would read as bad input
+    # numpy's LinAlgError subclasses ValueError, which would read as bad input;
+    # projderiv calls np.linalg.eig for its eigenvectors
+    def eig(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 2.0]])
+    argv = ["projderiv", "--mat", m, "--dir", m, "--eigen", "1", "--order", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "matfn: numerical failure: Eigenvalues did not converge\n"
+
+
+def test_eval_needs_no_svd(tmp_path, capsys, monkeypatch):
+    # the tensor extension runs no rank ladder, so a failing SVD goes unnoticed
     def svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     m = write_matrix(tmp_path, "m.json", [[1.0, 1.0], [0.0, 2.0]])
-    code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
-    assert code == 2
-    assert out == ""
-    assert err == "matfn: numerical failure: SVD did not converge\n"
+    code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m, "--as-matrix"])
+    assert (code, err) == (0, "")
+    want = [[np.e, np.e**2 - np.e], [0.0, np.e**2]]
+    assert np.allclose(fileio.matrix_from_obj(json.loads(out)), want, rtol=1e-14, atol=0)
 
 
 def test_non_finite_values_exit_2(tmp_path, capsys):
@@ -266,44 +282,80 @@ def test_close_eigenvalues_are_one_cluster(tmp_path, capsys):
     assert np.max(np.abs(got - np.diag(np.exp(lams)))) <= 1e-8
 
 
-def test_split_defective_eigenvalue_exit_2(tmp_path, capsys):
+def _j4_corner():
     M = np.eye(5, dtype=complex) + np.eye(5, k=1)
     M[3, 4] = 0.0
     M[4, 4] = 2.5
     M[3, 0] = 1e-14
+    return M
+
+
+def test_split_defective_eigenvalue_exit_0(tmp_path, capsys):
+    # J4(1) + [2.5] with 1e-14 in the corner: rounding splits the Jordan block
+    # into four eigenvalues about 3e-4 apart, which the grid takes as one block
+    M = _j4_corner()
     m = write_matrix(tmp_path, "j4.json", M)
-    # the four rank-fragility warnings become stderr lines; none escapes
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m, "--as-matrix"])
+    assert escaped == []
+    assert (code, err) == (0, "")
+    # X = M_block - I has X^4 = 1e-14 I, so exp(M_block) = e sum_r X^r sum_q 1e-14^q / (4q + r)!
+    X = M[:4, :4] - np.eye(4)
+    want = np.zeros((5, 5), dtype=complex)
+    for r in range(4):
+        c = sum(1e-14**q / math.factorial(4 * q + r) for q in range(3))
+        want[:4, :4] += np.e * c * np.linalg.matrix_power(X, r)
+    want[4, 4] = np.exp(2.5)
+    got = fileio.matrix_from_obj(json.loads(out))
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def _warns_then(monkeypatch, messages, error=None):
+    """Make ``eval`` issue RuntimeWarnings with ``messages``, then raise ``error``."""
+    from matfn.funcalc import f_otimes
+
+    def warning_f_otimes(f, mats, **kwargs):
+        for message in messages:
+            warnings.warn(message, RuntimeWarning)
+        if error is not None:
+            raise error
+        return f_otimes(f, mats, **kwargs)
+
+    monkeypatch.setattr(cli, "f_otimes", warning_f_otimes)
+
+
+def test_warnings_are_lines_before_the_error(tmp_path, capsys, monkeypatch):
+    from matfn import SpectralError
+
+    _warns_then(monkeypatch, ["rank decision one is within 10x", "rank decision two is within 10x"],
+                SpectralError("a defective eigenvalue was split"))
+    m = write_matrix(tmp_path, "m.json", np.diag([1.0, 2.0]))
+    # the warnings become stderr lines; none escapes
     with warnings.catch_warnings(record=True) as escaped:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
     assert escaped == []
-    assert code == 2
-    assert out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.startswith("matfn: warning: rank decision") for line in lines[:4])
-    assert all("within 10x" in line for line in lines[:4])
-    assert lines[4].startswith("matfn: numerical failure: ")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "matfn: warning: rank decision one is within 10x",
+        "matfn: warning: rank decision two is within 10x",
+        "matfn: numerical failure: a defective eigenvalue was split",
+    ]
     assert "runpy" not in err and "RuntimeWarning" not in err
 
 
-def test_warning_raised_as_error_exit_2(tmp_path, capsys):
-    # under -W error::RuntimeWarning the first rank-fragility warning is an
-    # exception; it is a numerical failure, not a traceback
-    M = np.eye(5, dtype=complex) + np.eye(5, k=1)
-    M[3, 4] = 0.0
-    M[4, 4] = 2.5
-    M[3, 0] = 1e-14
-    m = write_matrix(tmp_path, "j4.json", M)
+def test_warning_raised_as_error_exit_2(tmp_path, capsys, monkeypatch):
+    # under -W error::RuntimeWarning the first warning is an exception; it is
+    # a numerical failure, not a traceback
+    _warns_then(monkeypatch, ["rank decision within 10x of the threshold", "never issued"])
+    m = write_matrix(tmp_path, "m.json", np.diag([1.0, 2.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
     assert code == 2
     assert out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("matfn: numerical failure: rank decision")
-    assert "within 10x" in lines[0]
+    assert err == "matfn: numerical failure: rank decision within 10x of the threshold\n"
 
 
 def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):

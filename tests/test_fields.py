@@ -1,7 +1,9 @@
 """Expression trees: evaluation, differentiation, parsing, grids."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -616,6 +618,25 @@ def test_shared_spectrum_grid_matches_the_tree_walk(field, spectrum, monkeypatch
     assert returned[0] is G
     assert G.shape == walk.shape and G.flags.c_contiguous
     assert np.abs(G - walk).max() <= 1e-13 * np.abs(walk).max()
+
+
+def test_large_grids_keep_no_index_arrays():
+    # the n = 4 grid of 1/(x1 + 5) at d = 16 sorts 16^5 index tuples; the cache
+    # kept 8.5 MiB of them after the grid was gone
+    field = divided_difference_field(parse_field("1/(x1 + 5)"), 4)
+    spectrum = [[(complex(x, 0.1 * i), 1) for i, x in enumerate(np.linspace(-1, 1, 16))]] * 5
+    gc.collect()
+    tracemalloc.start()
+    try:
+        G = derivative_grid(field, spectrum)
+        assert G.shape == (16,) * 5
+        del G
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < sf._TUPLES_KEPT * 16 * 2 * 8  # at most 16 cached shapes of two arrays
+    assert sf._kept_tuples.cache_info().currsize <= 16
 
 
 def test_other_spectra_take_the_tree_walk(monkeypatch):

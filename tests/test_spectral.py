@@ -14,7 +14,7 @@ from matfn import (
     parse_field,
 )
 from matfn.funcalc import jordan_matrix
-from matfn.spectral import _analyze_all, _rank_ladder, merge_clusters
+from matfn.spectral import _analyze_all, _clusters, _rank_ladder, merge_clusters
 
 
 def companion(coeffs):
@@ -68,7 +68,8 @@ def test_analyze_sorts_by_real_then_imag():
     data = analyze(M)
     assert data.eigenvalues == (-1.0 + 0j, 0.5 + 0j, 2.0 + 0j)
     assert data.alg_mult == (1, 1, 2)
-    assert data.grid_entries() == [(-1.0 + 0j, 1), (0.5 + 0j, 1), (2.0 + 0j, 1)]
+    assert data.blocks == ((-1.0 + 0j, 1, 0.0), (0.5 + 0j, 1, 0.0), (2.0 + 0j, 2, 0.0))
+    assert data.min_mult == (1, 1, 1)
 
 
 def test_conjugated_jordan_needs_looser_clustering():
@@ -98,12 +99,22 @@ def test_merged_cluster_is_one_eigenvalue():
 
 def test_split_defective_eigenvalue_is_a_spectral_error():
     # 1e-14 in the corner of J4(1) splits it into four eigenvalues about
-    # 3e-4 apart; each stays its own cluster and its rank ladder reads 2
+    # 3e-4 apart; each stays its own cluster, and its rank ladder, run when
+    # min_mult is first read, reads 2. analyze alone warns and raises nothing.
     M = jordan_matrix([(1.0, 4), (2.5, 1)])
     M[3, 0] = 1e-14
-    with pytest.warns(RuntimeWarning, match="within 10x"):
-        with pytest.raises(SpectralError, match="holds 1 eigenvalue.*multiplicity 2"):
-            analyze(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = analyze(M)
+    assert data.alg_mult == (1, 1, 1, 1, 1)
+    for read in (lambda: data.min_mult, lambda: minimal_polynomial(data)):
+        with pytest.warns(RuntimeWarning, match="within 10x"):
+            with pytest.raises(SpectralError, match="holds 1 eigenvalue.*multiplicity 2"):
+                read()
+    # the tensor extension's grid sees one block of four instead
+    [(c, size, radius), (c2, size2, radius2)] = data.blocks
+    assert (size, size2, radius2, c2) == (4, 1, 0.0, 2.5)
+    assert abs(c - 1) < 1e-15 and 3e-4 < radius < 3.3e-4
 
 
 def test_nearby_simple_eigenvalues_stay_eigenvalues():
@@ -116,10 +127,13 @@ def test_nearby_simple_eigenvalues_stay_eigenvalues():
     data = analyze(M)
     assert data.alg_mult == (1, 1) and data.min_mult == (1, 1)
     assert np.allclose(data.eigenvalues, lams, rtol=0, atol=1e-14)
+    # the grid takes both as one block of two at their mean, padded: a
+    # difference quotient across the gap would lose eps/gap, about 2e-9
+    [(c, size, radius)] = data.blocks
+    assert size == 2 and abs(c - 1 - 5e-8) < 1e-15 and abs(radius - 5e-8) < 1e-15
     F = matrix_function(parse_field("exp(x1)"), M)
     want = Q @ np.diag(np.exp(lams)) @ Q.T
-    # a difference quotient across the gap loses eps/gap: about 2e-9
-    assert np.linalg.norm(F - want) <= 2.2e-9 * np.linalg.norm(want)
+    assert np.linalg.norm(F - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_minimal_multiplicities_rejects_non_eigenvalue():
@@ -273,14 +287,25 @@ def _outcome(fn, *args):
     return got, [str(w.message) for w in rec]
 
 
+def _decided(data):
+    """``data`` after reading ``min_mult``: the rank ladder's decisions, warnings and errors."""
+    data.min_mult
+    return data
+
+
 def test_analyze_decides_as_the_per_cluster_ladder():
     corpus = _ladder_corpus()
     kinds = set()
     for M in corpus:
         want, want_warned = _outcome(_reference_analyze, M)
-        got, warned = _outcome(analyze, M)
+        # analyze clusters only; reading min_mult runs the ladder, once
+        data, quiet = _outcome(analyze, M)
+        assert quiet == [] and data._min_mult is None
+        got, warned = _outcome(_decided, data)
         assert got == want
         assert warned == want_warned
+        if not isinstance(want, str):
+            assert _outcome(_decided, data) == (want, [])
         kinds.add((isinstance(want, str), bool(want_warned)))
     # the corpus reaches a split error, warnings, and quiet success
     assert {(True, True), (False, False)} <= kinds
@@ -288,18 +313,20 @@ def test_analyze_decides_as_the_per_cluster_ladder():
 
 
 def test_batched_pass_matches_one_matrix_at_a_time():
-    # all valid corpus matrices in one pass: equal sizes share their calls
+    # all valid corpus matrices in one pass: equal sizes share their eigvals call,
+    # and each ladder runs, in slot order, when its min_mult is read
     valid = [np.asarray(M, dtype=complex) for M in _ladder_corpus()
              if not isinstance(_outcome(_reference_analyze, M)[0], str)]
     want, want_warned = zip(*(_outcome(_reference_analyze, M) for M in valid))
-    got, warned = _outcome(lambda: list(_analyze_all(valid)))
+    got, warned = _outcome(lambda: [_decided(d) for d in _analyze_all(valid)])
     assert got == list(want)
     assert warned == [m for ms in want_warned for m in ms]
+    assert [d.radii for d in _analyze_all(valid)] == [analyze(M).radii for M in valid]
 
 
 def test_failed_stacked_call_falls_back_to_one_matrix_at_a_time(monkeypatch):
     mats = [np.asarray(M, dtype=complex) for M in _ladder_corpus()[:30]]
-    want = _outcome(lambda: list(_analyze_all(mats)))
+    want = _outcome(lambda: [_decided(d) for d in _analyze_all(mats)])
 
     def stack_fails(fn):
         def call(a, *args, **kwargs):
@@ -309,8 +336,7 @@ def test_failed_stacked_call_falls_back_to_one_matrix_at_a_time(monkeypatch):
         return call
 
     monkeypatch.setattr(np.linalg, "eigvals", stack_fails(np.linalg.eigvals))
-    monkeypatch.setattr(np.linalg, "svd", stack_fails(np.linalg.svd))
-    assert _outcome(lambda: list(_analyze_all(mats))) == want
+    assert _outcome(lambda: [_decided(d) for d in _analyze_all(mats)]) == want
 
     def never_converges(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -318,3 +344,43 @@ def test_failed_stacked_call_falls_back_to_one_matrix_at_a_time(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", never_converges)
     with pytest.raises(SpectralError, match="eigenvalue iteration failed"):
         analyze(np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# clusters and the blocks of the tensor extension's grid
+
+
+def test_equal_eigenvalues_cluster_at_the_value_itself():
+    # m copies of z average to (m z)/m, which can be an ulp off z
+    zs = np.random.default_rng(7).normal(size=(200, 2)) @ [1, 1j]
+    offs = 0
+    for m in range(1, 9):
+        for z in zs:
+            [(c, count, radius)] = _clusters(np.full(m, z), 1e-8)
+            assert (complex(c).real, complex(c).imag, count, radius) == (z.real, z.imag, m, 0.0)
+            offs += complex(sum([z] * m) / m) != z
+    assert offs > 0  # the mean is off somewhere
+    # an exact Jordan block: one cluster and one block, at its eigenvalue, of radius 0
+    for m in range(1, 9):
+        data = analyze(jordan_matrix([(0.1 + 0.7j, m), (2.0, 1)]))
+        assert data.eigenvalues == (0.1 + 0.7j, 2.0 + 0j) and data.radii == (0.0, 0.0)
+        assert data.blocks == ((0.1 + 0.7j, m, 0.0), (2.0 + 0j, 1, 0.0))
+
+
+def test_blocks_of_explicit_data_keep_their_orders():
+    data = SpectralData((1.0 + 0j, 1.0 + 1e-6j), (2, 1), (1, 1), 3)
+    assert data.blocks == ((1.0 + 0j, 1, 0.0), (1.0 + 1e-6j, 1, 0.0))
+
+
+def test_block_scale_is_the_spectral_radius_not_the_norm():
+    # ||M||_F is about 4e3 but the eigenvalues are 1 apart: a block threshold
+    # of 5e-3 ||M||_F would merge them all; 5e-3 * 10 max(1, rho) does not
+    M = np.diag([0.0, 1.0, 2.0, 3.0])
+    M[0, 3] = 4e3
+    assert np.linalg.norm(M) > 3.9e3
+    data = analyze(M)
+    assert [size for _, size, _ in data.blocks] == [1, 1, 1, 1]
+    # eigenvalues 1e-2 apart at scale ||M||_F = 10 are within 5e-3 * 10: one block
+    close = analyze(np.diag([0.0, 1e-2, 6.0, 8.0]))
+    assert [size for _, size, _ in close.blocks] == [2, 1, 1]
+    assert close.blocks[0] == (5e-3 + 0j, 2, 5e-3)
