@@ -4,8 +4,15 @@ The directional derivative of the tensor extension is itself a tensor
 extension: differentiating slot p along H equals the extension of the
 difference quotient in that slot, with the duplicated slot contracted
 through H. Higher derivatives along a line M + zH reduce the same way to
-divided-difference fields of higher order. The last section implements
-the perturbation series of simple eigenvalues and their projectors.
+divided-difference fields of higher order, whose extension at copies of
+one matrix A has every adjacent pair of slots contracted through H. That
+chain is summed without the extension: all slots share one Newton basis
+on A's spectrum, and the sum over the divided-difference field's
+coefficients C[i_0..i_n] of N_{i_0} H N_{i_1} ... H N_{i_n} is one
+contraction. The paper's route, the extension and its contractions, stays
+public and is the chain's oracle in ``verify``. The last section
+implements the perturbation series of simple eigenvalues and their
+projectors.
 """
 
 from __future__ import annotations
@@ -16,16 +23,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpectralError
-from .funcalc import f_otimes
+from .errors import FieldDomainError, SpectralError
+from .funcalc import _padded_nodes, f_otimes
+from .interp import _coefficients, hermite_basis
 from .scalarfield import (
     ProjKernel,
     ScalarField,
     SlotDividedDifference,
+    _shared_spectrum_grid,
+    derivative_grid,
     field_divided_difference_levels,
 )
-from .spectral import analyze, as_square_matrix, cluster_threshold
-from .tensor import OperatorTensor, contract_adjacent_through
+from .spectral import _analyze_all, analyze, as_square_matrix, cluster_threshold
+from .tensor import (
+    _LETTERS,
+    OperatorTensor,
+    _contract,
+    _newton_stack,
+    _pairs,
+    contract_adjacent_through,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +148,9 @@ def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.nd
 
     n! times the extension of the n-th divided-difference field of f at
     n + 1 copies of A = M + at H, with every adjacent pair of slots
-    contracted through H. The contractions edit the extension's network,
-    so the d^(2(n+1)) tensor is never formed.
+    contracted through H: the chain sum C[i_0..i_n] N_{i_0} H N_{i_1} ... H N_{i_n}
+    of :func:`_chain`, so neither the d^(2(n+1)) tensor nor the extension
+    is formed.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
@@ -140,16 +158,16 @@ def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.nd
         raise ValueError("derivative order must be nonnegative")
     Hm = as_square_matrix(H, "direction")
     A = as_square_matrix(M) + complex(at) * Hm
-    g = f if n == 0 else divided_difference_field(f, n)
-    return math.factorial(n) * _chain(g, A, Hm)
+    return math.factorial(n) * _chain(f, A, Hm, (1,) * (n + 1))
 
 
 def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
     """d^n/dz^n Tr f(M + zH) at z = ``at``.
 
-    Uses the n-argument field with one doubled node instead of the full
-    (n+1)-argument field: the cyclic symmetry of the trace closes the
-    chain, so one slot fewer is needed than for the matrix derivative.
+    Uses the n-argument field with one doubled node, f[x_1, ..., x_n, x_n],
+    instead of the full (n+1)-argument field: the cyclic symmetry of the
+    trace closes the chain, so one slot fewer is needed than for the
+    matrix derivative.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
@@ -158,17 +176,56 @@ def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
     Hm = as_square_matrix(H, "direction")
     A = as_square_matrix(M) + complex(at) * Hm
     if n == 0:
-        return complex(np.trace(_chain(f, A, Hm)))
-    R = _chain(doubled_node_difference_field(f, n, n - 1), A, Hm)
+        return complex(np.trace(_chain(f, A, Hm, (1,))))
+    R = _chain(f, A, Hm, (1,) * (n - 1) + (2,))
     return math.factorial(n) * complex(np.trace(R @ Hm))
 
 
-def _chain(g: ScalarField, A: np.ndarray, Hm: np.ndarray) -> np.ndarray:
-    """The extension of ``g`` at copies of A, its adjacent slots chained through H."""
-    T = f_otimes(g, [A] * g.arity, spectra=[analyze(A)] * g.arity)
-    for slot in reversed(range(g.arity - 1)):
-        T = contract_adjacent_through(T, slot, Hm)
-    return T.data
+def _chain(f: ScalarField, A: np.ndarray, Hm: np.ndarray, mults) -> np.ndarray:
+    """sum C[i_1..i_t] N_{i_1} H N_{i_2} ... H N_{i_t} for g = f[x_1^{m_1}, ..., x_t^{m_t}] at A.
+
+    Every slot shares one Newton basis on A's blocks, each node at the
+    largest order any slot's Taylor pad asks for (:func:`_padded_nodes`),
+    with centres z and N_i = prod_{j<i} (A - z_j I). The grid of g comes
+    from one walk of f at the nodes and the level recursion where every
+    order is 1, from the jet walks otherwise; C is that grid with each
+    axis mapped through the basis's transform, checked against it. For
+    ``mults`` = (1, ..., 1), C[i_1..i_t] = f[z_0..z_{i_1} + ... + z_0..z_{i_t}],
+    one divided difference over the merged multiset (de Boor, "Divided
+    differences", Surveys in Approximation Theory 1, 2005). The sum is one
+    contraction of C, the stack of the N_i and H, or a fold over the slots
+    when it has more indices than einsum has letters.
+    """
+    [sd] = _analyze_all([A])
+    t = len(mults)
+    g = ScalarField(t, SlotDividedDifference(f.root, 1, 0, tuple(mults)))
+    try:
+        padded = _padded_nodes(g, [sd.blocks] * t, 0)
+        nodes = [(e[0][0], max(o for _, o in e)) for e in zip(*padded)]
+        G = None
+        if all(o == 1 for _, o in nodes):
+            G = _shared_spectrum_grid(g.root, [np.array([c for c, _ in nodes])] * t)
+        if G is None:
+            G = derivative_grid(g, [nodes] * t)
+    except FieldDomainError as exc:
+        raise FieldDomainError(
+            f"field is not defined on the spectral grid of the arguments: {exc}"
+        ) from exc
+    basis = hermite_basis(nodes)
+    C = _coefficients(G, [basis] * t)
+    S = _newton_stack(A, basis.centres[:-1])  # N_0, ..., N_{r-1}
+    if 3 * t <= len(_LETTERS):
+        # the subscripts of poly_tensor_eval's network with every adjacent pair of
+        # slots contracted through H, so the sums are the paper route's to the bit
+        idx, pairs = _LETTERS[2 * t : 3 * t], _pairs(t)
+        through = [pairs[l][1] + pairs[l + 1][0] for l in reversed(range(t - 1))]
+        subs = [idx] + [i + p for i, p in zip(idx, pairs)] + through
+        return _contract([C] + [S] * t + [Hm] * (t - 1), subs, pairs[0][0] + pairs[-1][1])
+    # more indices than einsum has letters: fold from the last slot
+    R, P = np.tensordot(C, S, axes=(t - 1, 0)), S @ Hm
+    for _ in range(t - 1):
+        R = np.einsum("iab,...ibc->...ac", P, R)
+    return R
 
 
 # ---------------------------------------------------------------------------

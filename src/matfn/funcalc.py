@@ -30,7 +30,7 @@ from .spectral import SpectralData, _analyze_all, analyze, as_slot_matrices  # n
 from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
 
 _LETTERS = string.ascii_letters
-#: The largest Taylor pad of a block (:func:`_padded_grid`): radius rho at distance R
+#: The largest Taylor pad of a block (:func:`_padded_nodes`): radius rho at distance R
 #: from f's nearest singularity needs about log(eps) / log(rho / R); 32 covers rho / R <= 1/3.
 PAD_CAP = 32
 
@@ -56,7 +56,7 @@ def f_otimes(
     The grid of each slot has one node per block of its spectrum
     (:attr:`~matfn.spectral.SpectralData.blocks`), at the block's centre,
     with the order s + p for a block of size s: p is the Taylor pad of
-    :func:`_padded_grid`, 0 at radius 0. No rank ladder runs.
+    :func:`_padded_nodes`, 0 at radius 0. No rank ladder runs.
     ``spectra`` overrides the per-slot eigenvalue analysis; pass it when
     the spectra are known exactly or are over-provisioned upper bounds
     (matching on a finer grid still yields the same tensor, it only asks
@@ -88,41 +88,41 @@ def f_otimes(
 
 
 def _padded_grid(f: ScalarField, blocks, pad: int):
-    """The derivative grid of ``f`` on the blocks of each slot, and its node lists.
+    """The derivative grid of ``f`` on the blocks of each slot, and the node lists of
+    :func:`_padded_nodes`."""
+    nodes = _padded_nodes(f, blocks, pad)
+    return derivative_grid(f, nodes), nodes
 
-    A block (c, s, rho) is the node c of order s + ``pad`` + p. Radius 0
-    means p = 0. Otherwise p is the smallest pad past which every Taylor
-    term rho^j |d^j f| / j! up to order s + ``pad`` + ``PAD_CAP`` is at
-    most eps times the largest Taylor coefficient of order below the block
-    sizes on the grid, the entries of f(J) at a Jordan block J. That tail
-    bounds the remainder on eigenvalues within rho of c (Davies & Higham,
-    SIMAX 25(2), 2003, sec. 2.3); one small term does not, since a
-    coefficient can vanish, as sin's does at pi. The terms come from one
-    walk per slot that holds such a block, its blocks of positive radius
-    walked to the cap and every other node at its unpadded order; the
-    derivative is at its largest over the other slots' nodes. A term above
-    the bound at the cap is a :class:`SpectralError`.
+
+def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, int]]]:
+    """Each slot's grid nodes on its blocks: (c, s, rho) is the node c of order s + ``pad`` + p.
+
+    Radius 0 means p = 0. Otherwise p is the smallest pad past which every
+    Taylor term rho^j |d^j f| / j! up to order s + ``pad`` + ``PAD_CAP`` is
+    at most eps times the largest Taylor coefficient of order below the
+    block sizes on the grid, the entries of f(J) at a Jordan block J. That
+    tail bounds the remainder on eigenvalues within rho of c (Davies &
+    Higham, SIMAX 25(2), 2003, sec. 2.3); one small term does not, since a
+    coefficient can vanish, as sin's does at pi. The largest coefficient
+    comes from one walk at the block sizes. The terms come from one walk
+    per slot that holds such a block, its blocks of positive radius walked
+    to the cap, its other nodes at their unpadded order and the other
+    slots' nodes at order 1: the derivative is at its largest over the
+    other slots' nodes. A term above the bound at the cap is a
+    :class:`SpectralError`.
     """
-    base = [[(c, s + pad) for c, s, _ in b] for b in blocks]
-    final = [list(e) for e in base]
-    for l, b in enumerate(blocks):
-        if not any(rho > 0 for _, _, rho in b):
-            continue
-        nodes = list(base)
-        nodes[l] = [(c, o + PAD_CAP + 1 if blk[2] > 0 else o) for (c, o), blk in zip(base[l], b)]
-        # |G| / prod_i j_i!, the Taylor coefficients; j_i is the order of a row along axis i
-        js = [np.concatenate([np.arange(r) for _, r in e]) for e in nodes]
-        coef = np.abs(derivative_grid(f, nodes))
-        for i, j in enumerate(js):
-            fact = np.array([math.factorial(x) for x in j.tolist()], dtype=float)
-            coef = coef / fact.reshape((-1,) + (1,) * (len(js) - 1 - i))
-        sized = [np.concatenate([np.arange(r) < s for (_, r), (_, s, _) in zip(e, bs)])
-                 for e, bs in zip(nodes, blocks)]
-        tol = np.finfo(float).eps * coef[np.ix_(*sized)].max(initial=0.0)
-        rows = [np.arange(j.size) if i == l else np.flatnonzero(j == 0) for i, j in enumerate(js)]
-        along = np.moveaxis(coef[np.ix_(*rows)], l, 0).reshape(js[l].size, -1).max(axis=1)
-        at = 0
-        for m, ((c, s, rho), (_, r)) in enumerate(zip(b, nodes[l])):
+    final = [[(c, s + pad) for c, s, _ in b] for b in blocks]
+    padded = [l for l, b in enumerate(blocks) if any(rho > 0 for _, _, rho in b)]
+    if not padded:
+        return final
+    tol = np.finfo(float).eps * _taylor(f, [[(c, s) for c, s, _ in b] for b in blocks]).max()
+    for l in padded:
+        nodes = [[(c, 1) for c, _, _ in b] for b in blocks]
+        nodes[l] = [(c, o + PAD_CAP + 1 if rho > 0 else o)
+                    for (c, o), (_, _, rho) in zip(final[l], blocks[l])]
+        along = np.moveaxis(_taylor(f, nodes), l, 0).reshape(sum(r for _, r in nodes[l]), -1)
+        along, at = along.max(axis=1), 0
+        for m, ((c, s, rho), (_, r)) in enumerate(zip(blocks[l], nodes[l])):
             o = s + pad
             big = np.flatnonzero(along[at + o : at + r] * rho ** np.arange(o, r) > tol)
             if big.size and big[-1] == r - o - 1:
@@ -131,7 +131,17 @@ def _padded_grid(f: ScalarField, blocks, pad: int):
             if big.size:  # empty at radius 0, where r = o
                 final[l][m] = (c, o + int(big[-1]) + 1)
             at += r
-    return derivative_grid(f, final), final
+    return final
+
+
+def _taylor(f: ScalarField, nodes) -> np.ndarray:
+    """|G| / prod_i j_i! on the grid of ``nodes``: the moduli of f's Taylor coefficients;
+    j_i is the order of a row along axis i."""
+    coef = np.abs(derivative_grid(f, nodes))
+    for i, e in enumerate(nodes):
+        fact = np.array([math.factorial(j) for _, r in e for j in range(r)], dtype=float)
+        coef = coef / fact.reshape((-1,) + (1,) * (len(nodes) - 1 - i))
+    return coef
 
 
 def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:

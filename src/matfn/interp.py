@@ -206,8 +206,13 @@ def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
     what the conditioning allows) and becomes the result's ``dense`` array
     as is, with each basis's ``centres``.
     """
-    k = len(bases)
-    if k == 0:
+    return MultiPoly(len(bases), _coefficients(G, bases), [b.centres for b in bases])
+
+
+def _coefficients(G, bases: list[HermiteBasis]) -> np.ndarray:
+    """The coefficient tensor of :func:`interpolate`, checked against ``G``; untrimmed,
+    axis l has ``bases[l].size`` rows."""
+    if not bases:
         raise ValueError("at least one variable is required")
     shape = tuple(b.size for b in bases)
     G = np.asarray(G, dtype=complex)
@@ -221,7 +226,7 @@ def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
         raise InterpolationError("derivative grid holds a non-finite value")
     dense = _along_axes(G, [b.transform for b in bases])
     _verify_against_grid(dense, G, bases)
-    return MultiPoly(k, dense, [b.centres for b in bases])
+    return dense
 
 
 def _along_axes(T: np.ndarray, mats) -> np.ndarray:

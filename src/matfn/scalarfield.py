@@ -1200,8 +1200,9 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
         return [ms for ms in (simple, rest) if ms]
 
     if all(r == 1 for entries in per_var for _, r in entries):
-        G = _shared_spectrum_grid(f.root, per_var)
-        return _evaluate_on(f.root, eigenvalues(per_var)) if G is None else G
+        axes = eigenvalues(per_var)
+        G = _shared_spectrum_grid(f.root, [x.ravel() for x in axes])
+        return _evaluate_on(f.root, axes) if G is None else G
     # first row of each node along its axis
     starts = [list(itertools.accumulate((r for _, r in e), initial=0)) for e in per_var]
     G = np.empty(tuple(s[-1] for s in starts), dtype=complex)
@@ -1236,28 +1237,29 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
     return G
 
 
-def _shared_spectrum_grid(root: Node, per_var):
+def _shared_spectrum_grid(root: Node, lams) -> np.ndarray | None:
     """The order-1 grid of a divided difference on a shared spectrum, or None.
 
-    ``per_var`` holds each variable's (eigenvalue, 1) pairs. Taken where
-    ``root`` is a :class:`SlotDividedDifference`, with none below it, whose
-    node variables share one list of eigenvalues, no two :func:`confluent`.
-    The base is walked once, as jets in the slot variable at that list,
-    the other variables on broadcast axes. Sorted as :func:`_newton_levels`
-    sorts, a nondecreasing index tuple is the Newton entry
-    f[i0..ik] = (f[i1..ik] - f[i0..i(k-1)]) / (z_ik - z_i0), an all-equal
-    one a Taylor coefficient, any other its sorted permutation: the tree
-    walk's values. None elsewhere, and where the walk raises or a value is
-    not finite, so that the tree walk names the trouble.
+    ``lams`` holds each variable's eigenvalues, one array per variable.
+    Taken where ``root`` is a :class:`SlotDividedDifference`, with none
+    below it, whose node variables share one array of eigenvalues, no two
+    :func:`confluent`; a caller that has that array passes it once per node
+    variable. The base is walked once, as jets in the slot variable at
+    that array, the other variables on broadcast axes. Sorted as
+    :func:`_newton_levels` sorts, a nondecreasing index tuple is the Newton
+    entry f[i0..ik] = (f[i1..ik] - f[i0..i(k-1)]) / (z_ik - z_i0), an
+    all-equal one a Taylor coefficient, any other its sorted permutation:
+    the tree walk's values. None elsewhere, and where the walk raises or a
+    value is not finite, so that the tree walk names the trouble.
     """
     if type(root) is not SlotDividedDifference or _holds_dd(root.base):
         return None
     lo, t, n = root.slot, len(root.mults), sum(root.mults)
-    lams = [np.array([x for x, _ in e]) for e in per_var]
     lam, others = lams[lo], lams[:lo] + lams[lo + t :]
     r, q = lam.size, len(others)
     z, rank = np.sort(lam), np.argsort(np.argsort(lam))  # sorted as _newton_levels sorts
-    shared = all(y.tobytes() == lam.tobytes() for y in lams[lo + 1 : lo + t])  # -0.0 is not 0.0
+    # -0.0 is not 0.0
+    shared = all(y is lam or y.tobytes() == lam.tobytes() for y in lams[lo + 1 : lo + t])
     if not shared or not all(x.size for x in lams) or confluent(z[:, None], z).sum() > r:
         return None
     args = [x.reshape((1,) * j + (-1,) + (1,) * (q - j)) for j, x in enumerate(others)]
@@ -1275,9 +1277,11 @@ def _shared_spectrum_grid(root: Node, per_var):
             F[:, equal] = jets[..., k]
             F = F.reshape((len(F),) + (r,) * (k + 1))
     # table position p holds node variable v: a doubled variable reads a diagonal
-    axes = [rank.reshape((-1,) + (1,) * (t - 1 - v)) for v in np.repeat(range(t), root.mults)]
+    axes = [rank.reshape((-1,) + (1,) * (t - 1 - v)) for v, m in enumerate(root.mults)
+            for _ in range(m)]
     G = F[(slice(None), *axes)].reshape(tuple(x.size for x in others) + (r,) * t)
-    G = np.ascontiguousarray(np.moveaxis(G, range(q, q + t), range(lo, lo + t)))
+    if q:  # the node variables' axes at their place among the others'
+        G = np.ascontiguousarray(np.moveaxis(G, range(q, q + t), range(lo, lo + t)))
     return G if np.isfinite(G).all() else None
 
 

@@ -85,9 +85,10 @@ class SpectralData:
     ``min_mult``, each eigenvalue at that size and radius 0; with a
     ``matrix``, the clusters within ``BLOCK_TOL`` times its scale of each
     other, merged as :func:`merge_clusters` merges, at the mean of their
-    eigenvalues (the value itself if all are equal). So a defective
-    eigenvalue that rounding split is one block again. Equality and hash
-    read ``min_mult``, so they run the ladder of such data once.
+    eigenvalues (the value itself if all are equal), built on the first
+    read. So a defective eigenvalue that rounding split is one block again.
+    Equality and hash read ``min_mult``, so they run the ladder of such
+    data once.
     """
 
     def __init__(self, eigenvalues, alg_mult, min_mult, dim, *, radii=None, matrix=None):
@@ -97,7 +98,7 @@ class SpectralData:
             raise ValueError("spectral data fields have mismatched lengths")
         if sum(self.alg_mult) != dim:
             raise ValueError("algebraic multiplicities must sum to the dimension")
-        self._matrix, self._min_mult = matrix, None
+        self._matrix, self._min_mult, self._blocks = matrix, None, None
         if matrix is None:
             if len(min_mult) != len(self.alg_mult):
                 raise ValueError("spectral data fields have mismatched lengths")
@@ -105,15 +106,21 @@ class SpectralData:
                 if not 1 <= r <= s:
                     raise ValueError(f"minimal multiplicity {r} outside [1, {s}]")
             self._min_mult = tuple(min_mult)
-            self.blocks = tuple((c, r, 0.0) for c, r in zip(self.eigenvalues, self._min_mult))
-            return
-        scale = min(hs_norm(matrix), 10 * max(1.0, max(map(abs, self.eigenvalues), default=0.0)))
-        blocks = []
-        for g in merge_clusters(self.eigenvalues, BLOCK_TOL * scale):
-            cs, ns = [self.eigenvalues[i] for i in g], [self.alg_mult[i] for i in g]
-            c = cs[0] if cs.count(cs[0]) == len(cs) else sum(map(operator.mul, ns, cs)) / sum(ns)
-            blocks.append((c, sum(ns), max(abs(x - c) + self.radii[i] for x, i in zip(cs, g))))
-        self.blocks = tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))
+            self._blocks = tuple((c, r, 0.0) for c, r in zip(self.eigenvalues, self._min_mult))
+
+    @property
+    def blocks(self) -> tuple[tuple[complex, int, float], ...]:
+        if self._blocks is None:
+            lams = self.eigenvalues
+            scale = min(hs_norm(self._matrix), 10 * max(1.0, max(map(abs, lams), default=0.0)))
+            blocks = []
+            for g in merge_clusters(lams, BLOCK_TOL * scale):
+                cs, ns = [lams[i] for i in g], [self.alg_mult[i] for i in g]
+                same = cs.count(cs[0]) == len(cs)
+                c = cs[0] if same else sum(map(operator.mul, ns, cs)) / sum(ns)
+                blocks.append((c, sum(ns), max(abs(x - c) + self.radii[i] for x, i in zip(cs, g))))
+            self._blocks = tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))
+        return self._blocks
 
     @property
     def min_mult(self) -> tuple[int, ...]:

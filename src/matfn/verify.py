@@ -10,6 +10,7 @@ acceptance tests both run these functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .funcalc import (
 )
 from .scalarfield import MultiPoly, parse_field
 from .spectral import analyze, minimal_polynomial
-from .tensor import poly_tensor_eval
+from .tensor import contract_adjacent_through, poly_tensor_eval
 
 
 @dataclass(frozen=True)
@@ -322,6 +323,15 @@ def suite_contr(seed, trials=8):
     return out
 
 
+def _paper_chain(g, A, H) -> np.ndarray:
+    """The paper's route: the extension of ``g`` at copies of A, adjacent slots contracted
+    through H, one slot at a time."""
+    T = f_otimes(g, [A] * g.arity)
+    for slot in reversed(range(g.arity - 1)):
+        T = contract_adjacent_through(T, slot, H)
+    return T.data
+
+
 def suite_diff(seed, trials=6):
     out = []
     rng = np.random.default_rng(seed)
@@ -366,6 +376,11 @@ def suite_diff(seed, trials=6):
             1.0, float(np.linalg.norm(exact))
         )
         out.append(CheckResult("diff", f"curve-richardson-n{n}-{t}", res, 1e-4))
+        paper = _paper_chain(calc.divided_difference_field(f, n), M + z0 * H, H)
+        res = float(np.linalg.norm(exact - math.factorial(n) * paper)) / max(
+            1.0, float(np.linalg.norm(exact))
+        )
+        out.append(CheckResult("diff", f"curve-paper-route-n{n}-{t}", res, 1e-8))
 
     # commuting direction: closed form f^(n)(A) H^n
     for t in range(3):
@@ -406,6 +421,10 @@ def suite_diff(seed, trials=6):
         via_curve = complex(np.trace(calc.nth_derivative_curve(f, M, H, n, 0.05)))
         res2 = abs(via_trace - via_curve) / max(1.0, abs(via_curve))
         out.append(CheckResult("diff", f"trace-vs-curve-n{n}-{t}", res2, 1e-8))
+        doubled = calc.doubled_node_difference_field(f, n, n - 1)
+        paper = math.factorial(n) * complex(np.trace(_paper_chain(doubled, M + 0.05 * H, H) @ H))
+        res3 = abs(via_trace - paper) / max(1.0, abs(via_trace))
+        out.append(CheckResult("diff", f"trace-paper-route-n{n}-{t}", res3, 1e-8))
 
     # eigenvalue and projector perturbation against tracked finite differences
     for t in range(3):

@@ -6,7 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import matfn.calculus as calculus
+import matfn.funcalc as funcalc
 import matfn.scalarfield as sf
+import matfn.spectral as spectral
+import matfn.tensor as tensor
 from matfn import (
     SpectralError,
     divided_difference,
@@ -21,6 +25,9 @@ from matfn import (
     projector_derivative,
     trace_derivative,
 )
+from matfn.funcalc import jordan_matrix
+from matfn.spectral import analyze
+from matfn.verify import _paper_chain
 
 rng = np.random.default_rng(31)
 
@@ -169,6 +176,106 @@ def test_curve_and_trace_derivatives_stay_small_and_accurate():
             tracemalloc.stop()
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect), route.__name__
         assert peak < 32 * 2**20, (route.__name__, peak)
+
+
+def _chain_case(name):
+    """(M, H, at) of one chain input: a normal M; an exact Jordan matrix; J_5(1)
+    conjugated, one block of positive radius, so that its Taylor pad is worked
+    out; and the normal M taken at z = 0.3 along H."""
+    r = np.random.default_rng(17)
+    if name == "jordan":
+        M = jordan_matrix([(0.5, 3), (-1.0 + 0.5j, 2)])
+    elif name == "conjugated":
+        S = np.random.default_rng(5).normal(size=(5, 5))
+        M = S @ jordan_matrix([(1.0, 5)]) @ np.linalg.inv(S)
+    else:
+        Q, _ = np.linalg.qr(r.standard_normal((4, 4)) + 1j * r.standard_normal((4, 4)))
+        M = Q @ np.diag([0.5, -1.0 + 0.5j, 1.5, 0.25j]) @ Q.conj().T
+    H = r.standard_normal(M.shape) / 2
+    return M, H, 0.3 if name == "shifted" else 0.0
+
+
+_CHAIN_CASES = ["normal", "jordan", "conjugated", "shifted"]
+
+
+@pytest.mark.parametrize("name", _CHAIN_CASES)
+@pytest.mark.parametrize("text", ["1/(x1 + 6)", "exp(x1)"])
+def test_curve_and_trace_agree_with_the_paper_route(name, text):
+    # the paper's route: the extension of the divided-difference field at
+    # copies of A, its adjacent slots contracted through H one at a time
+    M, H, at = _chain_case(name)
+    A = M + at * H
+    if name == "conjugated":
+        [(_, size, radius)] = analyze(A).blocks
+        assert size == 5 and radius > 0
+    f = parse_field(text)
+    for n in range(1, 5):
+        curve = nth_derivative_curve(f, M, H, n, at)
+        paper = math.factorial(n) * _paper_chain(divided_difference_field(f, n), A, H)
+        assert np.linalg.norm(curve - paper) <= 1e-12 * np.linalg.norm(paper), (n, "curve")
+        trace = trace_derivative(f, M, H, n, at)
+        doubled = doubled_node_difference_field(f, n, n - 1)
+        paper = math.factorial(n) * np.trace(_paper_chain(doubled, A, H) @ H)
+        assert abs(trace - paper) <= 1e-12 * abs(paper), (n, "trace")
+
+
+@pytest.mark.parametrize("name", _CHAIN_CASES)
+def test_a_chain_validates_once_and_builds_no_extension(name, monkeypatch):
+    # one check per argument, one analysis, one basis and one contraction;
+    # no extension is built, so no OperatorTensor either
+    M, H, at = _chain_case(name)
+    names, calls = [], {"_analyze_all": 0, "hermite_basis": 0, "_contract": 0}
+    check = spectral.as_square_matrix
+
+    def counting(A, name="matrix"):
+        names.append(name)
+        return check(A, name)
+
+    def counted(fn_name):
+        fn = getattr(calculus, fn_name)
+
+        def call(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain built a tensor extension")
+
+    for module in (spectral, calculus, tensor):
+        monkeypatch.setattr(module, "as_square_matrix", counting)
+    for fn_name in calls:
+        monkeypatch.setattr(calculus, fn_name, counted(fn_name))
+    for module, attr in ((calculus, "f_otimes"), (funcalc, "f_otimes"), (tensor, "_network")):
+        monkeypatch.setattr(module, attr, refuse)
+    f = parse_field("1/(x1 + 6)")
+    for n in range(1, 5):
+        for route in (nth_derivative_curve, trace_derivative):
+            names.clear()
+            calls.update(dict.fromkeys(calls, 0))
+            route(f, M, H, n, at)
+            assert names == ["direction", "matrix"], (route.__name__, n)
+            assert list(calls.values()) == [1, 1, 1], (route.__name__, n, calls)
+
+
+def test_long_chains_fold_past_the_einsum_letters(monkeypatch):
+    # from 18 slots one contraction needs more than 52 indices; the chain folds
+    f = parse_field("exp(x1)")
+    for n in (16, 17, 25):
+        want = np.exp(0.5) * 1.5**n
+        assert nth_derivative_curve(f, [[0.5]], [[1.5]], n)[0, 0] == pytest.approx(want, rel=1e-14)
+        assert trace_derivative(f, [[0.5]], [[1.5]], n) == pytest.approx(want, rel=1e-14)
+    # the fold and the contraction agree where both run
+    g = parse_field("exp(x1)/(x1 + 6)")
+    r = np.random.default_rng(1)
+    A, H = r.normal(size=(4, 4)), r.normal(size=(4, 4))
+    got = [(nth_derivative_curve(g, A, H, n), trace_derivative(g, A, H, n)) for n in range(4)]
+    monkeypatch.setattr(calculus, "_LETTERS", "ab")
+    for n, (curve, trace) in enumerate(got):
+        folded = nth_derivative_curve(g, A, H, n)
+        assert np.linalg.norm(folded - curve) <= 1e-14 * np.linalg.norm(curve)
+        assert abs(trace_derivative(g, A, H, n) - trace) <= 1e-14 * abs(trace)
 
 
 def test_trace_derivative_matches_curve_trace():

@@ -14,7 +14,7 @@ from matfn import (
     parse_field,
 )
 from matfn.funcalc import jordan_matrix
-from matfn.spectral import _analyze_all, _clusters, _rank_ladder, merge_clusters
+from matfn.spectral import BLOCK_TOL, _analyze_all, _clusters, _rank_ladder, merge_clusters
 
 
 def companion(coeffs):
@@ -384,3 +384,57 @@ def test_block_scale_is_the_spectral_radius_not_the_norm():
     close = analyze(np.diag([0.0, 1e-2, 6.0, 8.0]))
     assert [size for _, size, _ in close.blocks] == [2, 1, 1]
     assert close.blocks[0] == (5e-3 + 0j, 2, 5e-3)
+
+
+def _eager_blocks(data, M):
+    """The blocks as analyze built them before they were built on first read."""
+    lams = data.eigenvalues
+    scale = min(np.linalg.norm(np.asarray(M, dtype=complex)),
+                10 * max(1.0, max(map(abs, lams), default=0.0)))
+    blocks = []
+    for g in merge_clusters(lams, BLOCK_TOL * scale):
+        cs, ns = [lams[i] for i in g], [data.alg_mult[i] for i in g]
+        c = cs[0] if cs.count(cs[0]) == len(cs) else sum(n * x for n, x in zip(ns, cs)) / sum(ns)
+        blocks.append((c, sum(ns), max(abs(x - c) + data.radii[i] for x, i in zip(cs, g))))
+    return tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))
+
+
+def _block_cases():
+    split = jordan_matrix([(1.0, 4), (2.5, 1)])
+    split[3, 0] = 1e-14
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
+    far = np.diag([0.0, 1.0, 2.0, 3.0])
+    far[0, 3] = 4e3
+    S = np.random.default_rng(5).normal(size=(5, 5))
+    return [
+        np.diag([2.0, -1.0, 2.0, 0.5]),
+        split,
+        Q @ np.diag([1.0, 1.0 + 1e-7]) @ Q.T,
+        far,
+        np.diag([0.0, 1e-2, 6.0, 8.0]),
+        S @ jordan_matrix([(1.0, 5)]) @ np.linalg.inv(S),
+    ] + [jordan_matrix([(0.1 + 0.7j, m), (2.0, 1)]) for m in range(1, 9)]
+
+
+def test_blocks_are_built_on_first_read(monkeypatch):
+    # an analysis read only for min_mult merges its eigenvalues once, into
+    # clusters; the blocks' merge runs when they are first read, and only then
+    import matfn.spectral as spectral
+
+    calls = []
+
+    def counting(values, threshold):
+        calls.append(threshold)
+        return merge_clusters(values, threshold)
+
+    monkeypatch.setattr(spectral, "merge_clusters", counting)
+    data = analyze(np.diag([2.0, -1.0, 2.0, 0.5]))
+    assert data.min_mult == (1, 1, 1)
+    assert len(calls) == 1
+    blocks = data.blocks
+    assert len(calls) == 2 and data.blocks is blocks and len(calls) == 2
+    # bit for bit the blocks built when analyze returned: repr round-trips
+    # every float, -0.0 included
+    for M in _block_cases():
+        data = analyze(M)
+        assert repr(data.blocks) == repr(_eager_blocks(data, M))
