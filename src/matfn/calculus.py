@@ -199,8 +199,12 @@ def _chain(f: ScalarField, A: np.ndarray, Hm: np.ndarray, mults) -> np.ndarray:
     [sd] = _analyze_all([A])
     t = len(mults)
     g = ScalarField(t, SlotDividedDifference(f.root, 1, 0, tuple(mults)))
+    # g is symmetric in the node variables of one multiplicity, so only the
+    # last of each walks its pad; the others take the blocks at radius 0
+    unpadded = [(c, s, 0.0) for c, s, _ in sd.blocks]
+    blocks = [unpadded if m in mults[l + 1 :] else sd.blocks for l, m in enumerate(mults)]
     try:
-        padded = _padded_nodes(g, [sd.blocks] * t, 0)
+        padded = _padded_nodes(g, blocks, 0)
         nodes = [(e[0][0], max(o for _, o in e)) for e in zip(*padded)]
         G = None
         if all(o == 1 for _, o in nodes):

@@ -76,7 +76,8 @@ def f_otimes(
     if pad < 0:
         raise ValueError("extra_multiplicity must be nonnegative")
     try:
-        G, grid_nodes = _padded_grid(f, [sd.blocks for sd in data], pad)
+        grid_nodes = _padded_nodes(f, [sd.blocks for sd in data], pad)
+        G = derivative_grid(f, grid_nodes)
     except FieldDomainError as exc:
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
@@ -85,13 +86,6 @@ def f_otimes(
     keys = [repr(nodes) for nodes in grid_nodes]
     solved = {key: hermite_basis(nodes) for key, nodes in dict(zip(keys, grid_nodes)).items()}
     return poly_tensor_eval(interpolate(G, [solved[key] for key in keys]), arrs)
-
-
-def _padded_grid(f: ScalarField, blocks, pad: int):
-    """The derivative grid of ``f`` on the blocks of each slot, and the node lists of
-    :func:`_padded_nodes`."""
-    nodes = _padded_nodes(f, blocks, pad)
-    return derivative_grid(f, nodes), nodes
 
 
 def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, int]]]:

@@ -574,11 +574,11 @@ def _slot_dd(node: SlotDividedDifference, point: tuple, box):
     the table with y_t entered mults[t] + j_t times: d/dy_t bumps the
     multiplicity, as in :func:`_diff_slot_dd`. The table is linear in the
     base, so the coefficients in the other variables are tables of the
-    base's coefficients; they ride along as a leading axis. Bumps keep the
-    groups of merged nodes, so the base is walked once, as a jet in the
-    slot variable to the size of the largest bumped group: at each group's
-    merged node, and at the few merged nodes that a bump moves. Order-1
-    grids on a shared spectrum skip it (:func:`_shared_spectrum_grid`).
+    base's coefficients; they ride along as a leading axis. Every bumped
+    table is one :func:`_newton_levels` table, those of one length in one
+    call along a tables axis before the node axis, each merging its groups
+    at the centroids of its own multiplicities. Order-1 grids on a shared
+    spectrum skip it (:func:`_shared_spectrum_grid`).
     """
     t = len(node.mults)
     lo, hi = node.slot, node.slot + t
@@ -587,7 +587,12 @@ def _slot_dd(node: SlotDividedDifference, point: tuple, box):
     orders = box.orders if box is not None else (1,) * len(point)
     other, own = orders[:lo] + orders[hi:], orders[lo:hi]
 
-    def jets_at(lead, x, n):  # at x, with the other variables at ``lead``: (other, points, n)
+    def taylor(x, n, mask):  # x has the grid's shape, then table axes; (other, points, n)
+        if mask is None:  # the other variables, against the table axes
+            lead = (...,) + (None,) * (x.ndim - len(shape))
+        else:
+            lead = np.nonzero(mask)
+            lead, x = lead[: len(shape)], x[lead]
         args = [c[lead] for c in cols[:lo]] + [x] + [c[lead] for c in cols[hi:]]
         v = _jets_on(node.base, args, other[:lo] + (n,) + other[lo:])
         if not other:
@@ -598,59 +603,14 @@ def _slot_dd(node: SlotDividedDifference, point: tuple, box):
         perm = [*range(g, g + lo), *range(g + lo + 1, v.ndim), *range(g), g + lo]
         return v.transpose(perm).reshape((-1,) + v.shape[:g] + (n,))
 
-    def taylor(x, n, mask):
-        if mask is None:
-            return jets_at((..., None), x, n)  # the other variables, against the node axis
-        at = np.nonzero(mask)
-        return jets_at(at[:-1], x[at], n)
-
-    nodes = np.stack([y for y, m in zip(cols[lo:hi], node.mults) for _ in range(m)], axis=-1)
     if box is None:
+        nodes = np.stack([y for y, m in zip(cols[lo:hi], node.mults) for _ in range(m)], axis=-1)
         return _newton_levels(taylor, nodes)[1][-1][..., 0].reshape(shape)
-    with np.errstate(all="ignore"):
-        order = np.argsort(nodes, axis=-1)
-        group, zs, _ = _merge(np.take_along_axis(nodes, order, axis=-1))
-        # each node variable's group and merged node, read at its first entry
-        entry = np.argsort(order, axis=-1)[..., np.cumsum((0,) + node.mults[:-1])]
-        vgroup = np.take_along_axis(group, entry, axis=-1)
-        y = np.take_along_axis(zs, entry, axis=-1)
-        same = vgroup[..., :, None] == vgroup[..., None, :]
-        first = ~np.triu(same, 1).any(axis=-2)  # the lowest variable of its group
-        row = np.cumsum(first).reshape(first.shape) - 1
-        row = np.take_along_axis(row, same.argmax(axis=-1), axis=-1)  # of the group's jet
-        # per (point, variable), flat at point0 + variable
-        vgroup, y, row, first = vgroup.ravel(), y.ravel(), row.ravel(), first.ravel()
-        raw = np.stack(cols[lo:hi], axis=-1).ravel()
-        point0 = np.arange(0, raw.size, t).reshape(shape + (1,))
-        # The tables of one length form one batch, along a new axis after
-        # ``other``. Bumps keep the groups, but each table merges a group at
-        # the centroid of its own multiplicities, as _merge does. Where that
-        # differs from the group's node in the table of ``mults`` (a group of
-        # unequal nodes, or a rounding), the table takes a jet of its own.
-        tables = []
-        for ids, var, scale in _bumps(node.mults, own):
-            # each table node as its flat (point, variable) index, in sorted order
-            pos = point0 + var.reshape(var.shape[:1] + (1,) * len(shape) + var.shape[1:])
-            pos = np.take_along_axis(pos, np.argsort(raw[pos], axis=-1), axis=-1)
-            tgroup = vgroup[pos]
-            merged, size = _centroids(tgroup, raw[pos])
-            moved = merged != y[pos]
-            fresh = moved.copy()  # at the first node of each moved group
-            fresh[..., 1:] &= tgroup[..., 1:] != tgroup[..., :-1]
-            tables.append((ids, scale, pos, tgroup, merged, moved, fresh, int(size.max())))
-        # the base's jet at the merged nodes of the table of ``mults``, then at the moved ones
-        where = np.concatenate([np.flatnonzero(first) // t] + [tb[2][tb[6]] // t for tb in tables])
-        x = np.concatenate([y[first]] + [tb[4][tb[6]] for tb in tables])
-        jets = jets_at(np.unravel_index(where, shape), x, max(tb[-1] for tb in tables))
-        out = np.empty((jets.shape[0], math.prod(own)) + shape, dtype=complex)
-        offset = int(first.sum())
-        for ids, scale, pos, tgroup, merged, moved, fresh, _ in tables:
-            # each node reads the jet of its group
-            rows = np.where(moved, offset + np.cumsum(fresh).reshape(fresh.shape) - 1, row[pos])
-            offset += int(fresh.sum())
-            rows = jets[:, rows]
-            value = _table(merged, tgroup, rows[..., 0], rows)[-1][..., 0]
-            out[:, ids] = value * scale.reshape(scale.shape + (1,) * len(shape))
+    ys = np.stack(cols[lo:hi], axis=-1)
+    out = np.empty((math.prod(other), math.prod(own)) + shape, dtype=complex)
+    for ids, var, scale in _bumps(node.mults, own):
+        value = _newton_levels(taylor, ys[..., var])[1][-1][..., 0] * scale
+        out[:, ids] = np.moveaxis(value, -1, 1)
     # (other, own, grid) -> (grid, the variables in their order), one flat box
     k, g = len(other), len(shape)
     perm = [*range(k + t, k + t + g), *range(lo), *range(k, k + t), *range(lo, k)]
@@ -727,8 +687,12 @@ def _proj_kernel(node: ProjKernel, point: tuple):
 def _newton_levels(taylor, nodes):
     """All levels of the confluent Newton table, elementwise over points.
 
-    ``nodes`` has the nodes of one table along its last axis; leading axes
-    index independent tables. Along each table the nodes are sorted (real
+    The package's one table driver: :func:`field_divided_difference_levels`
+    and :func:`_slot_dd`, its plain values and each of its bumped jet
+    tables, all come through it. ``nodes`` has the nodes of one table
+    along its last axis; leading axes index independent tables, so
+    :func:`_slot_dd` passes the bumped tables of one length as an axis
+    before the node axis. Along each table the nodes are sorted (real
     part, then imaginary part) and merged as :func:`_merge` says; a table
     entry spanning one group is the group's Taylor coefficient of that
     span. ``taylor(x, n, mask)`` returns the Taylor coefficients

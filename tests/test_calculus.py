@@ -12,6 +12,7 @@ import matfn.scalarfield as sf
 import matfn.spectral as spectral
 import matfn.tensor as tensor
 from matfn import (
+    FieldDomainError,
     SpectralError,
     divided_difference,
     divided_difference_field,
@@ -257,6 +258,43 @@ def test_a_chain_validates_once_and_builds_no_extension(name, monkeypatch):
             route(f, M, H, n, at)
             assert names == ["direction", "matrix"], (route.__name__, n)
             assert list(calls.values()) == [1, 1, 1], (route.__name__, n, calls)
+
+
+def test_a_chain_walks_one_pad_per_multiplicity(monkeypatch):
+    # g = f[x_1^{m_1}, ..., x_t^{m_t}] is symmetric in the node variables of one
+    # multiplicity, so after the walk for the pad's tolerance one pad walk serves
+    # the curve and two the trace from n = 2; the nodes are still the largest
+    # order that any slot's own pad asks for
+    M, H, _ = _chain_case("conjugated")
+    [(_, _, radius)] = blocks = analyze(M).blocks
+    assert radius > 0
+    f = parse_field("1/(x1 + 6)")
+    walks, bases = [], []
+    taylor, basis = funcalc._taylor, calculus.hermite_basis
+    monkeypatch.setattr(funcalc, "_taylor", lambda g, nodes: walks.append(1) or taylor(g, nodes))
+    monkeypatch.setattr(calculus, "hermite_basis", lambda nodes: bases.append(nodes) or basis(nodes))
+    for n in range(1, 4):
+        for route, mults in (
+            (nth_derivative_curve, (1,) * (n + 1)),
+            (trace_derivative, (1,) * (n - 1) + (2,)),
+        ):
+            walks.clear()
+            bases.clear()
+            route(f, M, H, n)
+            assert len(walks) == 1 + len(set(mults)), (route.__name__, n)
+            g = sf.ScalarField(len(mults), sf.SlotDividedDifference(f.root, 1, 0, mults))
+            every = funcalc._padded_nodes(g, [blocks] * len(mults), 0)
+            assert bases == [[(e[0][0], max(o for _, o in e)) for e in zip(*every)]]
+
+
+@pytest.mark.parametrize("route", [nth_derivative_curve, trace_derivative])
+def test_a_chain_off_the_field_domain_is_a_domain_error(route):
+    # 1/x1 at the eigenvalue 0: the grid walk's error, re-raised by the chain
+    f, M, H = parse_field("1/x1"), np.diag([0.0, 1.0]), np.array([[0.3, -0.2], [0.1, 0.25]])
+    message = "field is not defined on the spectral grid of the arguments"
+    for n in range(4):
+        with pytest.raises(FieldDomainError, match=message):
+            route(f, M, H, n)
 
 
 def test_long_chains_fold_past_the_einsum_letters(monkeypatch):

@@ -215,6 +215,18 @@ def test_numerical_failure_exit_2(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_curve_undefined_on_the_spectrum_exit_2(tmp_path, capsys):
+    # 1/x1 at the eigenvalue 0: the chain's domain error, one line on stderr
+    m = write_matrix(tmp_path, "m.json", np.diag([0.0, 1.0]))
+    h = write_matrix(tmp_path, "h.json", [[0.3, -0.2], [0.1, 0.25]])
+    argv = ["curve", "--func", "1/x1", "--mat", m, "--dir", h, "--order", "2"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("matfn: numerical failure: ") and err.count("\n") == 1
+    assert "field is not defined on the spectral grid of the arguments" in err
+
+
 def test_linalg_failure_exit_2(tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError subclasses ValueError, which would read as bad input;
     # projderiv calls np.linalg.eig for its eigenvectors

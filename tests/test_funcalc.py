@@ -32,8 +32,7 @@ from matfn import (
     projector_derivative,
     trace_derivative,
 )
-from matfn.funcalc import PAD_CAP, _padded_grid
-from matfn.scalarfield import derivative_grid
+from matfn.funcalc import PAD_CAP, _padded_nodes
 
 rng = np.random.default_rng(23)
 
@@ -494,24 +493,23 @@ def test_pad_takes_the_first_negligible_taylor_tail():
     # for every j >= o, eps times the largest matched Taylor coefficient, exp(0) = 1
     f = parse_field("exp(x1)")
     want = next(o for o in range(1, 40) if 0.1**o / math.factorial(o) <= _EPS)
-    G, nodes = _padded_grid(f, [[(0j, 1, 0.1)]], 0)
+    nodes = _padded_nodes(f, [[(0j, 1, 0.1)]], 0)
     assert want == 10 and nodes == [[(0j, want)]]
-    assert G.tobytes() == derivative_grid(f, nodes).tobytes()
     # extra_multiplicity raises the order the test starts from, never lowers it
-    assert _padded_grid(f, [[(0j, 1, 0.1)]], 3)[1] == [[(0j, want)]]
-    assert _padded_grid(f, [[(0j, 1, 0.1)]], 12)[1] == [[(0j, 13)]]
+    assert _padded_nodes(f, [[(0j, 1, 0.1)]], 3) == [[(0j, want)]]
+    assert _padded_nodes(f, [[(0j, 1, 0.1)]], 12) == [[(0j, 13)]]
     # radius 0: the block's size, with no test
-    assert _padded_grid(f, [[(0j, 3, 0.0), (1j, 1, 0.0)]], 0)[1] == [[(0j, 3), (1j, 1)]]
+    assert _padded_nodes(f, [[(0j, 3, 0.0), (1j, 1, 0.0)]], 0) == [[(0j, 3), (1j, 1)]]
 
 
 def test_pad_takes_the_largest_value_over_the_other_slots():
     # d^j/dx1^j exp(x1 x2) = x2^j exp(x1 x2): at the other slot's nodes 0 and 10 it is
     # largest at 10, as for exp(10 x1); at node 0 alone every term past j = 0 vanishes
     two = parse_field("exp(x1*x2)")
-    at_ten = _padded_grid(parse_field("exp(10*x1)"), [[(0j, 1, 0.01)]], 0)[1][0]
-    got = _padded_grid(two, [[(0j, 1, 0.01)], [(0j, 1, 0.0), (10 + 0j, 1, 0.0)]], 0)[1]
+    at_ten = _padded_nodes(parse_field("exp(10*x1)"), [[(0j, 1, 0.01)]], 0)[0]
+    got = _padded_nodes(two, [[(0j, 1, 0.01)], [(0j, 1, 0.0), (10 + 0j, 1, 0.0)]], 0)
     assert got[0] == at_ten and at_ten[0][1] > 5
-    assert _padded_grid(two, [[(0j, 1, 0.01)], [(0j, 1, 0.0)]], 0)[1][0] == [(0j, 1)]
+    assert _padded_nodes(two, [[(0j, 1, 0.01)], [(0j, 1, 0.0)]], 0)[0] == [(0j, 1)]
 
 
 _SIN = parse_field("(exp(1i*x1) - exp(-1i*x1)) / 2i")
