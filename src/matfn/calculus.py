@@ -3,16 +3,13 @@
 The directional derivative of the tensor extension is itself a tensor
 extension: differentiating slot p along H equals the extension of the
 difference quotient in that slot, with the duplicated slot contracted
-through H. Higher derivatives along a line M + zH reduce the same way to
-divided-difference fields of higher order, whose extension at copies of
-one matrix A has every adjacent pair of slots contracted through H. That
-chain is summed without the extension: all slots share one Newton basis
-on A's spectrum, and the sum over the divided-difference field's
-coefficients C[i_0..i_n] of N_{i_0} H N_{i_1} ... H N_{i_n} is one
-contraction. The paper's route, the extension and its contractions, stays
-public and is the chain's oracle in ``verify``. The last section
-implements the perturbation series of simple eigenvalues and their
-projectors.
+through H. Higher derivatives along a line A + zH reduce the same way to
+chains of divided-difference fields; the paper's route, the extension and
+its contractions, stays public as ``verify``'s oracle. The chain itself is
+n! times block (0, n) of f(B), B = I (x) A + N (x) H (Mathias, "A chain
+rule for matrix functions and applications", SIMAX 17(3), 1996). The last
+section implements the perturbation series of simple eigenvalues and
+their projectors.
 """
 
 from __future__ import annotations
@@ -25,24 +22,10 @@ import numpy as np
 
 from .errors import FieldDomainError, SpectralError
 from .funcalc import _padded_nodes, f_otimes
-from .interp import _coefficients, hermite_basis
-from .scalarfield import (
-    ProjKernel,
-    ScalarField,
-    SlotDividedDifference,
-    _shared_spectrum_grid,
-    derivative_grid,
-    field_divided_difference_levels,
-)
+from .interp import _leja
+from .scalarfield import ProjKernel, ScalarField, SlotDividedDifference, divided_difference_matrix
 from .spectral import _analyze_all, analyze, as_square_matrix, cluster_threshold
-from .tensor import (
-    _LETTERS,
-    OperatorTensor,
-    _contract,
-    _newton_stack,
-    _pairs,
-    contract_adjacent_through,
-)
+from .tensor import OperatorTensor, contract_adjacent_through
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +34,11 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class DividedDifferenceTable:
-    """Confluent Newton table of a one-variable field.
+    """Newton table of a one-variable field.
 
-    ``nodes`` are the merged nodes in evaluation order; ``levels[s][i]``
-    is the difference over nodes[i : i+s+1]. ``value`` is the full
-    difference over all nodes.
+    ``nodes`` are the nodes as given, sorted (real part, then imaginary
+    part); ``levels[s][i]`` is the difference over nodes[i : i+s+1].
+    ``value`` is the full difference over all nodes.
     """
 
     nodes: tuple[complex, ...]
@@ -67,11 +50,11 @@ class DividedDifferenceTable:
 
 
 def divided_difference_table(f: ScalarField, nodes) -> DividedDifferenceTable:
-    """The table over ``nodes``; confluent groups take f's Taylor coefficients."""
-    zs, levels = field_divided_difference_levels(f, np.array([complex(z) for z in nodes]))
-    return DividedDifferenceTable(
-        nodes=tuple(zs.tolist()), levels=tuple(tuple(row.tolist()) for row in levels)
-    )
+    """The table over ``nodes``, repeated ones allowed: the bands of f at their Opitz matrix."""
+    z = np.sort(np.array([complex(x) for x in nodes]))
+    F = divided_difference_matrix(f, z)
+    levels = tuple(tuple(np.diagonal(F, -s).tolist()) for s in range(z.size))
+    return DividedDifferenceTable(nodes=tuple(z.tolist()), levels=levels)
 
 
 def divided_difference(f: ScalarField, nodes) -> complex:
@@ -144,30 +127,33 @@ def frechet_derivative(f: ScalarField, mats, slot: int, H) -> OperatorTensor:
 
 
 def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.ndarray:
-    """d^n/dz^n f(M + zH) at z = ``at``, for a one-variable field.
+    """d^n/dz^n f(M + zH) at z = ``at``, for a one-variable field: n! times block (0, n) of f(B).
 
-    n! times the extension of the n-th divided-difference field of f at
-    n + 1 copies of A = M + at H, with every adjacent pair of slots
-    contracted through H: the chain sum C[i_0..i_n] N_{i_0} H N_{i_1} ... H N_{i_n}
-    of :func:`_chain`, so neither the d^(2(n+1)) tensor nor the extension
-    is formed.
+    The same value as the paper's route, the extension of the n-th
+    divided-difference field of f at n + 1 copies of A = M + at H with
+    every adjacent pair of slots contracted through H, which is not formed.
     """
-    if f.arity != 1:
-        raise ValueError("needs a one-variable field")
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
-    Hm = as_square_matrix(H, "direction")
-    A = as_square_matrix(M) + complex(at) * Hm
-    return math.factorial(n) * _chain(f, A, Hm, (1,) * (n + 1))
+    return math.factorial(n) * _block_row(f, M, H, n, at)[n]
 
 
 def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
-    """d^n/dz^n Tr f(M + zH) at z = ``at``.
+    """d^n/dz^n Tr f(M + zH) at z = ``at``: n! times the trace of block (0, n) of f(B).
 
-    Uses the n-argument field with one doubled node, f[x_1, ..., x_n, x_n],
-    instead of the full (n+1)-argument field: the cyclic symmetry of the
-    trace closes the chain, so one slot fewer is needed than for the
-    matrix derivative.
+    The curve's arithmetic; ``verify``'s oracle for it is the paper's
+    route, the extension of f[x_1, ..., x_n, x_n] closed by the trace.
+    """
+    return math.factorial(n) * complex(np.trace(_block_row(f, M, H, n, at)[n]))
+
+
+def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
+    """The first block row of f(B), B = I (x) A + N (x) H for A = M + at H with n + 1 blocks.
+
+    f(B) is block upper-triangular Toeplitz, so that row, an (n+1, d, d)
+    stack, is all of it. f(B) is p(B), p = sum_i c_i prod_{j<i} (x - w_j)
+    the interpolant at A's blocks (:func:`~matfn.funcalc._padded_nodes`) in
+    Leja order, each node of order o taken (n + 1) o times in a row; the
+    c_i are column 0 of f at the Opitz matrix of w. Horner's step maps the
+    row P to (A - w_i I) P_k + H P_(k-1) and adds c_i I to block 0.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
@@ -175,61 +161,25 @@ def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
         raise ValueError("derivative order must be nonnegative")
     Hm = as_square_matrix(H, "direction")
     A = as_square_matrix(M) + complex(at) * Hm
-    if n == 0:
-        return complex(np.trace(_chain(f, A, Hm, (1,))))
-    R = _chain(f, A, Hm, (1,) * (n - 1) + (2,))
-    return math.factorial(n) * complex(np.trace(R @ Hm))
-
-
-def _chain(f: ScalarField, A: np.ndarray, Hm: np.ndarray, mults) -> np.ndarray:
-    """sum C[i_1..i_t] N_{i_1} H N_{i_2} ... H N_{i_t} for g = f[x_1^{m_1}, ..., x_t^{m_t}] at A.
-
-    Every slot shares one Newton basis on A's blocks, each node at the
-    largest order any slot's Taylor pad asks for (:func:`_padded_nodes`),
-    with centres z and N_i = prod_{j<i} (A - z_j I). The grid of g comes
-    from one walk of f at the nodes and the level recursion where every
-    order is 1, from the jet walks otherwise; C is that grid with each
-    axis mapped through the basis's transform, checked against it. For
-    ``mults`` = (1, ..., 1), C[i_1..i_t] = f[z_0..z_{i_1} + ... + z_0..z_{i_t}],
-    one divided difference over the merged multiset (de Boor, "Divided
-    differences", Surveys in Approximation Theory 1, 2005). The sum is one
-    contraction of C, the stack of the N_i and H, or a fold over the slots
-    when it has more indices than einsum has letters.
-    """
     [sd] = _analyze_all([A])
-    t = len(mults)
-    g = ScalarField(t, SlotDividedDifference(f.root, 1, 0, tuple(mults)))
-    # g is symmetric in the node variables of one multiplicity, so only the
-    # last of each walks its pad; the others take the blocks at radius 0
-    unpadded = [(c, s, 0.0) for c, s, _ in sd.blocks]
-    blocks = [unpadded if m in mults[l + 1 :] else sd.blocks for l, m in enumerate(mults)]
     try:
-        padded = _padded_nodes(g, blocks, 0)
-        nodes = [(e[0][0], max(o for _, o in e)) for e in zip(*padded)]
-        G = None
-        if all(o == 1 for _, o in nodes):
-            G = _shared_spectrum_grid(g.root, [np.array([c for c, _ in nodes])] * t)
-        if G is None:
-            G = derivative_grid(g, [nodes] * t)
+        [nodes] = _padded_nodes(f, [sd.blocks], 0)
+        w = np.array([nodes[m][0] for m in _leja(nodes) for _ in range((n + 1) * nodes[m][1])])
+        c = divided_difference_matrix(f, w)[:, 0]
+        if not np.isfinite(c).all():
+            raise FieldDomainError(f"a divided difference over the nodes {nodes} is not finite")
     except FieldDomainError as exc:
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
         ) from exc
-    basis = hermite_basis(nodes)
-    C = _coefficients(G, [basis] * t)
-    S = _newton_stack(A, basis.centres[:-1])  # N_0, ..., N_{r-1}
-    if 3 * t <= len(_LETTERS):
-        # the subscripts of poly_tensor_eval's network with every adjacent pair of
-        # slots contracted through H, so the sums are the paper route's to the bit
-        idx, pairs = _LETTERS[2 * t : 3 * t], _pairs(t)
-        through = [pairs[l][1] + pairs[l + 1][0] for l in reversed(range(t - 1))]
-        subs = [idx] + [i + p for i, p in zip(idx, pairs)] + through
-        return _contract([C] + [S] * t + [Hm] * (t - 1), subs, pairs[0][0] + pairs[-1][1])
-    # more indices than einsum has letters: fold from the last slot
-    R, P = np.tensordot(C, S, axes=(t - 1, 0)), S @ Hm
-    for _ in range(t - 1):
-        R = np.einsum("iab,...ibc->...ac", P, R)
-    return R
+    P = np.zeros((n + 1,) + A.shape, dtype=complex)
+    P[0] = c[-1] * np.eye(len(A))
+    for i in reversed(range(w.size - 1)):
+        Q = A @ P - w[i] * P
+        Q[1:] += Hm @ P[:-1]
+        Q[0] += c[i] * np.eye(len(A))
+        P = Q
+    return P
 
 
 # ---------------------------------------------------------------------------

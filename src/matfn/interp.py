@@ -70,8 +70,7 @@ def hermite_basis(nodes) -> HermiteBasis:
     floor 0.01 are rejected; merging them (one node, higher order) is the
     caller's decision. The floor keeps the window absolute, 1e-12, only
     near zero, so the well-separated spectrum of a small matrix is
-    accepted; the divided difference tables may still take such a pair as
-    one node, and the grid then holds the derivative at its centroid.
+    accepted.
     """
     cleaned = []
     for lam, r in nodes:

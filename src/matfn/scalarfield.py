@@ -5,11 +5,12 @@ tree. Fields evaluate elementwise over numpy arrays of points that
 broadcast against each other, in one walk of the tree; a point of C^k is
 walked as one-entry arrays (not 0-d ones, whose numpy-scalar results
 round differently), so point and array calls agree to the bit. The same
-walk can carry truncated Taylor series (jets) instead of values; that is
-how derivative grids and divided-difference tables get their
-derivatives. ``ScalarField.partial`` differentiates symbolically, closed
-on the node set, so mixed partial derivatives of any order stay
-representable as fields. Besides the rational operations, integer
+walk can carry truncated Taylor series (jets) instead of values, which
+is how derivative grids get their derivatives, or lower-triangular
+matrices, which is how every divided difference is taken.
+``ScalarField.partial`` differentiates symbolically, closed on the node
+set, so mixed partial derivatives of any order stay representable as
+fields. Besides the rational operations, integer
 powers, exp and log, the tree supports divided differences of another
 field in one of its slots (closed under differentiation through the
 node-repetition rule) and the kernel functions used by the eigenprojector
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import FieldDomainError, FieldParseError
 
-#: Nodes closer than this (relative, see :func:`confluent`) are one node.
+#: Nodes closer than this (relative, see :func:`confluent`) count as one node.
 CONFLUENCE_TOL = 1e-10
 
 
@@ -38,13 +39,10 @@ def confluent(a, b, floor=1.0):
 
     The rule is |a - b| <= CONFLUENCE_TOL * max(floor, |a|, |b|), spelt
     out without ``max`` so that scalars stay Python scalars: relative above
-    magnitude ``floor``, absolute below it. The divided difference tables
-    ask it with floor 1, the unit of the field's argument, since a
-    difference quotient of nodes closer than that loses eps/gap of its
-    digits; the projector kernel asks it with the same floor to refuse an
-    argument that nearly hits its anchor. The interpolation basis is
-    unchanged by scaling its nodes, so :func:`~matfn.interp.hermite_basis`
-    asks with a smaller floor; at magnitude 1 and above all three agree.
+    magnitude ``floor``, absolute below it. The projector kernel asks it
+    with floor 1 to refuse an argument that nearly hits its anchor; the
+    interpolation basis is unchanged by scaling its nodes, so
+    :func:`~matfn.interp.hermite_basis` asks with a smaller floor.
     """
     gap = abs(a - b)
     return (gap <= CONFLUENCE_TOL * floor) | (gap <= CONFLUENCE_TOL * abs(a)) | (
@@ -160,7 +158,7 @@ class SlotDividedDifference(Node):
     replaced by ``len(mults)`` node variables, inserted at the same
     position, so the surrounding field has arity
     ``base_arity - 1 + len(mults)``. Node variable ``t`` enters the
-    difference table ``mults[t]`` times. Repetitions are what make the
+    difference ``mults[t]`` times. Repetitions are what make the
     node closed under differentiation: d/dy_t multiplies by ``mults[t]``
     and bumps that multiplicity by one.
     """
@@ -286,7 +284,7 @@ _CALLS = {Exp: "exp", Log: "log", AbsVal: "abs"}
 # evaluation, of values and of Taylor jets
 
 
-def _evaluate(node: Node, point: tuple, memo: dict, box: "_Box | None" = None):
+def _evaluate(node: Node, point: tuple, memo: dict, box=None):
     """Values of ``node`` over the broadcast of the arrays in ``point``.
 
     ``point`` holds one complex array per variable (a subtree without
@@ -296,12 +294,12 @@ def _evaluate(node: Node, point: tuple, memo: dict, box: "_Box | None" = None):
     keying on node equality would hash whole subtrees. Domain violations
     raise :class:`FieldDomainError` naming the first offending point.
 
-    With a ``box`` the same walk carries Taylor jets (see :class:`_Box`):
-    every value that depends on a variable gets a trailing axis of
-    ``box.size`` coefficients. Each node computes coefficient 0 with the
-    numpy operation of the plain walk and runs its domain checks on it;
-    only then does it extend the jet. The evaluation-only nodes refuse a
-    box.
+    With a ``box`` the same walk carries Taylor jets (:class:`_Box`) or
+    lower-triangular matrices (:class:`_Opitz`) in place of every value
+    that depends on a variable. Each node computes the value's head,
+    coefficient 0 or the diagonal, with the numpy operation of the plain
+    walk and runs its domain checks on it; only then does it extend the
+    value. The evaluation-only nodes refuse a jet box.
     """
     t = type(node)
     if t is Const:
@@ -311,7 +309,8 @@ def _evaluate(node: Node, point: tuple, memo: dict, box: "_Box | None" = None):
         return x if box is None else box.seed(x, node.index)
     if t is ProjKernel:
         _plain_only(node, box)
-        return _proj_kernel(node, point)
+        v = _proj_kernel(node, point)
+        return v if box is None else box.parlett(v, node)
     key = id(node)
     v = memo.get(key)
     if v is not None:
@@ -361,15 +360,17 @@ def _evaluate(node: Node, point: tuple, memo: dict, box: "_Box | None" = None):
             v = box.log(arg, v)
     elif t is SlotDividedDifference:
         v = _slot_dd(node, point, box)
-    elif t is AbsVal:
+    elif t is AbsVal or t is MinConst:
         _plain_only(node, box)
-        v = np.abs(_evaluate(node.arg, point, memo)) + 0j
-    elif t is MinConst:
-        _plain_only(node, box)
-        z = _evaluate(node.arg, point, memo)
-        bad = abs(z.imag) > 1e-9 * (1.0 + abs(z))
-        _check(bad, point, "min builtin applied to a non-real value", node)
-        v = np.minimum(z.real, node.bound) + 0j
+        z = _evaluate(node.arg, point, memo if box is None else {})  # on an Opitz diagonal
+        if t is AbsVal:
+            v = np.abs(z) + 0j
+        else:
+            bad = abs(z.imag) > 1e-9 * (1.0 + abs(z))
+            _check(bad, point, "min builtin applied to a non-real value", node)
+            v = np.minimum(z.real, node.bound) + 0j
+        if box is not None:
+            v = box.parlett(v, node)
     else:
         raise TypeError(f"unknown node type {type(node).__name__}")
     memo[key] = v
@@ -382,9 +383,9 @@ def _is_jet(v) -> bool:
 
 
 def _split(v, box):
-    """Whether ``v`` is a jet, and its coefficient 0: ``v`` itself in a plain walk."""
+    """Whether ``v`` is a jet, and its head (:func:`_evaluate`); ``v`` itself in a plain walk."""
     jet = box is not None and _is_jet(v)
-    return jet, (v[..., 0] if jet else v)
+    return jet, (box.head(v) if jet else v)
 
 
 def _no_derivative(node: Node) -> FieldDomainError:
@@ -396,7 +397,7 @@ def _no_derivative(node: Node) -> FieldDomainError:
 
 
 def _plain_only(node: Node, box):
-    if box is not None:
+    if isinstance(box, _Box):
         raise _no_derivative(node)
 
 
@@ -484,6 +485,9 @@ class _Box:
             starts = np.flatnonzero(np.diff(n[keep], prepend=-1))
             self.shells.append((np.flatnonzero(degree == d), self.i[keep], self.j[keep], starts))
 
+    def head(self, v):
+        return v[..., 0]
+
     def seed(self, x, var: int) -> np.ndarray:
         """The jet of variable ``var`` at the values ``x``."""
         v = np.zeros(x.shape + (self.size,), dtype=complex)
@@ -567,79 +571,84 @@ def _box(orders: tuple) -> _Box:
 
 
 def _slot_dd(node: SlotDividedDifference, point: tuple, box):
-    """Values, or with a ``box`` jets, of a divided difference in one slot.
+    """Values, jets or matrices of a divided difference in one slot.
 
-    Node variable y_t enters the table ``mults[t]`` times, so the jet
-    coefficient of order j_t in y_t is C(mults[t] + j_t - 1, j_t) times
-    the table with y_t entered mults[t] + j_t times: d/dy_t bumps the
-    multiplicity, as in :func:`_diff_slot_dd`. The table is linear in the
-    base, so the coefficients in the other variables are tables of the
-    base's coefficients; they ride along as a leading axis. Every bumped
-    table is one :func:`_newton_levels` table, those of one length in one
-    call along a tables axis before the node axis, each merging its groups
-    at the centroids of its own multiplicities. Order-1 grids on a shared
-    spectrum skip it (:func:`_shared_spectrum_grid`).
+    A value is block (last, first) of the base at the node variables'
+    values (:func:`_dd_walk`); plain values are 1 x 1 blocks, and in an
+    :class:`_Opitz` walk the blocks are its matrices. With a jet ``box``,
+    d/dy_t bumps the multiplicity, as in :func:`_diff_slot_dd`: the
+    coefficient of order j_t in node variable y_t is C(mults[t] + j_t - 1,
+    j_t) times the difference with y_t entered mults[t] + j_t times. The
+    multisets of one length (:func:`_bumps`) are one walk, whose blocks are
+    Kronecker products over the other variables' orders r_o: other
+    variable x_o is x_o I plus the shift of its own factor, so that column
+    0 holds the differences of every Taylor coefficient in them at once.
     """
-    t = len(node.mults)
-    lo, hi = node.slot, node.slot + t
+    lo, hi = node.slot, node.slot + len(node.mults)
+    if not isinstance(box, _Box):
+        vals = [x[..., None, None] if box is None else box.seed(x, v) for v, x in enumerate(point)]
+        nodes = [vals[lo + y] for y in np.repeat(np.arange(len(node.mults)), node.mults)]
+        F = _dd_walk(node.base, lo, nodes, vals[:lo] + vals[hi:])
+        return F[..., 0, 0] if box is None else F
     cols = np.broadcast_arrays(*point)
     shape = cols[0].shape
-    orders = box.orders if box is not None else (1,) * len(point)
-    other, own = orders[:lo] + orders[hi:], orders[lo:hi]
-
-    def taylor(x, n, mask):  # x has the grid's shape, then table axes; (other, points, n)
-        if mask is None:  # the other variables, against the table axes
-            lead = (...,) + (None,) * (x.ndim - len(shape))
-        else:
-            lead = np.nonzero(mask)
-            lead, x = lead[: len(shape)], x[lead]
-        args = [c[lead] for c in cols[:lo]] + [x] + [c[lead] for c in cols[hi:]]
-        v = _jets_on(node.base, args, other[:lo] + (n,) + other[lo:])
-        if not other:
-            return v[None]
-        # (points, other before, n, other after) -> (other, points, n)
-        g = v.ndim - 1
-        v = v.reshape(v.shape[:-1] + other[:lo] + (n,) + other[lo:])
-        perm = [*range(g, g + lo), *range(g + lo + 1, v.ndim), *range(g), g + lo]
-        return v.transpose(perm).reshape((-1,) + v.shape[:g] + (n,))
-
-    if box is None:
-        nodes = np.stack([y for y, m in zip(cols[lo:hi], node.mults) for _ in range(m)], axis=-1)
-        return _newton_levels(taylor, nodes)[1][-1][..., 0].reshape(shape)
+    other, own = box.orders[:lo] + box.orders[hi:], box.orders[lo:hi]
+    R, eye = math.prod(other), np.eye(math.prod(other))
+    xs = [c[..., None, None, None] * eye for c in cols[:lo] + cols[hi:]]  # (grid, multisets, R, R)
+    for o, r in enumerate(other):
+        xs[o] = xs[o] + np.kron(np.kron(np.eye(math.prod(other[:o])), np.eye(r, k=-1)),
+                                np.eye(math.prod(other[o + 1 :])))
     ys = np.stack(cols[lo:hi], axis=-1)
-    out = np.empty((math.prod(other), math.prod(own)) + shape, dtype=complex)
-    for ids, var, scale in _bumps(node.mults, own):
-        value = _newton_levels(taylor, ys[..., var])[1][-1][..., 0] * scale
-        out[:, ids] = np.moveaxis(value, -1, 1)
+    out = np.empty((R, math.prod(own)) + shape, dtype=complex)
+    for ids, var, comb in _bumps(node.mults, own):
+        nodes = [ys[..., var[:, p], None, None] * eye for p in range(var.shape[-1])]
+        F = _dd_walk(node.base, lo, nodes, xs)[..., 0] * comb[:, None]  # (grid, multisets, R)
+        out[:, ids] = np.moveaxis(F, (-1, -2), (0, 1))
     # (other, own, grid) -> (grid, the variables in their order), one flat box
-    k, g = len(other), len(shape)
+    k, g, t = len(other), len(shape), hi - lo
     perm = [*range(k + t, k + t + g), *range(lo), *range(k, k + t), *range(lo, k)]
     return out.reshape(other + own + shape).transpose(perm).reshape(shape + (box.size,))
 
 
+def _dd_walk(base: Node, slot: int, nodes: list, others: list) -> np.ndarray:
+    """Block (last, first) of ``base`` at commuting (m, m) blocks: in variable ``slot`` the
+    block lower-bidiagonal matrix with ``nodes`` on its diagonal and identities below, each
+    other variable its block of ``others`` in every diagonal block (Opitz's identity, with
+    blocks). With m = 1 the other variables are plain values."""
+    size, m = len(nodes), nodes[0].shape[-1]
+    shape = np.broadcast_shapes(*(v.shape[:-2] for v in nodes + others))
+
+    def blocks(diagonal, below=0.0):
+        out = np.zeros(shape + (size, m, size, m), dtype=complex)
+        for p, v in enumerate(diagonal):
+            out[..., p, :, p, :] = v
+            if p:
+                out[..., p, :, p - 1, :] = below * np.eye(m)
+        return out.reshape(shape + (size * m,) * 2)
+
+    mats = {slot: blocks(nodes, 1.0)}
+    if m > 1:
+        mats.update((v + (v >= slot), blocks([x] * size)) for v, x in enumerate(others))
+    args = [np.diagonal(mats[v], 0, -2, -1) if v in mats else others[v - (v > slot)][..., 0]
+            for v in range(len(others) + 1)]
+    return _opitz_walk(base, args, mats, slot)[..., (size - 1) * m :, :m]
+
+
 @lru_cache(maxsize=64)
 def _bumps(mults: tuple, orders: tuple):
-    """The bumped tables of a divided difference, batched by their length.
+    """The bumped multisets of a divided difference, batched by their length.
 
-    For the multi-indices js < ``orders`` of one table length: their flat
-    indices (C order), the node variables of each table (variable t
+    For the multi-indices js < ``orders`` of one length: their flat
+    indices (C order), the node variables of each multiset (variable t
     entered mults[t] + js[t] times), and the factors prod_t
     C(mults[t] + js[t] - 1, js[t]).
     """
     batches = {}
-    for i, js in enumerate(itertools.product(*(range(r) for r in orders))):
-        batches.setdefault(sum(js), []).append((i, js))
-    return [
-        (
-            np.array([i for i, _ in batch]),
-            np.array([np.repeat(np.arange(len(mults)), np.add(mults, js)) for _, js in batch]),
-            np.array(
-                [math.prod(math.comb(m + j - 1, j) for m, j in zip(mults, js)) for _, js in batch],
-                dtype=float,
-            ),
-        )
-        for batch in batches.values()
-    ]
+    for i, js in enumerate(itertools.product(*map(range, orders))):
+        var = np.repeat(np.arange(len(mults)), np.add(mults, js))
+        comb = math.prod(math.comb(m + j - 1, j) for m, j in zip(mults, js))
+        batches.setdefault(sum(js), []).append((i, var, float(comb)))
+    return [tuple(map(np.array, zip(*batch))) for batch in batches.values()]
 
 
 def _proj_kernel(node: ProjKernel, point: tuple):
@@ -681,108 +690,149 @@ def _proj_kernel(node: ProjKernel, point: tuple):
 
 
 # ---------------------------------------------------------------------------
-# divided differences (confluent, shared by calculus and the dd node)
+# divided differences: walks on Opitz matrices
 
 
-def _newton_levels(taylor, nodes):
-    """All levels of the confluent Newton table, elementwise over points.
+class _Opitz:
+    """The walk's values as stacks of commuting lower-triangular (m, m) matrices.
 
-    The package's one table driver: :func:`field_divided_difference_levels`
-    and :func:`_slot_dd`, its plain values and each of its bumped jet
-    tables, all come through it. ``nodes`` has the nodes of one table
-    along its last axis; leading axes index independent tables, so
-    :func:`_slot_dd` passes the bumped tables of one length as an axis
-    before the node axis. Along each table the nodes are sorted (real
-    part, then imaginary part) and merged as :func:`_merge` says; a table
-    entry spanning one group is the group's Taylor coefficient of that
-    span. ``taylor(x, n, mask)`` returns the Taylor coefficients
-    f^(j)/j!, j < n, along a new last axis, at every entry of ``x`` when
-    ``mask`` is None and at ``x[mask]``, one row each, otherwise. It is
-    asked twice: for the values at the merged nodes, and, if a group is
-    confluent, for the derivatives at the first node of each confluent
-    group, to the size of the largest. Axes that ``taylor`` puts ahead of
-    the tables' own ride along. Returns ``(merged_nodes, levels)`` with
-    ``levels[s][..., i]`` the difference over merged_nodes[..., i : i+s+1];
-    the full difference is ``levels[-1][..., 0]``.
+    At the Opitz matrix Z, the nodes x_0..x_(m-1) on its diagonal and ones
+    below it, f(Z)[i, j] = f[x_j, ..., x_i], repeated nodes allowed (Opitz,
+    "Steigungsmatrizen", ZAMM 44, 1964). ``mats`` maps variables to their
+    matrices, any other variable x is x I; the walk's point holds each
+    variable's diagonal (m entries or 1), the head of its value. Quotients
+    are triangular solves, exp and log (inverse) scaling and squaring
+    (Higham, *Functions of Matrices*, SIAM 2008, ch. 6, 10, 11): no step
+    divides by a difference of nodes but the Parlett recurrence of the
+    evaluation-only nodes, on variable ``walked``, which refuses confluent ones.
     """
-    z = np.sort(np.asarray(nodes, dtype=complex), axis=-1)
-    if z.ndim == 0 or z.shape[-1] == 0:
-        raise ValueError("divided difference needs at least one node")
+
+    def __init__(self, mats: dict, walked: int):
+        self.mats, self.walked = mats, walked
+        self.m = mats[walked].shape[-1]
+        self.eye = np.eye(self.m)
+
+    def head(self, v):
+        return np.diagonal(v, axis1=-2, axis2=-1)
+
+    def seed(self, x, var: int):
+        v = self.mats.get(var)
+        return x[..., None] * self.eye if v is None else v
+
+    def lift(self, v):
+        return v if _is_jet(v) else v * self.eye
+
+    mul = staticmethod(np.matmul)
+
+    def div(self, a, b):
+        """a / b = b^-1 a by forward substitution, dividing by b's diagonal only."""
+        a = self.lift(a)
+        q = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+        for i in range(self.m):
+            rest = (b[..., i : i + 1, :i] @ q[..., :i, :])[..., 0, :]
+            q[..., i, :] = (a[..., i, :] - rest) / b[..., i, i, None]
+        return q
+
+    def exp(self, a, e0):
+        """exp(a): Taylor to degree m + 15 at a / 2^s, then s squares with exact diagonals."""
+        s = np.maximum(np.frexp(_norm1(a))[1] + 1, 0)  # ||a / 2^s||_1 < 1/2
+        y, d = a * np.ldexp(1.0, -s)[..., None, None], self.head(a)
+        e, term = self.eye + y, y
+        for k in range(2, self.m + 16):
+            term = term @ y / k
+            e = e + term
+        for j in reversed(range(int(s.max(initial=0)))):
+            e = np.where((s > j)[..., None, None], _with_head(e @ e, np.exp(d * 0.5**j)), e)
+        return _with_head(e, e0)
+
+    def log(self, a, l0):
+        """log(a) = 2^(k+1) atanh((r - I)(r + I)^-1), r = a^(1/2^k) within 1/4 of I."""
+        r, z = a, self.head(a) - 1.0  # z: the diagonal of r - I, without cancellation
+        k = np.zeros(np.shape(z)[:-1], dtype=int)
+        for _ in range(64):
+            more = _norm1(_with_head(r - self.eye, z)) > 0.25
+            if not more.any():
+                break
+            root = _with_head(np.zeros(r.shape), np.sqrt(self.head(r)))  # Björck–Hammarling
+            root = _by_bands(root, lambda i, j, q: (
+                r[..., i, j] - (root[..., i[:, None], q] * root[..., q, j[:, None]]).sum(-1)
+            ) / (root[..., i, i] + root[..., j, j]))
+            r = np.where(more[..., None, None], root, r)
+            z = np.where(more[..., None], z / (1.0 + self.head(root)), z)
+            k = k + more
+        y = self.div(_with_head(r - self.eye, z), _with_head(r + self.eye, 2.0 + z))
+        total, term, y2 = y, y, y @ y
+        for j in range(1, (self.m + 21) // 2):
+            term = term @ y2
+            total = total + term / (2 * j + 1)
+        return _with_head(np.ldexp(2.0, k)[..., None, None] * total, l0)
+
+    def power(self, a, r: int, p0):
+        """a^r, by repeated squaring of a or of its inverse."""
+        if r < 0:
+            a, r = self.div(1.0, a), -r
+        p = a if r else np.zeros_like(a)
+        for bit in bin(r)[3:]:
+            p = p @ p
+            if bit == "1":
+                p = p @ a
+        return _with_head(p, p0)
+
+    def parlett(self, f0, node: Node):
+        """f(T) from its diagonal ``f0``, T the walked variable's matrix, from F T = T F."""
+        T = self.mats[self.walked]
+        d = self.head(T)
+        if (confluent(d[..., :, None], d[..., None, :]).sum(axis=(-2, -1)) > self.m).any():
+            raise _no_derivative(node)
+        F = _with_head(np.zeros(np.broadcast_shapes(T.shape, np.shape(f0)[:-1] + (1, 1))), f0)
+        return _by_bands(F, lambda i, j, q: (
+            T[..., i, j] * (F[..., i, i] - F[..., j, j])
+            + (F[..., i[:, None], q] * T[..., q, j[:, None]]
+               - T[..., i[:, None], q] * F[..., q, j[:, None]]).sum(-1)
+        ) / (T[..., i, i] - T[..., j, j]))
+
+
+def _with_head(v, head) -> np.ndarray:
+    """A complex copy of the stack ``v`` with ``head`` on its diagonals."""
+    v = np.array(v, dtype=complex)
+    at = np.arange(v.shape[-1])
+    v[..., at, at] = head
+    return v
+
+
+def _by_bands(X, entry) -> np.ndarray:
+    """X below its diagonal, band by band: entry(i, j, q) gives the X[i, j] of one band from
+    the nearer bands, with q[n] the indices between j[n] and i[n]."""
+    m = X.shape[-1]
+    for p in range(1, m):
+        j = np.arange(m - p)
+        X[..., j + p, j] = entry(j + p, j, j[:, None] + np.arange(1, p))
+    return X
+
+
+def _norm1(a) -> np.ndarray:
+    """The 1-norm of each matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _opitz_walk(root: Node, point, mats: dict, walked: int) -> np.ndarray:
+    """``root`` at ``mats`` and ``point`` (see :class:`_Opitz`), broadcast to the full stack."""
+    box = _Opitz(mats, walked)
     with np.errstate(all="ignore"):
-        group, zs, size = _merge(z)
-        values = taylor(zs, 1, None)[..., 0]
-        jets, largest = None, int(size.max())
-        if largest > 1:
-            tied = group[..., 1:] == group[..., :-1]
-            first = np.zeros(z.shape, dtype=bool)
-            first[..., :-1] = tied
-            first[..., 1:-1] &= ~tied[..., :-1]
-            jets = taylor(zs, largest, first)
-            # each node reads the jet of its group's first node (others read a stray row)
-            jets = jets[..., np.cumsum(first).reshape(first.shape) - 1, :]
-        return zs, _table(zs, group, values, jets)
+        v = _evaluate(root, tuple(point), {}, box)
+    shapes = [p.shape[:-1] for p in point] + [x.shape[:-2] for x in mats.values()]
+    return np.broadcast_to(box.lift(v), np.broadcast_shapes(*shapes) + (box.m, box.m))
 
 
-def _merge(z):
-    """Groups of the sorted nodes ``z``: ``(group, merged, size)`` per node.
-
-    Along the last axis, a node :func:`confluent` with the head of the
-    current group joins it, and every node of a group is replaced by the
-    group's centroid. Groups are numbered in order.
-    """
-    group = np.zeros(z.shape, dtype=int)
-    head = z[..., 0]
-    for i in range(1, z.shape[-1]):
-        same = confluent(z[..., i], head)
-        group[..., i] = group[..., i - 1] + ~same
-        head = np.where(same, head, z[..., i])
-    return (group, *_centroids(group, z))
-
-
-def _centroids(group, z):
-    """Each node's group centroid and group size; ``group`` numbers the groups.
-
-    A group of equal nodes sits at the node itself: its mean (m z)/m can
-    be an ulp off z, and the table's cancellation amplifies that ulp.
-    """
-    member = group[..., :, None] == group[..., None, :]
-    size = member.sum(axis=-1)
-    alike = ~(member & (z[..., :, None] != z[..., None, :])).any(axis=-1)
-    return np.where(alike, z, (member * z[..., None, :]).sum(axis=-1) / size), size
-
-
-def _table(zs, group, values, jets):
-    """The levels of the Newton table over merged nodes ``zs``.
-
-    ``group`` numbers the nodes' groups, each a run along the last axis;
-    ``values`` holds the function at each node, and ``jets[..., i, s]``
-    the s-th Taylor coefficient at the node of i's group, or is None when
-    no group is confluent.
-    """
-    levels = [values]
-    largest = 1 if jets is None else jets.shape[-1]
-    for span in range(1, zs.shape[-1]):
-        prev = levels[-1]
-        level = (prev[..., 1:] - prev[..., :-1]) / (zs[..., span:] - zs[..., :-span])
-        if span < largest:
-            spans_group = group[..., :-span] == group[..., span:]
-            level = np.where(spans_group, jets[..., :-span, span], level)
-        levels.append(level)
-    return levels
-
-
-def field_divided_difference_levels(f: "ScalarField", nodes):
-    """:func:`_newton_levels` of the one-variable field ``f``.
-
-    The values and the Taylor coefficients of confluent groups come from
-    one walk each of f's tree (plain, then with jets); returns
-    ``(merged_nodes, levels)`` as :func:`_newton_levels` does.
-    """
+def divided_difference_matrix(f: "ScalarField", nodes) -> np.ndarray:
+    """f(Z) at the Opitz matrix Z of ``nodes``, one walk (:class:`_Opitz`): entry [i, j] is
+    f[x_j, ..., x_i], and column 0 holds the Newton coefficients."""
     if f.arity != 1:
         raise ValueError("divided differences need a one-variable field")
-    return _newton_levels(
-        lambda x, n, mask: _jets_on(f.root, [x if mask is None else x[mask]], (n,)), nodes
-    )
+    z = np.asarray(nodes, dtype=complex)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("divided difference needs at least one node")
+    return _opitz_walk(f.root, [z], {0: np.diag(z) + np.eye(z.size, k=-1)}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,8 +1177,8 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
     per axis is (prod_l d_l^{j_l}) f at the node tuple.
 
     Where every order is 1, G is one walk of the tree broadcast over the
-    eigenvalues, or for a divided difference on a shared spectrum one walk
-    of its base and a level recursion (:func:`_shared_spectrum_grid`).
+    eigenvalues; a divided difference in it walks its base once on the
+    stack of Opitz matrices of its node tuples (:func:`_slot_dd`).
     Otherwise each variable's eigenvalues split into those
     of order 1 and the rest, and the tree is walked once per combination
     of parts, broadcast over its eigenvalues and carrying Taylor jets up
@@ -1164,9 +1214,7 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
         return [ms for ms in (simple, rest) if ms]
 
     if all(r == 1 for entries in per_var for _, r in entries):
-        axes = eigenvalues(per_var)
-        G = _shared_spectrum_grid(f.root, [x.ravel() for x in axes])
-        return _evaluate_on(f.root, axes) if G is None else G
+        return _evaluate_on(f.root, eigenvalues(per_var))
     # first row of each node along its axis
     starts = [list(itertools.accumulate((r for _, r in e), initial=0)) for e in per_var]
     G = np.empty(tuple(s[-1] for s in starts), dtype=complex)
@@ -1199,80 +1247,6 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
         ]
         G[np.ix_(*rows)] = block
     return G
-
-
-def _shared_spectrum_grid(root: Node, lams) -> np.ndarray | None:
-    """The order-1 grid of a divided difference on a shared spectrum, or None.
-
-    ``lams`` holds each variable's eigenvalues, one array per variable.
-    Taken where ``root`` is a :class:`SlotDividedDifference`, with none
-    below it, whose node variables share one array of eigenvalues, no two
-    :func:`confluent`; a caller that has that array passes it once per node
-    variable. The base is walked once, as jets in the slot variable at
-    that array, the other variables on broadcast axes. Sorted as
-    :func:`_newton_levels` sorts, a nondecreasing index tuple is the Newton
-    entry f[i0..ik] = (f[i1..ik] - f[i0..i(k-1)]) / (z_ik - z_i0), an
-    all-equal one a Taylor coefficient, any other its sorted permutation:
-    the tree walk's values. None elsewhere, and where the walk raises or a
-    value is not finite, so that the tree walk names the trouble.
-    """
-    if type(root) is not SlotDividedDifference or _holds_dd(root.base):
-        return None
-    lo, t, n = root.slot, len(root.mults), sum(root.mults)
-    lam, others = lams[lo], lams[:lo] + lams[lo + t :]
-    r, q = lam.size, len(others)
-    z, rank = np.sort(lam), np.argsort(np.argsort(lam))  # sorted as _newton_levels sorts
-    # -0.0 is not 0.0
-    shared = all(y is lam or y.tobytes() == lam.tobytes() for y in lams[lo + 1 : lo + t])
-    if not shared or not all(x.size for x in lams) or confluent(z[:, None], z).sum() > r:
-        return None
-    args = [x.reshape((1,) * j + (-1,) + (1,) * (q - j)) for j, x in enumerate(others)]
-    args.insert(lo, z.reshape((1,) * q + (-1,)))
-    try:  # (the other variables' tuples, eigenvalue, coefficient)
-        jets = _jets_on(root.base, args, (1,) * lo + (n,) + (1,) * (q - lo)).reshape(-1, r, n)
-    except FieldDomainError:
-        return None
-    F, gap = jets[..., 0], z - z[:, None]  # gap[i, j] = z_j - z_i
-    with np.errstate(all="ignore"):
-        for k in range(1, n):
-            F = (F[:, None] - F[..., None]) / gap.reshape((r,) + (1,) * (k - 1) + (r,))
-            sort, equal = _sorted_tuples(r, k)
-            F = F.reshape(len(F), -1)[:, sort]
-            F[:, equal] = jets[..., k]
-            F = F.reshape((len(F),) + (r,) * (k + 1))
-    # table position p holds node variable v: a doubled variable reads a diagonal
-    axes = [rank.reshape((-1,) + (1,) * (t - 1 - v)) for v, m in enumerate(root.mults)
-            for _ in range(m)]
-    G = F[(slice(None), *axes)].reshape(tuple(x.size for x in others) + (r,) * t)
-    if q:  # the node variables' axes at their place among the others'
-        G = np.ascontiguousarray(np.moveaxis(G, range(q, q + t), range(lo, lo + t)))
-    return G if np.isfinite(G).all() else None
-
-
-def _holds_dd(node: Node) -> bool:
-    """Whether ``node`` or a node below it is a divided difference."""
-    if type(node) is SlotDividedDifference:
-        return True
-    parts = (getattr(node, name) for name in type(node).__slots__)
-    return any(_holds_dd(p) for p in parts if isinstance(p, Node))
-
-
-#: :func:`_sorted_tuples` caches its index arrays up to this many tuples (16 shapes, at
-#: most 1 MiB); a grid over more builds them per call, so they do not outlive it.
-_TUPLES_KEPT = 4096
-
-
-def _sorted_tuples(r: int, k: int):
-    """Flat indices over the (k+1)-tuples of range(r): each one sorted, and the all-equal ones."""
-    return (_kept_tuples if r ** (k + 1) <= _TUPLES_KEPT else _tuples)(r, k)
-
-
-def _tuples(r: int, k: int):
-    idx = np.sort(np.indices((r,) * (k + 1)).reshape(k + 1, -1), axis=0)
-    return np.ravel_multi_index(idx, (r,) * (k + 1)), np.flatnonzero(idx[0] == idx[k])
-
-
-_kept_tuples = lru_cache(maxsize=16)(_tuples)
 
 
 # ---------------------------------------------------------------------------

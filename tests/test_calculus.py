@@ -8,7 +8,6 @@ import pytest
 
 import matfn.calculus as calculus
 import matfn.funcalc as funcalc
-import matfn.scalarfield as sf
 import matfn.spectral as spectral
 import matfn.tensor as tensor
 from matfn import (
@@ -27,6 +26,7 @@ from matfn import (
     trace_derivative,
 )
 from matfn.funcalc import jordan_matrix
+from matfn.scalarfield import absval
 from matfn.spectral import analyze
 from matfn.verify import _paper_chain
 
@@ -56,6 +56,17 @@ def test_divided_difference_symmetry():
     a = divided_difference(f, nodes)
     b = divided_difference(f, [0.7, -0.3, 0.1])
     assert a == pytest.approx(b)
+
+
+def test_evaluation_only_differences_take_the_parlett_recurrence():
+    # distinct nodes give the difference quotients of the values; confluent ones are refused
+    f = absval(parse_field("x1"))
+    a, b, c = 0.5, -0.7 + 0.2j, 1.3
+    ab, bc = (abs(b) - abs(a)) / (b - a), (abs(c) - abs(b)) / (c - b)
+    assert divided_difference(f, [a, b]) == pytest.approx(ab, rel=1e-14)
+    assert divided_difference(f, [a, b, c]) == pytest.approx((bc - ab) / (c - a), rel=1e-13)
+    with pytest.raises(FieldDomainError, match="AbsVal is an evaluation-only"):
+        divided_difference(f, [a, b, a + 1e-12])
 
 
 def test_table_exposes_levels():
@@ -222,10 +233,10 @@ def test_curve_and_trace_agree_with_the_paper_route(name, text):
 
 @pytest.mark.parametrize("name", _CHAIN_CASES)
 def test_a_chain_validates_once_and_builds_no_extension(name, monkeypatch):
-    # one check per argument, one analysis, one basis and one contraction;
-    # no extension is built, so no OperatorTensor either
+    # one check per argument and one analysis; no extension is built, so no
+    # OperatorTensor either
     M, H, at = _chain_case(name)
-    names, calls = [], {"_analyze_all": 0, "hermite_basis": 0, "_contract": 0}
+    names, calls = [], {"_analyze_all": 0}
     check = spectral.as_square_matrix
 
     def counting(A, name="matrix"):
@@ -257,34 +268,7 @@ def test_a_chain_validates_once_and_builds_no_extension(name, monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             route(f, M, H, n, at)
             assert names == ["direction", "matrix"], (route.__name__, n)
-            assert list(calls.values()) == [1, 1, 1], (route.__name__, n, calls)
-
-
-def test_a_chain_walks_one_pad_per_multiplicity(monkeypatch):
-    # g = f[x_1^{m_1}, ..., x_t^{m_t}] is symmetric in the node variables of one
-    # multiplicity, so after the walk for the pad's tolerance one pad walk serves
-    # the curve and two the trace from n = 2; the nodes are still the largest
-    # order that any slot's own pad asks for
-    M, H, _ = _chain_case("conjugated")
-    [(_, _, radius)] = blocks = analyze(M).blocks
-    assert radius > 0
-    f = parse_field("1/(x1 + 6)")
-    walks, bases = [], []
-    taylor, basis = funcalc._taylor, calculus.hermite_basis
-    monkeypatch.setattr(funcalc, "_taylor", lambda g, nodes: walks.append(1) or taylor(g, nodes))
-    monkeypatch.setattr(calculus, "hermite_basis", lambda nodes: bases.append(nodes) or basis(nodes))
-    for n in range(1, 4):
-        for route, mults in (
-            (nth_derivative_curve, (1,) * (n + 1)),
-            (trace_derivative, (1,) * (n - 1) + (2,)),
-        ):
-            walks.clear()
-            bases.clear()
-            route(f, M, H, n)
-            assert len(walks) == 1 + len(set(mults)), (route.__name__, n)
-            g = sf.ScalarField(len(mults), sf.SlotDividedDifference(f.root, 1, 0, mults))
-            every = funcalc._padded_nodes(g, [blocks] * len(mults), 0)
-            assert bases == [[(e[0][0], max(o for _, o in e)) for e in zip(*every)]]
+            assert list(calls.values()) == [1], (route.__name__, n, calls)
 
 
 @pytest.mark.parametrize("route", [nth_derivative_curve, trace_derivative])
@@ -297,23 +281,113 @@ def test_a_chain_off_the_field_domain_is_a_domain_error(route):
             route(f, M, H, n)
 
 
-def test_long_chains_fold_past_the_einsum_letters(monkeypatch):
-    # from 18 slots one contraction needs more than 52 indices; the chain folds
+@pytest.mark.parametrize("route", [nth_derivative_curve, trace_derivative])
+def test_a_chain_with_an_overflowing_difference_is_a_domain_error(route):
+    # exp(700 x) is finite at the eigenvalues, its third differences there are not
+    f, M, H = parse_field("exp(700*x1)"), np.diag([1.0, 0.99]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(FieldDomainError, match="is not finite"):
+        route(f, M, H, 3)
+
+
+def test_long_chains_fold_past_the_einsum_letters():
+    # chains longer than einsum's 52 letters would allow, at a 1 x 1 argument:
+    # d^n/dz^n exp(0.5 + 1.5 z) = exp(0.5) 1.5^n
     f = parse_field("exp(x1)")
     for n in (16, 17, 25):
         want = np.exp(0.5) * 1.5**n
         assert nth_derivative_curve(f, [[0.5]], [[1.5]], n)[0, 0] == pytest.approx(want, rel=1e-14)
         assert trace_derivative(f, [[0.5]], [[1.5]], n) == pytest.approx(want, rel=1e-14)
-    # the fold and the contraction agree where both run
-    g = parse_field("exp(x1)/(x1 + 6)")
-    r = np.random.default_rng(1)
-    A, H = r.normal(size=(4, 4)), r.normal(size=(4, 4))
-    got = [(nth_derivative_curve(g, A, H, n), trace_derivative(g, A, H, n)) for n in range(4)]
-    monkeypatch.setattr(calculus, "_LETTERS", "ab")
-    for n, (curve, trace) in enumerate(got):
-        folded = nth_derivative_curve(g, A, H, n)
-        assert np.linalg.norm(folded - curve) <= 1e-14 * np.linalg.norm(curve)
-        assert abs(trace_derivative(g, A, H, n) - trace) <= 1e-14 * abs(trace)
+
+
+# ---------------------------------------------------------------------------
+# divided differences and chains against exact references. The exp and log
+# values are f at the Opitz matrix of the nodes, mpmath's expm and logm at 60
+# digits; the resolvent ones are closed forms.
+
+
+def _resolvent_difference(c, nodes):
+    """f[x_0..x_n] of 1/(x + c): (-1)^n / prod (x_i + c)."""
+    return (-1) ** (len(nodes) - 1) / math.prod(x + c for x in nodes)
+
+
+_AT = [complex(0.169, 0.168)] * 4 + [complex(0.813, -0.003)] * 4
+_DIFFERENCE_ROWS = {
+    "resolvent-7-fold": (
+        "1/(x1 + 2.5)", [0.5] + [0.75] * 7, _resolvent_difference(2.5, [0.5] + [0.75] * 7)
+    ),
+    "exp-resolvent-4-4": (
+        "exp(x1/2)/(x1 + 6)",
+        _AT,
+        7.45207527441117243256482824260556302189923907895831040217327e-8
+        + 5.05658841011773863517887068193372484081894720131272447675083e-9j,
+    ),
+    "exp-resolvent-4-3": (
+        "exp(x1/2)/(x1 + 6)",
+        _AT[:7],
+        1.47473313885050257239388490779764528077206942476694744167251e-6
+        + 4.60775897172673162988555477614755145589682932875556824537676e-8j,
+    ),
+    "log-close-nodes": (
+        "log(x1 + 3)*x1^2",
+        [1.0, 1.001, 1.002, 1.2, 1.2, 1.5],
+        2.94770424840037716065677673220044182455585978827042719873531e-3,
+    ),
+    "exp-spread-nodes": (
+        "exp(x1)",
+        list(np.linspace(-3.0, 3.0, 9)) + [0.1] * 3,
+        2.86175552515184093535525719509342108642764004480589689395314e-8,
+    ),
+    "resolvent-8-8": (
+        "1/(x1 + 6)", [0.5] * 8 + [-0.3] * 8, _resolvent_difference(6.0, [0.5] * 8 + [-0.3] * 8)
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(_DIFFERENCE_ROWS))
+def test_divided_differences_match_exact_references(row):
+    text, nodes, want = _DIFFERENCE_ROWS[row]
+    got = divided_difference(parse_field(text), nodes)
+    assert abs(got - want) <= 1e-14 * abs(want), abs(got - want) / abs(want)
+
+
+def _resolvent_curve(A, H, c, n):
+    """d^n/dz^n (A + zH + cI)^-1 at 0: (-1)^n n! R (H R)^n."""
+    R = np.linalg.inv(A + c * np.eye(len(A)))
+    return (-1) ** n * math.factorial(n) * R @ np.linalg.matrix_power(H @ R, n)
+
+
+def _assert_chain(f, A, H, c, n, bound):
+    want = _resolvent_curve(A, H, c, n)
+    curve = nth_derivative_curve(f, A, H, n)
+    assert np.linalg.norm(curve - want) <= bound * np.linalg.norm(want), ("curve", n)
+    trace = trace_derivative(f, A, H, n)
+    assert abs(trace - np.trace(want)) <= bound * abs(np.trace(want)), ("trace", n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chains_at_close_eigenvalues_match_the_resolvent(n):
+    # A = I + G/8: the smallest eigenvalue gap is 0.035
+    A = np.eye(8) + np.random.default_rng(3).standard_normal((8, 8)) / 8
+    H = np.random.default_rng(4).standard_normal((8, 8))
+    _assert_chain(parse_field("1/(x1 + 6)"), A, H, 6.0, n, 1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 12, 15])
+def test_high_order_chains_match_the_resolvent(n):
+    A = np.diag([0.5, -0.3]) + 0.2 * np.eye(2, k=1)
+    H = np.array([[0.3, -0.2], [0.1, 0.25]])
+    _assert_chain(parse_field("1/(x1 + 6)"), A, H, 6.0, n, 1e-13)
+
+
+def test_conjugated_mixed_spectrum_curve_matches_the_resolvent():
+    # one Jordan block among six simple eigenvalues, conjugated
+    S = np.random.default_rng(7).standard_normal((8, 8))
+    J = jordan_matrix([(0.5, 2)] + [(v, 1) for v in (-1, -0.6, 0.1, 0.9, 1.4, 2)])
+    A = S @ J @ np.linalg.inv(S)
+    H = np.random.default_rng(8).standard_normal((8, 8)) / 4
+    want = _resolvent_curve(A, H, 5.0, 4)
+    got = nth_derivative_curve(parse_field("1/(x1 + 5)"), A, H, 4)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_trace_derivative_matches_curve_trace():
