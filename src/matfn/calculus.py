@@ -24,7 +24,7 @@ from .errors import FieldDomainError, SpectralError
 from .funcalc import _padded_nodes, f_otimes
 from .interp import _leja
 from .scalarfield import ProjKernel, ScalarField, SlotDividedDifference, divided_difference_matrix
-from .spectral import _analyze_all, analyze, as_square_matrix, cluster_threshold
+from .spectral import _analyze_all, analyze, as_slot_matrices, as_square_matrix, cluster_threshold
 from .tensor import OperatorTensor, contract_adjacent_through
 
 
@@ -110,7 +110,7 @@ def frechet_derivative(f: ScalarField, mats, slot: int, H) -> OperatorTensor:
     slot, with the doubled slot contracted through H. The result has the
     same slots as the original tensor.
     """
-    arrs = [as_square_matrix(M, f"slot {l} matrix") for l, M in enumerate(mats)]
+    arrs = as_slot_matrices(mats)
     if f.arity != len(arrs):
         raise ValueError(f"field of arity {f.arity} applied to {len(arrs)} matrices")
     if not 0 <= slot < f.arity:
@@ -202,38 +202,35 @@ def u_function(anchor: complex, n: int) -> ScalarField:
 
 
 def _simple_spectrum_frame(M, H, which: int, at):
-    """(eigenvalues, V, W, H) with A = M + at H = V diag(eigenvalues) W, W = V^-1."""
+    """(eigenvalues, V, W, H) with A = M + at H = V diag(eigenvalues) W, W = V^-1.
+
+    One ``eig`` of A, its eigenvalues in (real, imag) order. The spectrum
+    is simple when every gap exceeds 10x the clustering threshold.
+    """
     Hm = as_square_matrix(H, "direction")
     A = as_square_matrix(M) + complex(at) * Hm
-    sd = analyze(A)
-    if any(s != 1 for s in sd.alg_mult):
-        raise SpectralError(
-            f"perturbation series needs a simple spectrum; multiplicities {sd.alg_mult}"
-        )
-    lams = sd.eigenvalues
+    try:
+        w, V = np.linalg.eig(A)
+    except np.linalg.LinAlgError as exc:  # a SpectralError, with numpy's message
+        raise SpectralError(str(exc)) from exc
+    order = np.lexsort((w.imag, w.real))
     threshold = cluster_threshold(A)
-    gap = min(
-        abs(a - b) for a, b in itertools.combinations(lams, 2)
-    ) if len(lams) > 1 else math.inf
+    gap = min((abs(a - b) for a, b in itertools.combinations(w, 2)), default=math.inf)
     if gap <= 10 * threshold:
         raise SpectralError(
-            f"eigenvalue gap {gap:.3e} is within 10x of the clustering "
-            f"threshold {threshold:.3e}; the series is not trustworthy here"
+            f"perturbation series needs a simple spectrum: eigenvalue gap {gap:.3e} is "
+            f"within 10x of the clustering threshold {threshold:.3e}"
         )
-    w, V = np.linalg.eig(A)
-    order = [int(np.argmin(np.abs(w - lam))) for lam in lams]
-    if len(set(order)) != len(order):
-        raise SpectralError("could not match clustered eigenvalues to eigenvectors")
-    if not 0 <= which < len(lams):
+    if not 0 <= which < w.size:
         raise ValueError(f"eigenvalue index {which} out of range")
-    return np.array(lams), V[:, order], np.linalg.inv(V)[order], Hm
+    return w[order], V[:, order], np.linalg.inv(V)[order], Hm
 
 
 def projector_derivative(M, H, which: int, n: int, at: float = 0.0) -> np.ndarray:
     """d^n/dz^n of the spectral projector of the ``which``-th eigenvalue.
 
-    Taken along M + zH at z = ``at``; eigenvalues are indexed in the
-    sorted clustered order. Requires a simple spectrum. The order-n term
+    Taken along M + zH at z = ``at``; eigenvalues are indexed in
+    (real, imag) order. Requires a simple spectrum. The order-n term
     is n! sum over (n+1)-tuples of eigenvalue indices of
     u(lam_{k_0}, ..., lam_{k_n}) P_{k_0} H P_{k_1} H ... H P_{k_n}, with
     P_k = v_k w_k the rank-one projectors. It is summed in the
@@ -262,7 +259,8 @@ def _projector_series(lams, V, W, Hm, which: int, n: int) -> np.ndarray:
 def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
     """d^n/dz^n of the ``which``-th eigenvalue along M + zH at z = ``at``.
 
-    Requires a simple spectrum. Order n >= 1 is the trace of the order
+    Eigenvalues are indexed in (real, imag) order; requires a simple
+    spectrum. Order n >= 1 is the trace of the order
     n-1 projector derivative against H:
     (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
     Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H).

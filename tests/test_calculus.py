@@ -499,14 +499,64 @@ def test_projector_derivative_high_orders_match_contour():
 def test_perturbation_requires_simple_spectrum():
     M = np.diag([1.0, 1.0])
     H = np.eye(2)
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match="simple spectrum"):
         eigenvalue_derivative(M, H, 0, 1)
 
 
 def test_perturbation_rejects_tiny_gap():
     M = np.diag([1.0, 1.0 + 1e-9])
-    with pytest.raises(SpectralError):
+    with pytest.raises(SpectralError, match="gap"):
         projector_derivative(M, np.eye(2), 0, 1)
+
+
+def test_perturbation_series_takes_one_eig_and_no_eigvals(monkeypatch):
+    # the frame's eigenvalues, their order and the simplicity test all come
+    # from one eig of A
+    M, H = np.random.default_rng(5).normal(size=(2, 4, 4))
+    eig, calls = np.linalg.eig, []
+
+    def counting(A):
+        calls.append(A.shape)
+        return eig(A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the perturbation series called eigvals")
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    for n in range(3):
+        for route in (projector_derivative, eigenvalue_derivative):
+            calls.clear()
+            route(M, H, 1, n, 0.2)
+            assert calls == [(4, 4)], (route.__name__, n)
+
+
+def test_frechet_checks_each_distinct_matrix_once(monkeypatch):
+    # [A, A] is one check; f_otimes and poly_tensor_eval still check the
+    # doubled slot list themselves
+    A, H = np.random.default_rng(6).normal(size=(2, 3, 3))
+    names = []
+    check = spectral.as_square_matrix
+
+    def counting(M, name="matrix"):
+        names.append(name)
+        return check(M, name)
+
+    for module in (spectral, calculus, tensor):
+        monkeypatch.setattr(module, "as_square_matrix", counting)
+    frechet_derivative(parse_field("1/(x1 + x2 + 7)"), [A, A], 0, H)
+    assert names[: names.index("direction")] == ["slot 0 matrix"]
+    assert names[names.index("direction") + 1 :].count("slot 0 matrix") == 2
+
+
+def test_perturbation_series_reports_a_failed_eig_as_spectral_error(monkeypatch):
+    def fail(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    for route in (projector_derivative, eigenvalue_derivative):
+        with pytest.raises(SpectralError, match="Eigenvalues did not converge"):
+            route(np.diag([1.0, 2.0]), np.eye(2), 0, 1)
 
 
 def test_cyclic_sum_of_doubled_nodes():
