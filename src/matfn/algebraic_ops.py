@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcalc import f_otimes
+from .funcalc import _slot_matrices, f_otimes
 from .scalarfield import ScalarField, merge_variables, substitute_value, compose
 from .spectral import (
     DEFAULT_CLUSTER_TOL,
@@ -46,7 +46,7 @@ def product_identity_check(f1: ScalarField, f2: ScalarField, mats) -> ProductChe
     """Check (f1 f2)^tensor = f1^tensor f2^tensor in the matrix view."""
     if f1.arity != f2.arity:
         raise ValueError("both fields must have the same arity")
-    arrs = [as_square_matrix(M) for M in mats]
+    arrs = _slot_matrices(f1, mats)
     spectra = list(_analyze_all(arrs))
     A = f_otimes(f1, arrs, spectra=spectra).as_matrix()
     B = f_otimes(f2, arrs, spectra=spectra).as_matrix()
@@ -193,9 +193,7 @@ def contract_trace_theorem(f: ScalarField, mats, slot: int) -> TraceContractChec
     compares the traced tensor against the reduced field's extension of
     the remaining arguments.
     """
-    arrs = [as_square_matrix(M) for M in mats]
-    if f.arity != len(arrs):
-        raise ValueError(f"field arity {f.arity} but {len(arrs)} matrices")
+    arrs = _slot_matrices(f, mats)
     if not 0 <= slot < len(arrs):
         raise ValueError(f"slot {slot} out of range")
     if len(arrs) < 2:
@@ -244,9 +242,7 @@ def contract_equal_slots_theorem(
     are formed; they must agree with each other and with the extension
     of f after identifying variable ``drop`` with ``keep``.
     """
-    arrs = [as_square_matrix(M) for M in mats]
-    if f.arity != len(arrs):
-        raise ValueError(f"field arity {f.arity} but {len(arrs)} matrices")
+    arrs = _slot_matrices(f, mats)
     if not keep < drop:
         raise ValueError("the kept slot must precede the dropped slot")
     if not np.array_equal(arrs[keep], arrs[drop]):
@@ -290,9 +286,7 @@ def commuting_swap_check(f: ScalarField, mats, p: int, q: int) -> SwapCheck:
     ``DEFAULT_RANK_TOL * scale``, the relative zero of the rank test, is
     an input error, reported with the measured norm.
     """
-    arrs = [as_square_matrix(M) for M in mats]
-    if f.arity != len(arrs):
-        raise ValueError(f"field arity {f.arity} but {len(arrs)} matrices")
+    arrs = _slot_matrices(f, mats)
     if p == q:
         raise ValueError("p and q must be different slots")
     if arrs[p].shape != arrs[q].shape:

@@ -51,29 +51,11 @@ def confluent(a, b, floor=1.0):
 
 
 class Node:
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
 
-def _node(cls):
-    """A frozen, slotted dataclass whose hash is computed once per node.
-
-    The generated hash walks the whole subtree, and the derivative cache
-    and the divided-difference lookups hash the same nodes again and
-    again, so the first value is kept in the ``_hash`` slot of ``Node``,
-    which is no dataclass field: equality, repr and pickling ignore it.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    subtree_hash = cls.__hash__
-
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = subtree_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
+#: Every node type is a frozen, slotted dataclass: equality and hash by value.
+_node = dataclass(frozen=True, slots=True)
 
 
 @_node
@@ -839,53 +821,62 @@ def divided_difference_matrix(f: "ScalarField", nodes) -> np.ndarray:
 # differentiation
 
 
-@lru_cache(maxsize=None)
-def _diff(node: Node, var: int) -> Node:
+def _diff(node: Node, var: int, memo: dict) -> Node:
+    """The symbolic partial derivative of ``node`` in variable ``var``.
+
+    ``memo`` maps ``id(node)`` to the derivatives already taken in this
+    call, as in :func:`_evaluate`: trees share subtrees, and nothing is
+    held once the call returns. A divided-difference node takes its
+    base's derivative with a memo of its own, since the base numbers its
+    variables apart from the tree.
+    """
     if isinstance(node, Const):
         return _ZERO
     if isinstance(node, Var):
         return _ONE if node.index == var else _ZERO
+    key = id(node)
+    d = memo.get(key)
+    if d is not None:
+        return d
     if isinstance(node, Add):
-        return _add(_diff(node.lhs, var), _diff(node.rhs, var))
-    if isinstance(node, Sub):
-        return _sub(_diff(node.lhs, var), _diff(node.rhs, var))
-    if isinstance(node, Neg):
-        return _neg(_diff(node.arg, var))
-    if isinstance(node, Mul):
-        return _add(
-            _mul(_diff(node.lhs, var), node.rhs),
-            _mul(node.lhs, _diff(node.rhs, var)),
+        d = _add(_diff(node.lhs, var, memo), _diff(node.rhs, var, memo))
+    elif isinstance(node, Sub):
+        d = _sub(_diff(node.lhs, var, memo), _diff(node.rhs, var, memo))
+    elif isinstance(node, Neg):
+        d = _neg(_diff(node.arg, var, memo))
+    elif isinstance(node, Mul):
+        d = _add(
+            _mul(_diff(node.lhs, var, memo), node.rhs),
+            _mul(node.lhs, _diff(node.rhs, var, memo)),
         )
-    if isinstance(node, Div):
+    elif isinstance(node, Div):
         num = _sub(
-            _mul(_diff(node.lhs, var), node.rhs),
-            _mul(node.lhs, _diff(node.rhs, var)),
+            _mul(_diff(node.lhs, var, memo), node.rhs),
+            _mul(node.lhs, _diff(node.rhs, var, memo)),
         )
-        return _div(num, _pow(node.rhs, 2))
-    if isinstance(node, Pow):
-        inner = _diff(node.base, var)
-        return _mul(_mul(_const(node.exponent), _pow(node.base, node.exponent - 1)), inner)
-    if isinstance(node, Exp):
-        return _mul(Exp(node.arg), _diff(node.arg, var))
-    if isinstance(node, Log):
-        return _div(_diff(node.arg, var), node.arg)
-    if isinstance(node, (AbsVal, MinConst, ProjKernel)):
+        d = _div(num, _pow(node.rhs, 2))
+    elif isinstance(node, Pow):
+        inner = _diff(node.base, var, memo)
+        d = _mul(_mul(_const(node.exponent), _pow(node.base, node.exponent - 1)), inner)
+    elif isinstance(node, Exp):
+        d = _mul(Exp(node.arg), _diff(node.arg, var, memo))
+    elif isinstance(node, Log):
+        d = _div(_diff(node.arg, var, memo), node.arg)
+    elif isinstance(node, (AbsVal, MinConst, ProjKernel)):
         raise _no_derivative(node)
-    if isinstance(node, SlotDividedDifference):
-        return _diff_slot_dd(node, var)
-    raise TypeError(f"unknown node type {type(node).__name__}")
+    elif isinstance(node, SlotDividedDifference):
+        d = _diff_slot_dd(node, var)
+    else:
+        raise TypeError(f"unknown node type {type(node).__name__}")
+    memo[key] = d
+    return d
 
 
 def _diff_slot_dd(node: SlotDividedDifference, var: int) -> Node:
     t = len(node.mults)
     lo, hi = node.slot, node.slot + t
-    if var < lo:
-        base = _diff(node.base, var)
-        if _is_const(base, 0):
-            return _ZERO
-        return SlotDividedDifference(base, node.base_arity, node.slot, node.mults)
-    if var >= hi:
-        base = _diff(node.base, var - t + 1)
+    if var < lo or var >= hi:
+        base = _diff(node.base, var if var < lo else var - t + 1, {})
         if _is_const(base, 0):
             return _ZERO
         return SlotDividedDifference(base, node.base_arity, node.slot, node.mults)
@@ -989,9 +980,15 @@ class ScalarField:
         return _evaluate_on(self.root, [np.array([p], dtype=complex) for p in point]).item()
 
     def partial(self, var: int) -> "ScalarField":
+        """The symbolic partial derivative in variable ``var`` (0-based), a new field.
+
+        Each call differentiates the tree once, with a memo of its own
+        (:func:`_diff`); no cache keeps the derivative once the returned
+        field is dropped.
+        """
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range for arity {self.arity}")
-        return ScalarField(self.arity, _diff(self.root, var))
+        return ScalarField(self.arity, _diff(self.root, var, {}))
 
     # -- operator sugar ----------------------------------------------------
 

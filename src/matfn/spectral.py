@@ -10,7 +10,6 @@ that read them.
 
 from __future__ import annotations
 
-import operator
 import os
 import sys
 import warnings
@@ -83,10 +82,11 @@ class SpectralData:
     ``blocks`` holds the (centre, size, radius) of each node of the
     tensor extension's grid, which reads nothing else: with an explicit
     ``min_mult``, each eigenvalue at that size and radius 0; with a
-    ``matrix``, the clusters within ``BLOCK_TOL`` times its scale of each
-    other, merged as :func:`merge_clusters` merges, at the mean of their
-    eigenvalues (the value itself if all are equal), built on the first
-    read. So a defective eigenvalue that rounding split is one block again.
+    ``matrix``, the groups of its computed eigenvalues within ``BLOCK_TOL``
+    times its scale of each other, clustered as the spectrum is clustered
+    (:func:`_clusters`): at their mean (the value itself if all are equal),
+    with their largest distance from it as radius, built on the first read.
+    So a defective eigenvalue that rounding split is one block again.
     Equality and hash read ``min_mult``, so they run the ladder of such
     data once.
     """
@@ -98,7 +98,8 @@ class SpectralData:
             raise ValueError("spectral data fields have mismatched lengths")
         if sum(self.alg_mult) != dim:
             raise ValueError("algebraic multiplicities must sum to the dimension")
-        self._matrix, self._min_mult, self._blocks = matrix, None, None
+        # _raw: the matrix's computed eigenvalues, which blocks group; set by _analyze_all
+        self._matrix, self._min_mult, self._blocks, self._raw = matrix, None, None, None
         if matrix is None:
             if len(min_mult) != len(self.alg_mult):
                 raise ValueError("spectral data fields have mismatched lengths")
@@ -111,15 +112,9 @@ class SpectralData:
     @property
     def blocks(self) -> tuple[tuple[complex, int, float], ...]:
         if self._blocks is None:
-            lams = self.eigenvalues
-            scale = min(hs_norm(self._matrix), 10 * max(1.0, max(map(abs, lams), default=0.0)))
-            blocks = []
-            for g in merge_clusters(lams, BLOCK_TOL * scale):
-                cs, ns = [lams[i] for i in g], [self.alg_mult[i] for i in g]
-                same = cs.count(cs[0]) == len(cs)
-                c = cs[0] if same else sum(map(operator.mul, ns, cs)) / sum(ns)
-                blocks.append((c, sum(ns), max(abs(x - c) + self.radii[i] for x, i in zip(cs, g))))
-            self._blocks = tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))
+            w = self._raw
+            scale = min(hs_norm(self._matrix), 10 * max(1.0, max(map(abs, w), default=0.0)))
+            self._blocks = tuple(_clusters(w, BLOCK_TOL * scale))
         return self._blocks
 
     @property
@@ -162,15 +157,16 @@ def merge_clusters(values, threshold: float) -> list[list[int]]:
     restarts, until no pair is that close.
     """
     groups = [[i] for i in range(len(values))]
+    cents = [sum(values[i] for i in g) / len(g) for g in groups]
     merged = True
     while merged and len(groups) > 1:
         merged = False
-        cents = [sum(values[i] for i in g) / len(g) for g in groups]
         for a in range(len(groups)):
             for b in range(a + 1, len(groups)):
                 if abs(cents[a] - cents[b]) <= threshold:
-                    groups[a].extend(groups[b])
-                    del groups[b]
+                    groups[a].extend(groups.pop(b))
+                    del cents[b]
+                    cents[a] = sum(values[i] for i in groups[a]) / len(groups[a])
                     merged = True
                     break
             if merged:
@@ -302,10 +298,12 @@ def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
         for i, wi in zip(idx, w):
             eigs[i] = wi
     for A, w in zip(arrs, eigs):
-        w = _eigvals(A) if w is None else w
+        w = (_eigvals(A) if w is None else w).tolist()  # Python complex: cheap scalar arithmetic
         rows = _clusters(w, cluster_threshold(A, cluster_tol))
-        yield SpectralData([c for c, _, _ in rows], [n for _, n, _ in rows], None, A.shape[0],
-                           radii=[r for _, _, r in rows], matrix=A)
+        data = SpectralData([c for c, _, _ in rows], [n for _, n, _ in rows], None, A.shape[0],
+                            radii=[r for _, _, r in rows], matrix=A)
+        data._raw = w
+        yield data
 
 
 def analyze(M, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:

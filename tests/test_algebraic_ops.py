@@ -199,3 +199,37 @@ def test_compose_identity_defective_inner():
     J = jordan_matrix([(0.5, 2)])
     check = compose_identity_check(g, [inner], [[J]])
     assert check.residual < 1e-7
+
+
+def test_checks_take_their_slots_as_f_otimes_does(monkeypatch):
+    import matfn.algebraic_ops as ops
+    import matfn.spectral as spectral
+
+    A = rng.normal(size=(3, 3))
+    f = parse_field("x1*x2 + x3")
+    checks = [
+        lambda mats: product_identity_check(f, f, mats),
+        lambda mats: contract_trace_theorem(f, mats, 1),
+        lambda mats: contract_equal_slots_theorem(f, mats, 0, 1),
+        lambda mats: commuting_swap_check(f, mats, 0, 1),
+    ]
+    names = []
+    check = spectral.as_square_matrix
+
+    def counting(M, name="matrix"):
+        names.append(name)
+        return check(M, name)
+
+    for module in (spectral, ops):
+        monkeypatch.setattr(module, "as_square_matrix", counting)
+    bad = np.ones((2, 3))
+    for run in checks:
+        names.clear()
+        run([A, A, A])
+        # one matrix object in three slots is checked once, at slot 0, by
+        # each layer that takes the slots
+        assert set(names) == {"slot 0 matrix"}
+        with pytest.raises(ValueError, match=r"^slot 2 matrix must be square, got shape \(2, 3\)$"):
+            run([A, A, bad])
+        with pytest.raises(ValueError, match="arity 3 applied to 2 matrices"):
+            run([A, A])

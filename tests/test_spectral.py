@@ -386,17 +386,11 @@ def test_block_scale_is_the_spectral_radius_not_the_norm():
     assert close.blocks[0] == (5e-3 + 0j, 2, 5e-3)
 
 
-def _eager_blocks(data, M):
-    """The blocks as analyze built them before they were built on first read."""
-    lams = data.eigenvalues
-    scale = min(np.linalg.norm(np.asarray(M, dtype=complex)),
-                10 * max(1.0, max(map(abs, lams), default=0.0)))
-    blocks = []
-    for g in merge_clusters(lams, BLOCK_TOL * scale):
-        cs, ns = [lams[i] for i in g], [data.alg_mult[i] for i in g]
-        c = cs[0] if cs.count(cs[0]) == len(cs) else sum(n * x for n, x in zip(ns, cs)) / sum(ns)
-        blocks.append((c, sum(ns), max(abs(x - c) + data.radii[i] for x, i in zip(cs, g))))
-    return tuple(sorted(blocks, key=lambda b: (b[0].real, b[0].imag)))
+def _eager_blocks(M):
+    """The blocks as the clusters of M's computed eigenvalues at BLOCK_TOL times its scale."""
+    w = np.linalg.eigvals(np.asarray(M, dtype=complex)).tolist()
+    scale = min(np.linalg.norm(M), 10 * max(1.0, max(map(abs, w), default=0.0)))
+    return tuple(_clusters(w, BLOCK_TOL * scale))
 
 
 def _block_cases():
@@ -433,8 +427,19 @@ def test_blocks_are_built_on_first_read(monkeypatch):
     assert len(calls) == 1
     blocks = data.blocks
     assert len(calls) == 2 and data.blocks is blocks and len(calls) == 2
-    # bit for bit the blocks built when analyze returned: repr round-trips
-    # every float, -0.0 included
+    # bit for bit the clusters of the computed eigenvalues at the block
+    # threshold: repr round-trips every float, -0.0 included
     for M in _block_cases():
         data = analyze(M)
-        assert repr(data.blocks) == repr(_eager_blocks(data, M))
+        assert repr(data.blocks) == repr(_eager_blocks(M))
+
+
+def test_merged_block_radius_is_its_eigenvalues_spread():
+    # two clusters 4e-3 apart merge into one block of five; its radius is the
+    # distance of the farthest eigenvalue from the block's centre, not a bound
+    M = np.diag([1, 1, 1, 1.004, 1.004 + 1e-9j])
+    data = analyze(M)
+    assert data.alg_mult == (3, 2)
+    [(c, size, radius)] = data.blocks
+    spread = max(abs(w - c) for w in np.linalg.eigvals(M))
+    assert size == 5 and radius == pytest.approx(spread, rel=1e-15, abs=0)
