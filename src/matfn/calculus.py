@@ -159,8 +159,7 @@ def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
         raise ValueError("needs a one-variable field")
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
-    Hm = as_square_matrix(H, "direction")
-    A = as_square_matrix(M) + complex(at) * Hm
+    A, Hm = _line_point(M, H, at)
     [sd] = _analyze_all([A])
     try:
         [nodes] = _padded_nodes(f, [sd.blocks], 0)
@@ -180,6 +179,14 @@ def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
         Q[0] += c[i] * np.eye(len(A))
         P = Q
     return P
+
+
+def _line_point(M, H, at):
+    """(A, H) as complex arrays, A = M + at H on the line; H must have M's shape."""
+    Hm, Mm = as_square_matrix(H, "direction"), as_square_matrix(M)
+    if Hm.shape != Mm.shape:
+        raise ValueError("direction must match the matrix's shape")
+    return Mm + complex(at) * Hm, Hm
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +214,7 @@ def _simple_spectrum_frame(M, H, which: int, at):
     One ``eig`` of A, its eigenvalues in (real, imag) order. The spectrum
     is simple when every gap exceeds 10x the clustering threshold.
     """
-    Hm = as_square_matrix(H, "direction")
-    A = as_square_matrix(M) + complex(at) * Hm
+    A, Hm = _line_point(M, H, at)
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # a SpectralError, with numpy's message

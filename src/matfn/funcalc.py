@@ -17,7 +17,6 @@ form for explicit Jordan matrices; they serve as mutual cross-checks.
 
 from __future__ import annotations
 
-import math
 import string
 
 import numpy as np
@@ -92,9 +91,10 @@ def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, 
     """Each slot's grid nodes on its blocks: (c, s, rho) is the node c of order s + ``pad`` + p.
 
     Radius 0 means p = 0. Otherwise p is the smallest pad past which every
-    Taylor term rho^j |d^j f| / j! up to order s + ``pad`` + ``PAD_CAP`` is
+    Taylor term rho^j |d^j f / j!| up to order s + ``pad`` + ``PAD_CAP`` is
     at most eps times the largest Taylor coefficient of order below the
-    block sizes on the grid, the entries of f(J) at a Jordan block J. That
+    block sizes on the grid, the entries of f(J) at a Jordan block J; both
+    are moduli of :func:`derivative_grid` entries, as it holds them. That
     tail bounds the remainder on eigenvalues within rho of c (Davies &
     Higham, SIMAX 25(2), 2003, sec. 2.3); one small term does not, since a
     coefficient can vanish, as sin's does at pi. The largest coefficient
@@ -109,12 +109,14 @@ def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, 
     padded = [l for l, b in enumerate(blocks) if any(rho > 0 for _, _, rho in b)]
     if not padded:
         return final
-    tol = np.finfo(float).eps * _taylor(f, [[(c, s) for c, s, _ in b] for b in blocks]).max()
+    G = derivative_grid(f, [[(c, s) for c, s, _ in b] for b in blocks])
+    tol = np.finfo(float).eps * np.abs(G).max()
     for l in padded:
         nodes = [[(c, 1) for c, _, _ in b] for b in blocks]
         nodes[l] = [(c, o + PAD_CAP + 1 if rho > 0 else o)
                     for (c, o), (_, _, rho) in zip(final[l], blocks[l])]
-        along = np.moveaxis(_taylor(f, nodes), l, 0).reshape(sum(r for _, r in nodes[l]), -1)
+        along = np.abs(np.moveaxis(derivative_grid(f, nodes), l, 0))
+        along = along.reshape(sum(r for _, r in nodes[l]), -1)
         along, at = along.max(axis=1), 0
         for m, ((c, s, rho), (_, r)) in enumerate(zip(blocks[l], nodes[l])):
             o = s + pad
@@ -126,16 +128,6 @@ def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, 
                 final[l][m] = (c, o + int(big[-1]) + 1)
             at += r
     return final
-
-
-def _taylor(f: ScalarField, nodes) -> np.ndarray:
-    """|G| / prod_i j_i! on the grid of ``nodes``: the moduli of f's Taylor coefficients;
-    j_i is the order of a row along axis i."""
-    coef = np.abs(derivative_grid(f, nodes))
-    for i, e in enumerate(nodes):
-        fact = np.array([math.factorial(j) for _, r in e for j in range(r)], dtype=float)
-        coef = coef / fact.reshape((-1,) + (1,) * (len(nodes) - 1 - i))
-    return coef
 
 
 def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
@@ -199,10 +191,10 @@ def jordan_closed_form(f: ScalarField, mats, blocks_per_slot) -> OperatorTensor:
     pairs; the matrices must equal the declared structure entry for
     entry, with no tolerance. The tensor entry at (i_1, j_1, ..., i_k, j_k)
     vanishes unless every index pair lies upper-triangular in one block,
-    and otherwise equals the mixed derivative
-    prod_l (1/(j_l - i_l)!) d_l^{j_l - i_l} f at the block eigenvalues.
-    Those derivatives are read from one derivative grid tensor whose
-    orders are the block sizes, with one gather per slot.
+    and otherwise equals the mixed Taylor coefficient
+    prod_l (1/(j_l - i_l)!) d_l^{j_l - i_l} f at the block eigenvalues:
+    an entry of the derivative grid tensor whose orders are the block
+    sizes, gathered as it is, with one index per slot.
     """
     arrs = _slot_matrices(f, mats)
     specs = [list(b) for b in blocks_per_slot]
@@ -225,11 +217,6 @@ def jordan_closed_form(f: ScalarField, mats, blocks_per_slot) -> OperatorTensor:
         sizes = [size for _, size in blocks]
         start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
         order = np.arange(len(start)) - start
-        fact = np.array([math.factorial(j) for j in order], dtype=float)
-        fact = fact.reshape((-1,) + (1,) * (k - 1 - l))
-        # real and imaginary parts apart: numpy's complex division
-        # multiplies by 1/fact, which is inexact from 3! on
-        G = G.real / fact + 1j * (G.imag / fact)
         upper = order[None, :] - order[:, None]
         ok = (start[:, None] == start[None, :]) & (upper >= 0)
         # slot l owns axes 2l and 2l + 1 of the result

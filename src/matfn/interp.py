@@ -7,12 +7,12 @@ Leja order: after the node farthest from their mean, each next one has
 the largest product of distances to the centres already taken
 (Reichel, "Newton interpolation at Leja points", BIT 30, 1990).
 c_i = f[z_0, ..., z_i] is a confluent divided difference and linear in
-the derivatives f^(j)(lam_m) that a grid holds, so one matrix D maps a
-grid axis to Newton coefficients; at a single node of order m the
-coefficients are the Taylor coefficients f^(j)(lam)/j!. A second matrix
-E, built apart from D out of the Taylor coefficients of the N_i at each
-node, evaluates the basis's derivatives at the nodes, so E D = I. Products of one basis per
-variable interpolate mixed derivative grids of several variables: such a
+the Taylor coefficients f^(j)(lam_m)/j! that a grid holds, so one matrix
+D maps a grid axis to Newton coefficients (D = I at a single node). A
+second matrix E, built apart from D out of the Taylor coefficients of
+the N_i at each node, maps them back to that unit, so E D = I; neither
+scales by j!. Products of one basis per variable interpolate mixed
+derivative grids of several variables: such a
 grid is one dense tensor, an axis per variable with its rows in the
 order of :attr:`HermiteBasis.functionals`; the coefficient tensor is the
 grid with each axis mapped through its D, a mode product per variable,
@@ -36,12 +36,14 @@ class HermiteBasis:
     """Newton basis for one variable's interpolation nodes.
 
     ``nodes`` holds the (value, order) pairs as given; ``functionals``
-    lists the (node, derivative order) of each row of this variable's
-    axis of a derivative grid tensor. ``centres`` is the Newton basis's
-    node sequence z, ``size`` long. ``transform`` (D) maps grid rows to
-    Newton coefficients, its row i giving f[z_0, ..., z_i];
-    ``evaluation`` (E) maps them back, E[t, i] being the t-th functional
-    of N_i. ``condition``, ||D||_1 ||E||_1, is worked out when read.
+    lists the (node, Taylor order) of each row of this variable's axis of
+    a derivative grid tensor: row (m, j) holds f^(j)(lam_m)/j!.
+    ``centres`` is the Newton basis's node sequence z, ``size`` long.
+    ``transform`` (D) maps grid rows to Newton coefficients, its row i
+    giving f[z_0, ..., z_i]; ``evaluation`` (E) maps them back, E[t, i]
+    being the t-th Taylor coefficient of N_i, at the node and order of
+    functional t. ``condition``, ||D||_1 ||E||_1, is worked out when read;
+    at one node both matrices are the identity and it is 1.
     """
 
     nodes: tuple[tuple[complex, int], ...]
@@ -125,17 +127,18 @@ def _leja(nodes) -> list[int]:
 def _newton_matrices(z: np.ndarray, runs):
     """D and E in centre order; ``runs`` holds each node's first and last centre.
 
-    Centre p of a run from a stands for the grid row of order j = p - a
-    at its node. D[i, p] is that row's weight in f[z_0..z_i]. By residues,
+    Centre p of a run from a stands for the grid row of Taylor order
+    j = p - a at its node, f^(j)(lam)/j!. D[i, p] is that row's weight in
+    f[z_0..z_i]. By residues,
     f[z_0..z_i] = sum over the nodes lam of sum_{j<c} f^(j)(lam)/j! w_{c-1-j},
     with c the copies of lam among z_0..z_i and w_s the Taylor coefficient
     of order s at lam of the product of 1/(x - z_q) over the other centres
-    q <= i; it is 0 unless i >= p. E[p, i] is the j-th derivative at z_p of
-    N_i; N_i(z_p + h) = prod_{q<i} (h + z_p - z_q) is h^c, with c the copies
-    of z_p among z_0..z_{i-1}, times the product over the other centres;
-    it is 0 unless i <= p. When every node has order 1 only the products'
-    values enter, running products along each row of z_p - z_q; otherwise
-    each run's rows come from :func:`_run_rows`.
+    q <= i; it is 0 unless i >= p. E[p, i] is the j-th Taylor coefficient
+    at z_p of N_i; N_i(z_p + h) = prod_{q<i} (h + z_p - z_q) is h^c, with c
+    the copies of z_p among z_0..z_{i-1}, times the product over the other
+    centres; it is 0 unless i <= p. When every node has order 1 only the
+    products' values enter, running products along each row of z_p - z_q;
+    otherwise each run's rows come from :func:`_run_rows`.
     """
     n = z.size
     if all(a == b for a, b in runs):
@@ -158,17 +161,16 @@ def _run_rows(gaps, a: int, b: int):
     the product of 1/(h + gaps[q]) over the other centres q <= i, and T
     those of the product of (h + gaps[q]) over the other centres q < i,
     each to the run's length; a factor more is a series division or
-    product. Row p = a + j of D reads S_{c-1-j}/j!, row p of E reads
-    T_{j-c} j!, with c as in :func:`_newton_matrices`, and 0 where that
-    index is negative.
+    product. Grid rows hold Taylor coefficients too, so row p = a + j of
+    D reads S_{c-1-j} and row p of E reads T_{j-c}, with c as in
+    :func:`_newton_matrices`, and 0 where that index is negative.
     """
     r, n = b - a + 1, len(gaps)
-    fact = [float(math.factorial(j)) for j in range(r)]
     S, T = [1.0] + [0.0] * (r - 1), [1.0] + [0.0] * (r - 1)
     wr, vr = [[0.0] * n for _ in range(r)], [[0.0] * n for _ in range(r)]
     for i in range(a):  # before the run: no copies of z_a, nothing of D
         for j in range(r):
-            vr[j][i] = T[j] * fact[j]
+            vr[j][i] = T[j]
         g = gaps[i]
         y = 1.0 / g
         S[0] *= y
@@ -178,16 +180,16 @@ def _run_rows(gaps, a: int, b: int):
         T[0] *= g
     for i in range(a, b + 1):  # along it: i - a copies before i, i - a + 1 up to it
         for j in range(i - a, r):
-            vr[j][i] = T[j - i + a] * fact[j]
+            vr[j][i] = T[j - i + a]
         for j in range(i - a + 1):
-            wr[j][i] = S[i - a - j] / fact[j]
+            wr[j][i] = S[i - a - j]
     for i in range(b + 1, n):  # after it: all r copies, nothing of E
         y = 1.0 / gaps[i]
         S[0] *= y
         for s in range(1, r):
             S[s] = (S[s] - S[s - 1]) * y
         for j in range(r):
-            wr[j][i] = S[r - 1 - j] / fact[j]
+            wr[j][i] = S[r - 1 - j]
     return wr, vr
 
 
@@ -197,13 +199,14 @@ def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
     ``G`` is the grid tensor of :func:`~matfn.scalarfield.derivative_grid`:
     one axis per variable, of length ``bases[l].size``, its rows in the
     order of ``bases[l].functionals``, so that the entry at rows
-    (m_l, j_l) is the prescribed value of (prod_l d_l^{j_l}) P at the node
-    tuple. Any other shape is an :class:`InterpolationError`. The
-    coefficient tensor, G with each axis mapped through its basis's
-    ``transform``, is verified against G (an :class:`InterpolationError`
-    carries the residual if the defining conditions are not met to within
-    what the conditioning allows) and becomes the result's ``dense`` array
-    as is, with each basis's ``centres``.
+    (m_l, j_l) is the prescribed Taylor coefficient
+    (prod_l d_l^{j_l} / j_l!) P at the node tuple. Any other shape is an
+    :class:`InterpolationError`. The coefficient tensor, G with each axis
+    mapped through its basis's ``transform``, is verified against G (an
+    :class:`InterpolationError` carries the residual if the defining
+    conditions are not met to within what the conditioning allows) and
+    becomes the result's ``dense`` array as is, with each basis's
+    ``centres``.
     """
     return MultiPoly(len(bases), _coefficients(G, bases), [b.centres for b in bases])
 

@@ -1163,15 +1163,16 @@ def compose(outer: ScalarField, inners: list[ScalarField]) -> ScalarField:
 
 
 def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
-    """Mixed partial derivatives of ``f`` on a spectral grid, as one tensor G.
+    """Mixed Taylor coefficients of ``f`` on a spectral grid, as one tensor G.
 
     ``spectra`` is one sequence per variable of ``(eigenvalue, order)``
-    pairs; ``order`` is how many derivatives in that variable the grid
-    carries (j = 0 .. order-1). G is a complex array with one axis per
+    pairs; ``order`` is how many Taylor coefficients in that variable the
+    grid carries (j = 0 .. order-1). G is a complex array with one axis per
     variable, of length the sum of that variable's orders. Along axis l,
     node m and order j sit at row sum_{m' < m} r_{lm'} + j, the order of
     :attr:`~matfn.interp.HermiteBasis.functionals`; the entry at one row
-    per axis is (prod_l d_l^{j_l}) f at the node tuple.
+    per axis is (prod_l d_l^{j_l} / j_l!) f at the node tuple, the
+    coefficient of prod_l h_l^{j_l} in f's Taylor series there.
 
     Where every order is 1, G is one walk of the tree broadcast over the
     eigenvalues; a divided difference in it walks its base once on the
@@ -1180,8 +1181,8 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
     of order 1 and the rest, and the tree is walked once per combination
     of parts, broadcast over its eigenvalues and carrying Taylor jets up
     to each part's largest order (none on a part of order 1). Each walk
-    fills its block of G with each node's first r coefficients, times
-    prod_l j_l!, and a non-finite entry among them is a
+    fills its block of G with each node's first r coefficients as it holds
+    them, and a non-finite entry among them is a
     :class:`FieldDomainError`. Coefficients that G does not gather are
     not looked at.
     """
@@ -1227,10 +1228,6 @@ def derivative_grid(f: ScalarField, spectra) -> np.ndarray:
         ]
         js = [along(l, [j for _, r in e for j in range(r)], int) for l, e in enumerate(sub)]
         block = jets[tuple(nodes) + tuple(js)]
-        if max(orders) > 1:
-            factorial = np.cumprod([1.0, *range(1, max(orders))])
-            with np.errstate(all="ignore"):
-                block = block * math.prod(factorial[j] for j in js)
         bad = ~np.isfinite(block)
         if bad.any():
             at = np.unravel_index(int(np.argmax(bad)), block.shape)

@@ -559,6 +559,25 @@ def test_perturbation_series_reports_a_failed_eig_as_spectral_error(monkeypatch)
             route(np.diag([1.0, 2.0]), np.eye(2), 0, 1)
 
 
+@pytest.mark.parametrize("M, H", [
+    (np.array([[2.0]]), np.diag([1.0, 2.0, 3.0])),
+    (np.diag([1.0, 2.0, 3.0]), np.eye(2)),
+])
+def test_line_derivatives_refuse_a_direction_of_another_shape(M, H):
+    # M + at H would broadcast: a 1x1 M reads as the all-2 matrix, a 2x2 H
+    # as numpy's broadcast error
+    f = parse_field("exp(x1)")
+    routes = [
+        lambda: nth_derivative_curve(f, M, H, 1),
+        lambda: trace_derivative(f, M, H, 1),
+        lambda: eigenvalue_derivative(M, H, 0, 1),
+        lambda: projector_derivative(M, H, 0, 1),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="direction must match the matrix's shape"):
+            route()
+
+
 def test_cyclic_sum_of_doubled_nodes():
     f = parse_field("exp(x1)")
     fprime = f.partial(0)

@@ -227,6 +227,19 @@ def test_curve_undefined_on_the_spectrum_exit_2(tmp_path, capsys):
     assert "field is not defined on the spectral grid of the arguments" in err
 
 
+def test_direction_of_another_shape_exit_1(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", [[2.0]])
+    h = write_matrix(tmp_path, "h.json", np.diag([1.0, 2.0, 3.0]))
+    for argv in (
+        ["curve", "--func", "exp(x1)", "--mat", m, "--dir", h, "--order", "1"],
+        ["projderiv", "--mat", m, "--dir", h, "--eigen", "1", "--order", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1, argv[0]
+        assert out == ""
+        assert err == "matfn: input error: direction must match the matrix's shape\n"
+
+
 def test_linalg_failure_exit_2(tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError subclasses ValueError, which would read as bad input;
     # projderiv calls np.linalg.eig for its eigenvectors

@@ -87,15 +87,19 @@ def test_dual_property_random_nodes():
     N = [_newton_poly(z, i) for i in range(basis.size)]
     for t, (m, j) in enumerate(basis.functionals):
         lam = nodes[m][0]
-        # E from the roots' polynomials, differentiated in the monomial form
+        # E from the roots' polynomials, differentiated in the monomial form:
+        # the Taylor coefficients N_i^(j)(lam)/j!
         for i in range(basis.size):
-            assert basis.evaluation[t, i] == pytest.approx(N[i].deriv(j)(lam), abs=1e-12)
-        # column t of D: the Newton coefficients of the t-th dual polynomial
+            want = N[i].deriv(j)(lam) / math.factorial(j)
+            assert basis.evaluation[t, i] == pytest.approx(want, abs=1e-12)
+        # column t of D: the Newton coefficients of the t-th dual polynomial,
+        # whose Taylor coefficients at the nodes are the unit vector t
         p = sum(c * Ni for c, Ni in zip(basis.transform[:, t], N))
         for m2, (lam2, r2) in enumerate(nodes):
             for j2 in range(r2):
                 want = 1.0 if (m2, j2) == (m, j) else 0.0
-                assert p.deriv(j2)(lam2) == pytest.approx(want, abs=1e-10)
+                got = p.deriv(j2)(lam2) / math.factorial(j2)
+                assert got == pytest.approx(want, abs=1e-10)
     assert np.abs(basis.evaluation @ basis.transform - np.eye(basis.size)).max() < 1e-13
 
 
@@ -196,6 +200,16 @@ def test_condition_number_reported():
     # E inverts D, so ||D||_1 ||E||_1 is the 1-norm condition number of D
     for basis in (tight, wide, hermite_basis([(1.0, 3), (2.0 - 1j, 2), (0.5j, 1)])):
         assert basis.condition == pytest.approx(np.linalg.cond(basis.transform, 1), rel=1e-10)
+
+
+def test_one_node_basis_is_the_identity():
+    # grids hold Taylor coefficients, which at one node are the Newton
+    # coefficients themselves: no factorial enters D, E or the condition
+    for m in range(1, 9):
+        basis = hermite_basis([(0.5, m)])
+        assert np.array_equal(basis.transform, np.eye(m))
+        assert np.array_equal(basis.evaluation, np.eye(m))
+        assert basis.condition == 1.0
 
 
 def test_overflowing_basis_is_rejected():
