@@ -133,7 +133,8 @@ def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.nd
     divided-difference field of f at n + 1 copies of A = M + at H with
     every adjacent pair of slots contracted through H, which is not formed.
     """
-    return math.factorial(n) * _block_row(f, M, H, n, at)[n]
+    row = _block_row(f, M, H, n, at)  # checks n before n! is taken
+    return math.factorial(n) * row[n]
 
 
 def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
@@ -142,7 +143,8 @@ def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
     The curve's arithmetic; ``verify``'s oracle for it is the paper's
     route, the extension of f[x_1, ..., x_n, x_n] closed by the trace.
     """
-    return math.factorial(n) * complex(np.trace(_block_row(f, M, H, n, at)[n]))
+    row = _block_row(f, M, H, n, at)
+    return math.factorial(n) * complex(np.trace(row[n]))
 
 
 def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
@@ -182,11 +184,19 @@ def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
 
 
 def _line_point(M, H, at):
-    """(A, H) as complex arrays, A = M + at H on the line; H must have M's shape."""
+    """(A, H) as complex arrays, A = M + at H: M nonempty, H of its shape, at and A finite."""
     Hm, Mm = as_square_matrix(H, "direction"), as_square_matrix(M)
     if Hm.shape != Mm.shape:
         raise ValueError("direction must match the matrix's shape")
-    return Mm + complex(at) * Hm, Hm
+    if Mm.size == 0:
+        raise ValueError("matrix must not be empty")
+    if not np.isfinite(at):
+        raise ValueError(f"the point {at} on the line is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = Mm + complex(at) * Hm
+    if not np.isfinite(A).all():
+        raise ValueError(f"M + {at} H has non-finite entries")
+    return A, Hm
 
 
 # ---------------------------------------------------------------------------

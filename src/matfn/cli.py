@@ -178,9 +178,7 @@ def _cmd_projderiv(args) -> int:
     H = fileio.load_matrix(args.dir)
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
-    which = args.eigen - 1
-    if which < 0:
-        raise ValueError("--eigen counts from 1")
+    which = _slot_index(args.eigen, len(M), "eigen")
     lam = calc.eigenvalue_derivative(M, H, which, args.order, args.at)
     proj = calc.projector_derivative(M, H, which, args.order, args.at)
     payload = {

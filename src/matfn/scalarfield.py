@@ -324,7 +324,7 @@ def _evaluate(node: Node, point: tuple, memo: dict, box=None):
         if not np.isfinite(v).all():
             _check(~np.isfinite(v) & np.isfinite(b0), point, "power overflow", node)
         if jet:
-            v = box.power(base, node.exponent, v)
+            v = _power(box, base, node.exponent, v)
     elif t is Exp:
         arg = _evaluate(node.arg, point, memo, box)
         jet, a0 = _split(arg, box)
@@ -431,13 +431,13 @@ class _Box:
     the multi-indices j < ``orders`` (componentwise), flattened in C order
     along one axis of ``size`` entries; entry 0 is the value. A product
     is the truncated convolution: entry n sums a_i b_j over the pairs
-    i + j = n, and reads no entry above n. Division, exp, log and
-    negative integer powers use the standard recurrences (Griewank &
-    Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13) with
-    the total degree |n| in the role of the order: every entry of degree
-    d is a sum over pairs with i != 0, whose j are of lower degree, so
-    one shell of entries is solved at a time. In one variable these are
-    the textbook recurrences; positive powers are repeated products.
+    i + j = n, and reads no entry above n. Division, exp and log use the
+    standard recurrences (Griewank & Walther, *Evaluating Derivatives*,
+    2nd ed., SIAM 2008, ch. 13) with the total degree |n| in the role of
+    the order: every entry of degree d is a sum over pairs with i != 0,
+    whose j are of lower degree, so one shell of entries is solved at a
+    time. In one variable these are the textbook recurrences; integer
+    powers are repeated products (:func:`_power`).
     """
 
     def __init__(self, orders: tuple):
@@ -519,24 +519,24 @@ class _Box:
             lambda l, at, i, j, s: (a[..., at] - _conv(a, l * deg, i, j, s) / deg[at]) / a0,
         )
 
-    def power(self, a, r: int, p0):
-        """a^r with coefficient 0 ``p0`` as the plain walk computes it."""
-        if r < 0:  # a_0 |n| p_n = sum (r |i| - |j|) a_i p_j; a_0 != 0 is checked
-            a0, deg = a[..., :1], self.degree
-            ra = a * (r * deg)
-            return self._shells(
-                p0,
-                lambda p, at, i, j, s: (_conv(ra, p, i, j, s) - _conv(a, p * deg, i, j, s))
-                / (deg[at] * a0),
-            )
-        p = a if r else np.zeros_like(a)
-        for bit in bin(r)[3:]:  # left to right: square, then multiply where the bit is set
-            p = self.mul(p, p)
-            if bit == "1":
-                p = self.mul(p, a)
-        p = p.copy() if p is a else p
-        p[..., 0] = p0
-        return p
+    def with_head(self, v, head):
+        """A copy of the jets ``v`` with coefficient 0 ``head``."""
+        v = v.copy()
+        v[..., 0] = head
+        return v
+
+
+def _power(box, a, r: int, p0):
+    """a^r in ``box``, by repeated squaring of a, or of 1 / a for r < 0; its head is ``p0``,
+    as the plain walk computes it."""
+    if r < 0:
+        a, r = box.div(1.0, a), -r
+    p = a if r else np.zeros_like(a)
+    for bit in bin(r)[3:]:  # left to right: square, then multiply where the bit is set
+        p = box.mul(p, p)
+        if bit == "1":
+            p = box.mul(p, a)
+    return box.with_head(p, p0)
 
 
 def _conv(a, b, i, j, starts):
@@ -675,6 +675,14 @@ def _proj_kernel(node: ProjKernel, point: tuple):
 # divided differences: walks on Opitz matrices
 
 
+def _with_head(v, head) -> np.ndarray:
+    """A complex copy of the stack ``v`` with ``head`` on its diagonals."""
+    v = np.array(v, dtype=complex)
+    at = np.arange(v.shape[-1])
+    v[..., at, at] = head
+    return v
+
+
 class _Opitz:
     """The walk's values as stacks of commuting lower-triangular (m, m) matrices.
 
@@ -705,6 +713,7 @@ class _Opitz:
         return v if _is_jet(v) else v * self.eye
 
     mul = staticmethod(np.matmul)
+    with_head = staticmethod(_with_head)
 
     def div(self, a, b):
         """a / b = b^-1 a by forward substitution, dividing by b's diagonal only."""
@@ -749,17 +758,6 @@ class _Opitz:
             total = total + term / (2 * j + 1)
         return _with_head(np.ldexp(2.0, k)[..., None, None] * total, l0)
 
-    def power(self, a, r: int, p0):
-        """a^r, by repeated squaring of a or of its inverse."""
-        if r < 0:
-            a, r = self.div(1.0, a), -r
-        p = a if r else np.zeros_like(a)
-        for bit in bin(r)[3:]:
-            p = p @ p
-            if bit == "1":
-                p = p @ a
-        return _with_head(p, p0)
-
     def parlett(self, f0, node: Node):
         """f(T) from its diagonal ``f0``, T the walked variable's matrix, from F T = T F."""
         T = self.mats[self.walked]
@@ -772,14 +770,6 @@ class _Opitz:
             + (F[..., i[:, None], q] * T[..., q, j[:, None]]
                - T[..., i[:, None], q] * F[..., q, j[:, None]]).sum(-1)
         ) / (T[..., i, i] - T[..., j, j]))
-
-
-def _with_head(v, head) -> np.ndarray:
-    """A complex copy of the stack ``v`` with ``head`` on its diagonals."""
-    v = np.array(v, dtype=complex)
-    at = np.arange(v.shape[-1])
-    v[..., at, at] = head
-    return v
 
 
 def _by_bands(X, entry) -> np.ndarray:

@@ -64,10 +64,6 @@ def hs_norm(A) -> float:
     return float(np.linalg.norm(np.asarray(A)))
 
 
-def _describe(M: np.ndarray) -> str:
-    return np.array2string(M, precision=4, suppress_small=True, threshold=16)
-
-
 class SpectralData:
     """Clustered spectrum of one matrix.
 
@@ -183,9 +179,7 @@ def _eigvals(A: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
-        raise SpectralError(
-            f"eigenvalue iteration failed for matrix\n{_describe(A)}"
-        ) from exc
+        raise SpectralError(f"eigenvalue iteration failed for a {A.shape} matrix: {exc}") from exc
 
 
 def _clusters(w, threshold: float) -> list[tuple[complex, int, float]]:

@@ -1,10 +1,10 @@
 """Randomized residual suites over seeded corpora.
 
 Every check builds an identity's two sides through genuinely different
-code paths (interpolation vs closed forms, symbolic vs finite
-differences, tensor pairing vs enumeration) and records the residual
-against a pinned bound. The command line's ``verify`` subcommand and the
-acceptance tests both run these functions.
+code paths (interpolation vs closed forms, symbolic vs finite differences
+or contour integrals, tensor pairing vs enumeration) and records the
+residual against a bound. The command line's ``verify`` subcommand and
+the acceptance tests both run these functions.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _draw(rng, pool):
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# oracles: finite differences and contour integrals
 
 
 _RICHARDSON_STEPS = {1: 1e-3, 2: 1e-2, 3: 5e-2}
@@ -146,13 +146,44 @@ def _central_difference(F, z, h, n):
     raise ValueError("orders 1..3 only")
 
 
-def richardson_derivative(F, z, n, h=None):
+def richardson_derivative(F, z, n):
     """Central differences at h and h/2, extrapolated one step."""
-    if h is None:
-        h = _RICHARDSON_STEPS[n]
+    h = _RICHARDSON_STEPS[n]
     coarse = _central_difference(F, z, h, n)
     fine = _central_difference(F, z, h / 2, n)
     return (4 * fine - coarse) / 3
+
+
+#: Trapezoid points per circle: at half the eigenvalue gap the error falls
+#: like 2**-points (Trefethen & Weideman, SIAM Review 56(3), 2014).
+_CONTOUR_POINTS = 64
+#: A contour check's bound: this factor times its two circles' disagreement, at least 1e-10.
+_CIRCLE_FACTOR = 10.0
+
+
+def _perturbation_contour(A, H, lam, radius, n):
+    """d^n/dz^n at z = 0 of the projector and of the simple eigenvalue ``lam`` of A + zH.
+
+    n!/(2 pi i) times the integrals of R (H R)^n and w Tr R (H R)^n, R = (w - A)^-1,
+    around the circle of ``radius`` about ``lam``, which must enclose no other
+    eigenvalue (Kato, *Perturbation Theory for Linear Operators*, ch. II).
+    """
+    e = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
+    w = lam + radius * e
+    R = np.linalg.inv(w[:, None, None] * np.eye(len(A)) - A)
+    X, HR = R, H @ R
+    for _ in range(n):
+        X = X @ HR
+    # n! dw / (2 pi i) is n! radius e dt / (2 pi): the trapezoid weights
+    X = X * (math.factorial(n) * radius / _CONTOUR_POINTS * e)[:, None, None]
+    return X.sum(axis=0), complex(w @ np.trace(X, axis1=1, axis2=2))
+
+
+def _contour_check(name, got, circles, part):
+    """``got`` against part ``part`` (0 projector, 1 eigenvalue) of the oracle on two circles."""
+    near, far = (c[part] for c in circles)
+    bound = max(_CIRCLE_FACTOR * float(np.linalg.norm(near - far)), 1e-10)
+    return CheckResult("diff", name, float(np.linalg.norm(got - near)), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -426,59 +457,35 @@ def suite_diff(seed, trials=6):
         res3 = abs(via_trace - paper) / max(1.0, abs(via_trace))
         out.append(CheckResult("diff", f"trace-paper-route-n{n}-{t}", res3, 1e-8))
 
-    # eigenvalue and projector perturbation against tracked finite differences
+    # eigenvalue and projector perturbation against the contour oracle
     for t in range(3):
         d = 3
         M = random_diagonalizable(rng, d, min_gap=0.8)
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         H /= np.linalg.norm(H)
-        base = analyze(M)
-        lams = base.eigenvalues
-
-        def tracked(z):
-            w = np.linalg.eigvals(M + z * H)
-            picked = []
-            for lam in lams:
-                picked.append(w[int(np.argmin(np.abs(w - lam)))])
-            return picked
-
-        h1, h2 = 1e-5, 1e-4
+        lams = analyze(M).eigenvalues
+        oracle = {}  # at each eigenvalue, on circles of a half and a quarter of its gap
+        for i, lam in enumerate(lams):
+            gap = min(abs(lam - mu) for mu in np.delete(lams, i))
+            for n in (1, 2):
+                oracle[i, n] = [_perturbation_contour(M, H, lam, s * gap, n) for s in (0.5, 0.25)]
         sum_first = 0j
         for which in range(d):
             d1 = calc.eigenvalue_derivative(M, H, which, 1)
             sum_first += d1
-            fd1 = (tracked(h1)[which] - tracked(-h1)[which]) / (2 * h1)
-            out.append(
-                CheckResult("diff", f"eig-d1-{t}-{which}", abs(d1 - fd1), 1e-4)
-            )
+            out.append(_contour_check(f"eig-d1-{t}-{which}", d1, oracle[which, 1], 1))
             d2 = calc.eigenvalue_derivative(M, H, which, 2)
-            fd2 = (
-                tracked(h2)[which] - 2 * tracked(0.0)[which] + tracked(-h2)[which]
-            ) / h2**2
-            out.append(
-                CheckResult("diff", f"eig-d2-{t}-{which}", abs(d2 - fd2), 1e-4)
-            )
+            out.append(_contour_check(f"eig-d2-{t}-{which}", d2, oracle[which, 2], 1))
         out.append(
             CheckResult(
                 "diff", f"eig-sum-trace-{t}", abs(sum_first - np.trace(H)), 1e-10
             )
         )
-
-        def projector(z, which):
-            w, V = np.linalg.eig(M + z * H)
-            W = np.linalg.inv(V)
-            i = int(np.argmin(np.abs(w - lams[which])))
-            return np.outer(V[:, i], W[i, :])
-
         for which in range(d):
             dp = calc.projector_derivative(M, H, which, 1)
-            fdp = (projector(h1, which) - projector(-h1, which)) / (2 * h1)
-            res = float(np.linalg.norm(dp - fdp))
-            out.append(CheckResult("diff", f"proj-d1-{t}-{which}", res, 1e-4))
+            out.append(_contour_check(f"proj-d1-{t}-{which}", dp, oracle[which, 1], 0))
         dp2 = calc.projector_derivative(M, H, 0, 2)
-        fdp2 = richardson_derivative(lambda z: projector(z, 0), 0.0, 2, h=1e-3)
-        res2 = float(np.linalg.norm(dp2 - fdp2))
-        out.append(CheckResult("diff", f"proj-d2-{t}", res2, 1e-4))
+        out.append(_contour_check(f"proj-d2-{t}", dp2, oracle[0, 2], 0))
     return out
 
 

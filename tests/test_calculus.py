@@ -28,7 +28,7 @@ from matfn import (
 from matfn.funcalc import jordan_matrix
 from matfn.scalarfield import absval
 from matfn.spectral import analyze
-from matfn.verify import _paper_chain
+from matfn.verify import _paper_chain, _perturbation_contour
 
 rng = np.random.default_rng(31)
 
@@ -461,21 +461,6 @@ def test_eigenvalue_derivative_third_order():
         assert got == pytest.approx(want)
 
 
-def _contour_projector_derivative(A, H, lam, radius, n, points=256):
-    """n!/(2 pi i) times the integral of R (H R)^n around lam, R = (z - A)^-1.
-
-    The trapezoid rule on a circle converges geometrically for this
-    analytic integrand.
-    """
-    d = A.shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for t in 2 * np.pi * np.arange(points) / points:
-        dz = radius * np.exp(1j * t)  # z - lam, and dz/dt / i
-        R = np.linalg.inv((lam + dz) * np.eye(d) - A)
-        total += dz * R @ np.linalg.matrix_power(H @ R, n)
-    return math.factorial(n) * total / points
-
-
 def test_projector_derivative_high_orders_match_contour():
     r = np.random.default_rng(11)
     # d = 8 is the size of the deep-orders benchmark's projector and eigenvalue cases
@@ -490,7 +475,7 @@ def test_projector_derivative_high_orders_match_contour():
         for which in anchors:
             radius = 0.5 * min(abs(lams[which] - z) for z in lams if z != lams[which])
             for n in (3, 4):
-                want = _contour_projector_derivative(A, H, lams[which], radius, n)
+                want, _ = _perturbation_contour(A, H, lams[which], radius, n)
                 got = projector_derivative(A, H, which, n)
                 err = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert err <= 1e-12, (d, which, n, err)
@@ -576,6 +561,36 @@ def test_line_derivatives_refuse_a_direction_of_another_shape(M, H):
     for route in routes:
         with pytest.raises(ValueError, match="direction must match the matrix's shape"):
             route()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("at, scale", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 10.0)])
+def test_line_derivatives_refuse_a_non_finite_point(at, scale):
+    # at = 1e308 is finite, but M + at H overflows
+    M, H = np.array([[1.0, 2.0], [0.0, 3.0]]), scale * np.eye(2)
+    f = parse_field("exp(x1)")
+    routes = [
+        lambda: nth_derivative_curve(f, M, H, 1, at),
+        lambda: trace_derivative(f, M, H, 1, at),
+        lambda: eigenvalue_derivative(M, H, 0, 1, at),
+        lambda: projector_derivative(M, H, 0, 1, at),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="not finite|non-finite entries"):
+            route()
+
+
+def test_line_derivatives_check_the_order_and_an_empty_matrix():
+    f = parse_field("exp(x1)")
+    empty = np.zeros((0, 0))
+    for route in (nth_derivative_curve, trace_derivative):
+        with pytest.raises(ValueError, match="derivative order must be nonnegative"):
+            route(f, np.diag([1.0, 3.0]), np.eye(2), -1)
+        with pytest.raises(ValueError, match="matrix must not be empty"):
+            route(f, empty, empty, 1)
+    for route in (eigenvalue_derivative, projector_derivative):
+        with pytest.raises(ValueError, match="matrix must not be empty"):
+            route(empty, empty, 0, 1)
 
 
 def test_cyclic_sum_of_doubled_nodes():

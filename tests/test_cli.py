@@ -255,6 +255,45 @@ def test_linalg_failure_exit_2(tmp_path, capsys, monkeypatch):
     assert err == "matfn: numerical failure: Eigenvalues did not converge\n"
 
 
+def test_eigenvalue_iteration_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    # the error names the matrix's shape, not its entries, so it stays the last line
+    def eigvals(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    m = write_matrix(tmp_path, "m.json", [[1.0, 2.0], [0.0, 3.0]])
+    code, out, err = run_cli(capsys, ["eval", "--func", "exp(x1)", "--mat", m])
+    assert (code, out) == (2, "")
+    assert err == (
+        "matfn: numerical failure: eigenvalue iteration failed for a (2, 2) matrix: "
+        "Eigenvalues did not converge\n"
+    )
+
+
+def test_non_finite_point_on_the_line_exit_1(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", [[1.0, 2.0], [0.0, 3.0]])
+    h = write_matrix(tmp_path, "h.json", np.eye(2))
+    for argv in (
+        ["curve", "--func", "exp(x1)", "--mat", m, "--dir", h, "--order", "1", "--at", "nan"],
+        ["projderiv", "--mat", m, "--dir", h, "--eigen", "1", "--order", "1", "--at", "inf"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv[0]
+        assert err == f"matfn: input error: the point {argv[-1]} on the line is not finite\n"
+
+
+def test_eigen_out_of_range_exit_1(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", [[1.0, 2.0], [0.0, 3.0]])
+    h = write_matrix(tmp_path, "h.json", np.eye(2))
+    for eigen in ("0", "3"):
+        argv = ["projderiv", "--mat", m, "--dir", h, "--eigen", eigen, "--order", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"matfn: input error: eigen {eigen} out of range 1..2\n"
+
+
 def test_eval_needs_no_svd(tmp_path, capsys, monkeypatch):
     # the tensor extension runs no rank ladder, so a failing SVD goes unnoticed
     def svd(*args, **kwargs):
