@@ -152,10 +152,12 @@ def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
 
     f(B) is block upper-triangular Toeplitz, so that row, an (n+1, d, d)
     stack, is all of it. f(B) is p(B), p = sum_i c_i prod_{j<i} (x - w_j)
-    the interpolant at A's blocks (:func:`~matfn.funcalc._padded_nodes`) in
-    Leja order, each node of order o taken (n + 1) o times in a row; the
-    c_i are column 0 of f at the Opitz matrix of w. Horner's step maps the
-    row P to (A - w_i I) P_k + H P_(k-1) and adds c_i I to block 0.
+    the interpolant at A's blocks (:func:`~matfn.funcalc._padded_nodes`),
+    each node of order o taken (n + 1) o times: in rounds, round r taking in
+    Leja order each node whose count exceeds r, which spreads a node's
+    copies apart. The c_i are column 0 of f at the Opitz matrix of w.
+    Horner's step maps the row P to (A - w_i I) P_k + H P_(k-1) and adds
+    c_i I to block 0.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
@@ -165,7 +167,8 @@ def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
     [sd] = _analyze_all([A])
     try:
         [nodes] = _padded_nodes(f, [sd.blocks], 0)
-        w = np.array([nodes[m][0] for m in _leja(nodes) for _ in range((n + 1) * nodes[m][1])])
+        order, top = _leja(nodes), (n + 1) * max(o for _, o in nodes)
+        w = np.array([nodes[m][0] for r in range(top) for m in order if (n + 1) * nodes[m][1] > r])
         c = divided_difference_matrix(f, w)[:, 0]
         if not np.isfinite(c).all():
             raise FieldDomainError(f"a divided difference over the nodes {nodes} is not finite")
@@ -281,7 +284,11 @@ def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
     (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
     Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H).
     """
-    lams, V, W, Hm = _simple_spectrum_frame(M, H, which, at)
+    return _eigenvalue_series(*_simple_spectrum_frame(M, H, which, at), which, n)
+
+
+def _eigenvalue_series(lams, V, W, Hm, which: int, n: int) -> complex:
+    """The order-n eigenvalue derivative from a simple-spectrum frame."""
     if n == 0:
         return complex(lams[which])
     return complex(np.trace(_projector_series(lams, V, W, Hm, which, n - 1) @ Hm))

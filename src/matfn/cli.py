@@ -179,8 +179,9 @@ def _cmd_projderiv(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     which = _slot_index(args.eigen, len(M), "eigen")
-    lam = calc.eigenvalue_derivative(M, H, which, args.order, args.at)
-    proj = calc.projector_derivative(M, H, which, args.order, args.at)
+    frame = calc._simple_spectrum_frame(M, H, which, args.at)  # one eig for both series
+    lam = calc._eigenvalue_series(*frame, which, args.order)
+    proj = calc._projector_series(*frame, which, args.order)
     payload = {
         "eigen": args.eigen,
         "order": args.order,

@@ -1,9 +1,9 @@
 """Randomized residual suites over seeded corpora.
 
 Every check builds an identity's two sides through genuinely different
-code paths (interpolation vs closed forms, symbolic vs finite differences
-or contour integrals, tensor pairing vs enumeration) and records the
-residual against a bound. The command line's ``verify`` subcommand and
+code paths (interpolation vs closed forms, derivatives vs contour
+integrals, tensor pairing vs enumeration) and records the residual
+against a bound. The command line's ``verify`` subcommand and
 the acceptance tests both run these functions.
 """
 
@@ -130,60 +130,59 @@ def _draw(rng, pool):
 
 
 # ---------------------------------------------------------------------------
-# oracles: finite differences and contour integrals
-
-
-_RICHARDSON_STEPS = {1: 1e-3, 2: 1e-2, 3: 5e-2}
-
-
-def _central_difference(F, z, h, n):
-    if n == 1:
-        return (F(z + h) - F(z - h)) / (2 * h)
-    if n == 2:
-        return (F(z + h) - 2 * F(z) + F(z - h)) / h**2
-    if n == 3:
-        return (F(z + 2 * h) - 2 * F(z + h) + 2 * F(z - h) - F(z - 2 * h)) / (2 * h**3)
-    raise ValueError("orders 1..3 only")
-
-
-def richardson_derivative(F, z, n):
-    """Central differences at h and h/2, extrapolated one step."""
-    h = _RICHARDSON_STEPS[n]
-    coarse = _central_difference(F, z, h, n)
-    fine = _central_difference(F, z, h / 2, n)
-    return (4 * fine - coarse) / 3
+# oracles: contour integrals
 
 
 #: Trapezoid points per circle: at half the eigenvalue gap the error falls
 #: like 2**-points (Trefethen & Weideman, SIAM Review 56(3), 2014).
 _CONTOUR_POINTS = 64
-#: A contour check's bound: this factor times its two circles' disagreement, at least 1e-10.
+#: The largest gap a circle is scaled from: it keeps circles off the pool fields' poles.
+_RADIUS_CAP = 0.8
+#: A contour check's bound: this factor times its two circle sets' disagreement, at least 1e-10.
 _CIRCLE_FACTOR = 10.0
 
 
-def _perturbation_contour(A, H, lam, radius, n):
-    """d^n/dz^n at z = 0 of the projector and of the simple eigenvalue ``lam`` of A + zH.
+def _resolvent_stack(A, H, n, s):
+    """Points w[k, p] and terms X[k, p] = n! dw / (2 pi i) R (H R)^n, R = (w - A)^-1.
 
-    n!/(2 pi i) times the integrals of R (H R)^n and w Tr R (H R)^n, R = (w - A)^-1,
-    around the circle of ``radius`` about ``lam``, which must enclose no other
-    eigenvalue (Kato, *Perturbation Theory for Linear Operators*, ch. II).
+    Circle k has the k-th eigenvalue of A, in (real, imag) order, as centre and
+    s min(gap, _RADIUS_CAP) as radius, its gap the distance to the other
+    eigenvalues. X summed over circle k is d^n/dz^n at z = 0 of that eigenvalue's
+    projector of A + zH, and f(w) X summed over all points is d^n/dz^n f(A + zH)
+    for f analytic on the discs (Kato, *Perturbation Theory for Linear
+    Operators*, ch. II).
     """
+    lams = np.sort(np.linalg.eigvals(A))
+    gaps = np.abs(lams[:, None] - lams) + np.diag(np.full(lams.size, np.inf))
+    radius = s * np.minimum(gaps.min(axis=1), _RADIUS_CAP)[:, None]
     e = np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
-    w = lam + radius * e
-    R = np.linalg.inv(w[:, None, None] * np.eye(len(A)) - A)
-    X, HR = R, H @ R
+    w = lams[:, None] + radius * e
+    X = R = np.linalg.inv(w[..., None, None] * np.eye(len(A)) - A)
     for _ in range(n):
-        X = X @ HR
+        X = X @ H @ R
     # n! dw / (2 pi i) is n! radius e dt / (2 pi): the trapezoid weights
-    X = X * (math.factorial(n) * radius / _CONTOUR_POINTS * e)[:, None, None]
-    return X.sum(axis=0), complex(w @ np.trace(X, axis1=1, axis2=2))
+    return w, X * (math.factorial(n) * radius / _CONTOUR_POINTS * e)[..., None, None]
 
 
-def _contour_check(name, got, circles, part):
-    """``got`` against part ``part`` (0 projector, 1 eigenvalue) of the oracle on two circles."""
-    near, far = (c[part] for c in circles)
-    bound = max(_CIRCLE_FACTOR * float(np.linalg.norm(near - far)), 1e-10)
-    return CheckResult("diff", name, float(np.linalg.norm(got - near)), bound)
+def _frechet_contour(f, mats, slot, H, s):
+    """The derivative in ``slot`` along H of f's extension at ``mats``, on circles s.
+
+    That slot's stack takes n = 1 and the others n = 0. f is evaluated once on
+    the product of the slots' points, which are summed out one slot at a time,
+    leaving the (up, down) axes in slot order.
+    """
+    stacks = [_resolvent_stack(A, H, int(j == slot), s) for j, A in enumerate(mats)]
+    k = len(stacks)
+    T = f(*(w.reshape((-1,) + (1,) * (k - 1 - j)) for j, (w, _) in enumerate(stacks)))
+    for _, X in stacks:
+        T = np.tensordot(T, X.reshape((-1,) + X.shape[2:]), axes=(0, 0))
+    return T
+
+
+def _contour_check(name, got, near, far, scale=1.0):
+    """``got`` against the oracle on the near circles, both relative to ``scale``."""
+    bound = max(_CIRCLE_FACTOR * float(np.linalg.norm(near - far)) / scale, 1e-10)
+    return CheckResult("diff", name, float(np.linalg.norm(got - near)) / scale, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +366,7 @@ def suite_diff(seed, trials=6):
     out = []
     rng = np.random.default_rng(seed)
 
-    # directional derivative against central differences
+    # slot derivative against the contour, in k variables
     for t in range(trials):
         k = 1 + t % 2
         dims = [int(rng.integers(2, 4)) for _ in range(k)]
@@ -376,19 +375,12 @@ def suite_diff(seed, trials=6):
         H = rng.normal(size=mats[slot].shape) + 1j * rng.normal(size=mats[slot].shape)
         H /= np.linalg.norm(H)
         f = _draw(rng, _POOLS[k])
-        D = calc.frechet_derivative(f, mats, slot, H)
-        h = 1e-5
+        D = calc.frechet_derivative(f, mats, slot, H).data
+        oracle = [_frechet_contour(f, mats, slot, H, s) for s in (0.5, 0.25)]
+        scale = max(float(np.linalg.norm(D)), 1e-12)
+        out.append(_contour_check(f"frechet-contour-{t}", D, *oracle, scale))
 
-        def shifted(step):
-            moved = list(mats)
-            moved[slot] = mats[slot] + step * H
-            return f_otimes(f, moved).data
-
-        fd = (shifted(h) - shifted(-h)) / (2 * h)
-        rel = float(np.linalg.norm(D.data - fd)) / max(float(np.linalg.norm(D.data)), 1e-12)
-        out.append(CheckResult("diff", f"frechet-fd-{t}", rel, 1e-6))
-
-    # curve derivatives against Richardson extrapolation
+    # curve derivatives against the contour
     for t in range(trials):
         n = 1 + t % 3
         d = int(rng.integers(2, 4))
@@ -398,19 +390,12 @@ def suite_diff(seed, trials=6):
         f = _draw(rng, _POOLS[1])
         z0 = 0.1
         exact = calc.nth_derivative_curve(f, M, H, n, z0)
-
-        def F(z):
-            return matrix_function(f, M + z * H)
-
-        approx = richardson_derivative(F, z0, n)
-        res = float(np.linalg.norm(exact - approx)) / max(
-            1.0, float(np.linalg.norm(exact))
-        )
-        out.append(CheckResult("diff", f"curve-richardson-n{n}-{t}", res, 1e-4))
+        stacks = [_resolvent_stack(M + z0 * H, H, n, s) for s in (0.5, 0.25)]
+        oracle = [np.tensordot(f(w), X, axes=2) for w, X in stacks]
+        scale = max(1.0, float(np.linalg.norm(exact)))
+        out.append(_contour_check(f"curve-contour-n{n}-{t}", exact, *oracle, scale))
         paper = _paper_chain(calc.divided_difference_field(f, n), M + z0 * H, H)
-        res = float(np.linalg.norm(exact - math.factorial(n) * paper)) / max(
-            1.0, float(np.linalg.norm(exact))
-        )
+        res = float(np.linalg.norm(exact - math.factorial(n) * paper)) / scale
         out.append(CheckResult("diff", f"curve-paper-route-n{n}-{t}", res, 1e-8))
 
     # commuting direction: closed form f^(n)(A) H^n
@@ -463,19 +448,18 @@ def suite_diff(seed, trials=6):
         M = random_diagonalizable(rng, d, min_gap=0.8)
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         H /= np.linalg.norm(H)
-        lams = analyze(M).eigenvalues
-        oracle = {}  # at each eigenvalue, on circles of a half and a quarter of its gap
-        for i, lam in enumerate(lams):
-            gap = min(abs(lam - mu) for mu in np.delete(lams, i))
-            for n in (1, 2):
-                oracle[i, n] = [_perturbation_contour(M, H, lam, s * gap, n) for s in (0.5, 0.25)]
+        proj, eig = {}, {}  # per order, every eigenvalue's derivatives on two circle sets
+        for n in (1, 2):
+            stacks = [_resolvent_stack(M, H, n, s) for s in (0.5, 0.25)]
+            proj[n] = np.array([X.sum(axis=1) for _, X in stacks])
+            eig[n] = np.array([np.einsum("kp,kpii->k", w, X) for w, X in stacks])
         sum_first = 0j
         for which in range(d):
             d1 = calc.eigenvalue_derivative(M, H, which, 1)
             sum_first += d1
-            out.append(_contour_check(f"eig-d1-{t}-{which}", d1, oracle[which, 1], 1))
+            out.append(_contour_check(f"eig-d1-{t}-{which}", d1, *eig[1][:, which]))
             d2 = calc.eigenvalue_derivative(M, H, which, 2)
-            out.append(_contour_check(f"eig-d2-{t}-{which}", d2, oracle[which, 2], 1))
+            out.append(_contour_check(f"eig-d2-{t}-{which}", d2, *eig[2][:, which]))
         out.append(
             CheckResult(
                 "diff", f"eig-sum-trace-{t}", abs(sum_first - np.trace(H)), 1e-10
@@ -483,9 +467,9 @@ def suite_diff(seed, trials=6):
         )
         for which in range(d):
             dp = calc.projector_derivative(M, H, which, 1)
-            out.append(_contour_check(f"proj-d1-{t}-{which}", dp, oracle[which, 1], 0))
+            out.append(_contour_check(f"proj-d1-{t}-{which}", dp, *proj[1][:, which]))
         dp2 = calc.projector_derivative(M, H, 0, 2)
-        out.append(_contour_check(f"proj-d2-{t}", dp2, oracle[0, 2], 0))
+        out.append(_contour_check(f"proj-d2-{t}", dp2, *proj[2][:, 0]))
     return out
 
 

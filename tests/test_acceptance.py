@@ -39,10 +39,12 @@ from matfn import (
 )
 from matfn.calculus import divided_difference_field, doubled_node_difference_field
 from matfn.verify import (
+    _contour_check,
+    _frechet_contour,
+    _resolvent_stack,
     random_diagonalizable,
     random_jordan_blocks,
     random_symmetric,
-    richardson_derivative,
     suite_compose,
     suite_contr,
     suite_product,
@@ -178,8 +180,12 @@ def test_c07_derivatives_vs_numerics():
     pairs = []
     fs = [parse_field("exp(x1)"), parse_field("x1^3 - x1"), parse_field("1/(x1 + 5)")]
 
-    # slot derivative against a central difference at h = 1e-5
-    h = 1e-5
+    def contour_pair(got, near, far, den):
+        # residual against the half-gap circles, bound from the two circle sets
+        check = _contour_check("c07", got, near, far, den)
+        return check.residual, check.bound
+
+    # slot derivative against the contour integral
     for t in range(6):
         f = fs[t % 3]
         d = int(rng.integers(2, 4))
@@ -187,20 +193,19 @@ def test_c07_derivatives_vs_numerics():
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         H /= np.linalg.norm(H)
         D = frechet_derivative(f, [M], 0, H).data
-        fd = (matrix_function(f, M + h * H) - matrix_function(f, M - h * H)) / (2 * h)
-        den = max(float(np.linalg.norm(fd)), 1e-300)
-        pairs.append((float(np.linalg.norm(D - fd)) / den, 1e-6))
+        near, far = (_frechet_contour(f, [M], 0, H, s) for s in (0.5, 0.25))
+        pairs.append(contour_pair(D, near, far, max(float(np.linalg.norm(near)), 1e-300)))
 
-    # curve derivatives n <= 3 against Richardson extrapolation
+    # curve derivatives n <= 3 against the contour integral
     for n in (1, 2, 3):
         f = fs[n % 3]
         M = random_diagonalizable(rng, 3)
         H = rng.normal(size=(3, 3))
         H /= np.linalg.norm(H)
         exact = nth_derivative_curve(f, M, H, n, 0.1)
-        approx = richardson_derivative(lambda z: matrix_function(f, M + z * H), 0.1, n)
-        den = max(1.0, float(np.linalg.norm(exact)))
-        pairs.append((float(np.linalg.norm(exact - approx)) / den, 1e-4))
+        stacks = (_resolvent_stack(M + 0.1 * H, H, n, s) for s in (0.5, 0.25))
+        near, far = (np.tensordot(f(w), X, axes=2) for w, X in stacks)
+        pairs.append(contour_pair(exact, near, far, max(1.0, float(np.linalg.norm(exact)))))
 
     # commuting direction H = I: the curve derivative collapses to
     # f^(n)(M + zI) I^n
@@ -217,7 +222,7 @@ def test_c07_derivatives_vs_numerics():
         den = max(1.0, float(np.linalg.norm(want)))
         pairs.append((float(np.linalg.norm(got - want)) / den, 1e-8))
 
-    report(7, "slot/curve derivatives vs finite differences and H=I form", pairs)
+    report(7, "slot/curve derivatives vs contour integrals and H=I form", pairs)
 
 
 # --------------------------------------------------------------------------

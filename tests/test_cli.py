@@ -173,6 +173,24 @@ def test_projderiv_payload(tmp_path, capsys):
     assert np.trace(P1) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_projderiv_decomposes_once(tmp_path, capsys, monkeypatch):
+    # the eigenvalue and the projector series read one eig of M + at H
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(A):
+        calls.append(A.shape)
+        return eig(A)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    m = write_matrix(tmp_path, "m.json", [[1.0, 0.5], [0.0, 3.0]])
+    h = write_matrix(tmp_path, "h.json", [[0.2, 1.0], [-0.7, 0.4]])
+    argv = ["projderiv", "--mat", m, "--dir", h, "--eigen", "2", "--order", "2", "--at", "0.1"]
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert calls == [(2, 2)]
+
+
 # ----------------------------------------------------------------- errors
 
 

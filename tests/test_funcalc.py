@@ -468,14 +468,14 @@ def _block_bidiagonal(d, n):
     return np.kron(np.eye(n + 1), A) + np.kron(np.eye(n + 1, k=1), H)
 
 
-_ITEMS_4_5 = pytest.mark.xfail(
-    strict=True, reason="FOUND: 3.6e-11 to 1.1e-8 off; high-order nodes wait on ROADMAP items 4-5"
+_ROADMAP_ITEM_1 = pytest.mark.xfail(
+    strict=True, reason="FOUND: 3.6e-11 to 1.1e-8 off; high-order nodes wait on ROADMAP item 1"
 )
 
 
-@pytest.mark.parametrize("d, n", [(4, 2), pytest.param(6, 3, marks=_ITEMS_4_5),
-                                  pytest.param(8, 3, marks=_ITEMS_4_5),
-                                  pytest.param(8, 4, marks=_ITEMS_4_5)])
+@pytest.mark.parametrize("d, n", [(4, 2), pytest.param(6, 3, marks=_ROADMAP_ITEM_1),
+                                  pytest.param(8, 3, marks=_ROADMAP_ITEM_1),
+                                  pytest.param(8, 4, marks=_ROADMAP_ITEM_1)])
 def test_block_bidiagonal_resolvent(d, n):
     # every eigenvalue of A is one of B's n + 1 times, split by rounding
     B = _block_bidiagonal(d, n)

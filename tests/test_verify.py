@@ -2,6 +2,8 @@
 
 import pytest
 
+from matfn import verify as verify_mod
+from matfn.tensor import OperatorTensor
 from matfn.verify import SUITES, CheckResult, run_suites
 
 
@@ -57,3 +59,31 @@ def test_each_suite_green_small(suite):
     assert results
     for r in results:
         assert r.passed, r.line()
+
+
+_CONTOUR_CHECKS = ("frechet-contour-", "curve-contour-", "eig-d", "proj-d")
+
+
+def test_contour_checks_catch_a_relative_error_of_1e_8(monkeypatch):
+    # central differences and Richardson extrapolation let this error through all 12;
+    # one curve derivative of norm below 1, its scale's floor, still stays under 1e-10
+    curve, frechet = verify_mod.calc.nth_derivative_curve, verify_mod.calc.frechet_derivative
+    monkeypatch.setattr(verify_mod.calc, "nth_derivative_curve",
+                        lambda *args: (1 + 1e-8) * curve(*args))
+    monkeypatch.setattr(verify_mod.calc, "frechet_derivative",
+                        lambda *args: OperatorTensor((1 + 1e-8) * frechet(*args).data))
+    checks = [r for r in verify_mod.suite_diff(0) if r.name.startswith(_CONTOUR_CHECKS[:2])]
+    assert len(checks) == 12
+    assert sum(not r.passed for r in checks) >= 11, "\n".join(r.line() for r in checks)
+
+
+def test_contour_bounds_sit_at_the_floor():
+    # a circle across a pole of the field leaves the oracle's two circle sets
+    # far apart, and 10x their disagreement a bound that passes anything: without
+    # the radius cap, frechet-contour-3 at seed 4000 (the diff suite of
+    # `verify --suite all --seed 0`) reads 1.0 against a bound of 10
+    for seed in [*range(10), 4000]:
+        checks = [r for r in verify_mod.suite_diff(seed) if r.name.startswith(_CONTOUR_CHECKS)]
+        assert len(checks) == 42
+        for r in checks:
+            assert r.bound == 1e-10, (seed, r.line())
