@@ -16,9 +16,10 @@ import math
 
 import numpy as np
 
+from .errors import MatfnError
 from .funcalc import f_otimes
 from .scalarfield import ScalarField
-from .spectral import analyze, as_square_matrix
+from .spectral import _binary_exponent, analyze, as_square_matrix
 from .tensor import OperatorTensor, _sandwich, from_matrix
 
 
@@ -123,9 +124,15 @@ def det_from_traces(M) -> complex:
     The expansion runs over multisets of cycle lengths: each exponent
     vector (a_1, ..., a_d) with sum i a_i = d contributes
     (-1)^(d - sum a_i) / prod(a_i! i^{a_i}) prod Tr(M^i)^{a_i}.
+    It runs on M times 2^-e, whose largest entry is below 1, and scales the
+    sum back by 2^(ed). Both steps are exact, so the scaling only turns an
+    overflow into a value or, for a determinant beyond the float range,
+    into a :class:`MatfnError`.
     """
     A = as_square_matrix(M)
     d = A.shape[0]
+    e = _binary_exponent(A)
+    A = A * math.ldexp(1.0, -e)
     traces = []
     P = np.eye(d, dtype=complex)
     for _ in range(d):
@@ -142,7 +149,12 @@ def det_from_traces(M) -> complex:
             power *= traces[i - 1] ** a
             parts += a
         total += (-1) ** (d - parts) / weight * power
-    return total
+    try:
+        return complex(math.ldexp(total.real, e * d), math.ldexp(total.imag, e * d))
+    except OverflowError:
+        raise MatfnError(
+            f"the determinant of the {d}x{d} matrix is beyond the float range"
+        ) from None
 
 
 def _cycle_type_vectors(d: int):

@@ -9,12 +9,14 @@ the largest product of distances to the centres already taken
 c_i = f[z_0, ..., z_i] is a confluent divided difference and linear in
 the Taylor coefficients f^(j)(lam_m)/j! that a grid holds, so one matrix
 D maps a grid axis to Newton coefficients (D = I at a single node). A
-second matrix E, built apart from D out of the Taylor coefficients of
-the N_i at each node, maps them back to that unit, so E D = I; neither
-scales by j!. Products of one basis per variable interpolate mixed
-derivative grids of several variables: such a
-grid is one dense tensor, an axis per variable with its rows in the
-order of :attr:`HermiteBasis.functionals`; the coefficient tensor is the
+second matrix E, out of the Taylor coefficients of the N_i at each node,
+maps them back to that unit, so E D = I; neither scales by j!. One pass
+per node along the centres writes that node's grid rows of both; D is
+stored as its transpose, a grid row per memory row, which fixes the order
+in which BLAS sums its products. Products of one basis per variable
+interpolate mixed derivative grids of several variables: such a grid is
+one dense tensor, an axis per variable with its rows in the order of
+:attr:`HermiteBasis.functionals`; the coefficient tensor is the
 grid with each axis mapped through its D, a mode product per variable,
 and the self-check maps it back through each E. No system is solved.
 """
@@ -87,19 +89,11 @@ def hermite_basis(nodes) -> HermiteBasis:
             raise InterpolationError(
                 f"nodes {a} and {b} are confluent; merge them into one node of higher order"
             )
-    order = _leja(cleaned)
-    sizes = [cleaned[m][1] for m in order]
-    ends = list(itertools.accumulate(sizes))
-    runs = [(end - r, end - 1) for r, end in zip(sizes, ends)]  # each node's centres, in order
-    starts = list(itertools.accumulate((r for _, r in cleaned), initial=0))
-    grid = [t for m in order for t in range(starts[m], starts[m + 1])]  # each centre's grid row
-    rows = sorted(range(len(grid)), key=grid.__getitem__)  # the centre of each grid row
-    centres = np.array([cleaned[m][0] for m, r in zip(order, sizes) for _ in range(r)])
     with np.errstate(all="ignore"):
-        D, E = _newton_matrices(centres, runs)
+        centres, D, E = _newton_matrices(cleaned, _leja(cleaned))
     if not (np.isfinite(D).all() and np.isfinite(E).all()):
         raise InterpolationError(f"the Newton basis on nodes {cleaned} overflows")
-    return HermiteBasis(tuple(cleaned), centres, D[:, rows], E[rows])
+    return HermiteBasis(tuple(cleaned), centres, D, E)
 
 
 def _leja(nodes) -> list[int]:
@@ -124,73 +118,62 @@ def _leja(nodes) -> list[int]:
     return order
 
 
-def _newton_matrices(z: np.ndarray, runs):
-    """D and E in centre order; ``runs`` holds each node's first and last centre.
+def _newton_matrices(nodes, order):
+    """The centres z, D and E on ``nodes`` taken in Leja ``order``.
 
-    Centre p of a run from a stands for the grid row of Taylor order
-    j = p - a at its node, f^(j)(lam)/j!. D[i, p] is that row's weight in
+    Grid row (m, j) holds f^(j)(lam_m)/j!; D[i, (m, j)] is its weight in
     f[z_0..z_i]. By residues,
     f[z_0..z_i] = sum over the nodes lam of sum_{j<c} f^(j)(lam)/j! w_{c-1-j},
     with c the copies of lam among z_0..z_i and w_s the Taylor coefficient
     of order s at lam of the product of 1/(x - z_q) over the other centres
-    q <= i; it is 0 unless i >= p. E[p, i] is the j-th Taylor coefficient
-    at z_p of N_i; N_i(z_p + h) = prod_{q<i} (h + z_p - z_q) is h^c, with c
-    the copies of z_p among z_0..z_{i-1}, times the product over the other
-    centres; it is 0 unless i <= p. When every node has order 1 only the
-    products' values enter, running products along each row of z_p - z_q;
-    otherwise each run's rows come from :func:`_run_rows`.
+    q <= i. E[(m, j), i] is the j-th Taylor coefficient at lam_m of N_i;
+    N_i(lam + h) = prod_{q<i} (h + lam - z_q) is h^c, with c the copies of
+    lam among z_0..z_{i-1}, times the product over the other centres. When
+    every node has order 1 only the products' values enter, running
+    products along each row of lam_m - z_q. Otherwise one pass per node
+    along z carries S and T, the Taylor coefficients of the products of
+    1/(h + lam - z_q) and of (h + lam - z_q), each to the node's order: a
+    centre elsewhere divides S by its factor and multiplies T by it, a copy
+    of lam bumps c, and column i reads D[i, (m, j)] = S_{c-1-j} and
+    E[(m, j), i] = T_{j-c}, 0 where that index is negative. D is written
+    one grid row at a time and returned transposed: :func:`_along_axes`
+    multiplies by its transpose, and BLAS sums in an order that follows the
+    memory layout, so a C-ordered D would move the coefficients' last bits.
     """
+    owner = [m for m in order for _ in range(nodes[m][1])]  # the node of each centre
+    z = np.array([nodes[m][0] for m in owner])
     n = z.size
-    if all(a == b for a, b in runs):
-        d = z[:, None] - z  # [p, q]: z_p - z_q
-        v = np.ones((n, n), dtype=complex)  # [p, i]: the product over q < i, 0 from i > p on
+    if n == len(nodes):
+        at = np.array(order).argsort()  # the centre p_m of each node
+        d = np.array([lam for lam, _ in nodes])[:, None] - z  # [m, q]: lam_m - z_q
+        v = np.ones((n, n), dtype=complex)  # [m, i]: the product over q < i, 0 from i > p_m on
         np.cumprod(d[:, :-1], axis=1, out=v[:, 1:])
-        d.flat[:: n + 1] = 1.0
-        w = np.cumprod(1.0 / d, axis=1)  # [p, i]: the product over q <= i, q != p
-        w *= np.arange(n)[:, None] <= np.arange(n)
-        return w.T, v
-    rows = [_run_rows((z[a] - z).tolist(), a, b) for a, b in runs]
-    D = np.array([row for wr, _ in rows for row in wr], dtype=complex).T
-    return D, np.array([row for _, vr in rows for row in vr], dtype=complex)
-
-
-def _run_rows(gaps, a: int, b: int):
-    """The rows a..b of D (transposed) and E for the run of centres a..b.
-
-    ``gaps`` holds z_a - z_q. Along i, S holds the Taylor coefficients of
-    the product of 1/(h + gaps[q]) over the other centres q <= i, and T
-    those of the product of (h + gaps[q]) over the other centres q < i,
-    each to the run's length; a factor more is a series division or
-    product. Grid rows hold Taylor coefficients too, so row p = a + j of
-    D reads S_{c-1-j} and row p of E reads T_{j-c}, with c as in
-    :func:`_newton_matrices`, and 0 where that index is negative.
-    """
-    r, n = b - a + 1, len(gaps)
-    S, T = [1.0] + [0.0] * (r - 1), [1.0] + [0.0] * (r - 1)
-    wr, vr = [[0.0] * n for _ in range(r)], [[0.0] * n for _ in range(r)]
-    for i in range(a):  # before the run: no copies of z_a, nothing of D
-        for j in range(r):
-            vr[j][i] = T[j]
-        g = gaps[i]
-        y = 1.0 / g
-        S[0] *= y
-        for s in range(1, r):
-            S[s] = (S[s] - S[s - 1]) * y
-            T[r - s] = T[r - s] * g + T[r - s - 1]
-        T[0] *= g
-    for i in range(a, b + 1):  # along it: i - a copies before i, i - a + 1 up to it
-        for j in range(i - a, r):
-            vr[j][i] = T[j - i + a]
-        for j in range(i - a + 1):
-            wr[j][i] = S[i - a - j]
-    for i in range(b + 1, n):  # after it: all r copies, nothing of E
-        y = 1.0 / gaps[i]
-        S[0] *= y
-        for s in range(1, r):
-            S[s] = (S[s] - S[s - 1]) * y
-        for j in range(r):
-            wr[j][i] = S[r - 1 - j]
-    return wr, vr
+        d[np.arange(n), at] = 1.0
+        w = np.cumprod(1.0 / d, axis=1)  # [m, i]: the product over q <= i, q != p_m
+        w *= at[:, None] <= np.arange(n)
+        return z, w.T, v
+    Dt, E = [], []
+    for m, (lam, r) in enumerate(nodes):
+        S, T = [1.0] + [0.0] * (r - 1), [1.0] + [0.0] * (r - 1)
+        wr, vr = [[0.0] * n for _ in range(r)], [[0.0] * n for _ in range(r)]
+        c = 0
+        for i, (g, k) in enumerate(zip((lam - z).tolist(), owner)):
+            for j in range(c, r):
+                vr[j][i] = T[j - c]
+            if k == m:
+                c += 1
+            else:
+                y = 1.0 / g
+                S[0] *= y
+                for s in range(1, r):
+                    S[s] = (S[s] - S[s - 1]) * y
+                    T[r - s] = T[r - s] * g + T[r - s - 1]
+                T[0] *= g
+            for j in range(c):
+                wr[j][i] = S[c - 1 - j]
+        Dt += wr
+        E += vr
+    return z, np.array(Dt, dtype=complex).T, np.array(E, dtype=complex)
 
 
 def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
@@ -208,12 +191,6 @@ def interpolate(G, bases: list[HermiteBasis]) -> MultiPoly:
     becomes the result's ``dense`` array as is, with each basis's
     ``centres``.
     """
-    return MultiPoly(len(bases), _coefficients(G, bases), [b.centres for b in bases])
-
-
-def _coefficients(G, bases: list[HermiteBasis]) -> np.ndarray:
-    """The coefficient tensor of :func:`interpolate`, checked against ``G``; untrimmed,
-    axis l has ``bases[l].size`` rows."""
     if not bases:
         raise ValueError("at least one variable is required")
     shape = tuple(b.size for b in bases)
@@ -228,7 +205,7 @@ def _coefficients(G, bases: list[HermiteBasis]) -> np.ndarray:
         raise InterpolationError("derivative grid holds a non-finite value")
     dense = _along_axes(G, [b.transform for b in bases])
     _verify_against_grid(dense, G, bases)
-    return dense
+    return MultiPoly(len(bases), dense, [b.centres for b in bases])
 
 
 def _along_axes(T: np.ndarray, mats) -> np.ndarray:

@@ -10,6 +10,7 @@ that read them.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import warnings
@@ -60,8 +61,23 @@ def as_slot_matrices(mats) -> list[np.ndarray]:
 
 
 def hs_norm(A) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(A)))
+    """Hilbert-Schmidt (Frobenius) norm.
+
+    Where the sum of squares may have left the float range, the norm of A
+    times 2^-e is taken and scaled back, both exact."""
+    A = np.asarray(A)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(A))
+    if 2.0**-500 < norm < 2.0**500:
+        return norm
+    s = math.ldexp(1.0, -_binary_exponent(A))
+    return float(np.linalg.norm(A * s)) / s
+
+
+def _binary_exponent(A) -> int:
+    """The e with A's largest entry in [2^(e-1), 2^e), at least -1000; 0 if A
+    is 0 or not finite. Scaling by 2^-e is exact above the subnormal range."""
+    return max(math.frexp(float(np.max(np.abs(A), initial=0.0)))[1], -1000)
 
 
 class SpectralData:
@@ -225,8 +241,15 @@ def _rank_ladder(A: np.ndarray, clusters) -> tuple[int, ...]:
     one stacked ``svd`` call.
     """
     d, m = A.shape[0], len(clusters)
-    residual = 100 * np.finfo(float).eps * hs_norm(A)
-    Bs = A - np.array([complex(lam) for lam, _ in clusters])[:, None, None] * np.eye(d)
+    # Where sigma_max^j, up to j = d + 1, could leave the float range, the ladder
+    # runs on A times 2^-e: every threshold and singular value of power j
+    # scales by 2^-ej, so each decision stays as it was.
+    e = _binary_exponent(A)
+    unit = 1.0 if (abs(e) + d.bit_length() + 2) * (d + 1) <= 1000 else math.ldexp(1.0, -e)
+    scaled = "" if unit == 1.0 else f" (the matrix scaled by 2^{-e})"
+    residual = 100 * np.finfo(float).eps * hs_norm(A) * unit
+    lams = np.array([complex(lam) * unit for lam, _ in clusters])
+    Bs = A * unit - lams[:, None, None] * np.eye(d)
     first = np.linalg.svd(np.concatenate([Bs, Bs @ Bs]), compute_uv=False) if m else None
     out = []
     for i, (lam, radius) in enumerate(clusters):
@@ -239,9 +262,8 @@ def _rank_ladder(A: np.ndarray, clusters) -> tuple[int, ...]:
         def rank_of(s, j):
             # A cluster of spread ``radius`` is one eigenvalue, so its own
             # singular values, about radius^j at power j, count as zero.
-            thr = max(
-                DEFAULT_RANK_TOL * sigma1**j, residual * sigma1 ** (j - 1), (100 * radius) ** j
-            )
+            thr = max(DEFAULT_RANK_TOL * sigma1**j, residual * sigma1 ** (j - 1),
+                      (100 * unit * radius) ** j)
             rank, fragile = 0, False
             for x in s.tolist():
                 rank += x > thr
@@ -249,7 +271,7 @@ def _rank_ladder(A: np.ndarray, clusters) -> tuple[int, ...]:
             if fragile:
                 warnings.warn(
                     f"rank decision for eigenvalue {lam} at power {j} is within "
-                    f"10x of the threshold {thr:.3e}",
+                    f"10x of the threshold {thr:.3e}{scaled}",
                     RuntimeWarning,
                     stacklevel=_outside_package(),
                 )

@@ -415,7 +415,8 @@ def suite_diff(seed, trials=6):
         )
         out.append(CheckResult("diff", f"commuting-closed-{n}", res, 1e-8))
 
-    # cyclic identity of the doubled-node fields, and the trace derivative
+    # cyclic identity of the doubled-node fields; the trace derivative against
+    # the contour and the paper's route
     for t in range(trials):
         n = 1 + t % 3
         f = _draw(rng, _POOLS[1])
@@ -434,9 +435,10 @@ def suite_diff(seed, trials=6):
         H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         H /= np.linalg.norm(H)
         via_trace = calc.trace_derivative(f, M, H, n, 0.05)
-        via_curve = complex(np.trace(calc.nth_derivative_curve(f, M, H, n, 0.05)))
-        res2 = abs(via_trace - via_curve) / max(1.0, abs(via_curve))
-        out.append(CheckResult("diff", f"trace-vs-curve-n{n}-{t}", res2, 1e-8))
+        stacks = [_resolvent_stack(M + 0.05 * H, H, n, s) for s in (0.5, 0.25)]
+        oracle = [np.trace(np.tensordot(f(w), X, axes=2)) for w, X in stacks]
+        scale = max(1.0, abs(via_trace))
+        out.append(_contour_check(f"trace-contour-n{n}-{t}", via_trace, *oracle, scale))
         doubled = calc.doubled_node_difference_field(f, n, n - 1)
         paper = math.factorial(n) * complex(np.trace(_paper_chain(doubled, M + 0.05 * H, H) @ H))
         res3 = abs(via_trace - paper) / max(1.0, abs(via_trace))

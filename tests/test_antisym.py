@@ -14,6 +14,7 @@ from matfn import (
     wedge_basis,
     wedge_restrict,
 )
+from matfn.errors import MatfnError
 from matfn.funcalc import jordan_matrix
 
 rng = np.random.default_rng(83)
@@ -196,3 +197,11 @@ def test_wedge_basis_is_shared_and_read_only():
     C = np.array(B)
     C[:] = 0.0
     assert np.allclose(B.conj().T @ B, np.eye(math.comb(4, 2)))
+
+
+def test_det_from_traces_beyond_the_float_range():
+    # the traces are taken on M scaled by a power of two, which is exact
+    assert det_from_traces(np.diag([1e100, 3e100])) == pytest.approx(3e200, rel=1e-15)
+    assert det_from_traces(np.diag([1e-100, 3e-100])) == pytest.approx(3e-200, rel=1e-15)
+    with pytest.raises(MatfnError, match="beyond the float range"):
+        det_from_traces(np.diag([1e200, 1e200]))

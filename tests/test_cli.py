@@ -157,6 +157,14 @@ def test_det_traces(tmp_path, capsys):
     assert fileio.scalar_from_obj(json.loads(out)) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_det_beyond_the_float_range_exit_2(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", [[1e200, 0.0], [0.0, 1e200]])
+    code, out, err = run_cli(capsys, ["det-traces", "--mat", m])
+    assert (code, out) == (2, "")
+    assert err == ("matfn: numerical failure: the determinant of the 2x2 matrix "
+                   "is beyond the float range\n")
+
+
 def test_projderiv_payload(tmp_path, capsys):
     m = write_matrix(tmp_path, "m.json", np.diag([1.0, 2.0, 4.0]))
     h = write_matrix(tmp_path, "h.json", np.full((3, 3), 0.5))

@@ -469,7 +469,7 @@ def _block_bidiagonal(d, n):
 
 
 _ROADMAP_ITEM_1 = pytest.mark.xfail(
-    strict=True, reason="FOUND: 3.6e-11 to 1.1e-8 off; high-order nodes wait on ROADMAP item 1"
+    strict=True, reason="FOUND: 1.8e-11 to 1.1e-8 off; high-order nodes wait on ROADMAP item 1"
 )
 
 

@@ -9,6 +9,8 @@ from matfn import (
     SpectralData,
     SpectralError,
     analyze,
+    eigenvalue_derivative,
+    hs_norm,
     matrix_function,
     minimal_polynomial,
     parse_field,
@@ -443,3 +445,18 @@ def test_merged_block_radius_is_its_eigenvalues_spread():
     [(c, size, radius)] = data.blocks
     spread = max(abs(w - c) for w in np.linalg.eigvals(M))
     assert size == 5 and radius == pytest.approx(spread, rel=1e-15, abs=0)
+
+
+def test_huge_and_tiny_entries_keep_their_spectrum():
+    # the sum of squares overflows at 1e160 and underflows at 1e-170; the norm
+    # scales by a power of two first, and the rank ladder where its powers would
+    for c in (1e160, 1e-170):
+        M = c * np.diag([1.0, 2.0])
+        assert hs_norm(M) == pytest.approx(c * 5**0.5, rel=1e-15)
+        data = analyze(M)
+        assert (data.alg_mult, data.min_mult) == ((1, 1), (1, 1))
+        assert np.array_equal(matrix_function(parse_field("x1"), M, route="diag"), M)
+        assert analyze(c * jordan_matrix([(1.0, 2)])).min_mult == (2,)
+    # the gap of 1e160 was within 10x of a clustering threshold of inf
+    H = np.array([[3.0, 1.0], [1.0, 0.0]])
+    assert eigenvalue_derivative(np.diag([1e160, 2e160]), H, 0, 1) == 3.0

@@ -61,20 +61,23 @@ def test_each_suite_green_small(suite):
         assert r.passed, r.line()
 
 
-_CONTOUR_CHECKS = ("frechet-contour-", "curve-contour-", "eig-d", "proj-d")
+_CONTOUR_CHECKS = ("frechet-contour-", "curve-contour-", "trace-contour-", "eig-d", "proj-d")
 
 
 def test_contour_checks_catch_a_relative_error_of_1e_8(monkeypatch):
-    # central differences and Richardson extrapolation let this error through all 12;
-    # one curve derivative of norm below 1, its scale's floor, still stays under 1e-10
-    curve, frechet = verify_mod.calc.nth_derivative_curve, verify_mod.calc.frechet_derivative
-    monkeypatch.setattr(verify_mod.calc, "nth_derivative_curve",
-                        lambda *args: (1 + 1e-8) * curve(*args))
-    monkeypatch.setattr(verify_mod.calc, "frechet_derivative",
+    # central differences, Richardson extrapolation and the trace of the curve
+    # derivative let this error through all 18; three stay under 1e-10: a curve
+    # derivative and a trace derivative of norm below 1, their scale's floor,
+    # and the third trace derivative of x1^2, which is 0
+    calc = verify_mod.calc
+    curve, frechet, trace = calc.nth_derivative_curve, calc.frechet_derivative, calc.trace_derivative
+    monkeypatch.setattr(calc, "nth_derivative_curve", lambda *args: (1 + 1e-8) * curve(*args))
+    monkeypatch.setattr(calc, "frechet_derivative",
                         lambda *args: OperatorTensor((1 + 1e-8) * frechet(*args).data))
-    checks = [r for r in verify_mod.suite_diff(0) if r.name.startswith(_CONTOUR_CHECKS[:2])]
-    assert len(checks) == 12
-    assert sum(not r.passed for r in checks) >= 11, "\n".join(r.line() for r in checks)
+    monkeypatch.setattr(calc, "trace_derivative", lambda *args: (1 + 1e-8) * trace(*args))
+    checks = [r for r in verify_mod.suite_diff(0) if r.name.startswith(_CONTOUR_CHECKS[:3])]
+    assert len(checks) == 18
+    assert sum(not r.passed for r in checks) >= 15, "\n".join(r.line() for r in checks)
 
 
 def test_contour_bounds_sit_at_the_floor():
@@ -84,6 +87,6 @@ def test_contour_bounds_sit_at_the_floor():
     # `verify --suite all --seed 0`) reads 1.0 against a bound of 10
     for seed in [*range(10), 4000]:
         checks = [r for r in verify_mod.suite_diff(seed) if r.name.startswith(_CONTOUR_CHECKS)]
-        assert len(checks) == 42
+        assert len(checks) == 48
         for r in checks:
             assert r.bound == 1e-10, (seed, r.line())
