@@ -24,20 +24,7 @@ from .tensor import OperatorTensor, _sandwich, from_matrix
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def wedge_basis(dim: int, k: int) -> np.ndarray:

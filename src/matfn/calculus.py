@@ -221,13 +221,18 @@ def u_function(anchor: complex, n: int) -> ScalarField:
     return ScalarField(n + 1, ProjKernel(complex(anchor), n))
 
 
-def _simple_spectrum_frame(M, H, which: int, at):
+def _simple_spectrum_frame(M, H, which: int, n: int, at):
     """(eigenvalues, V, W, H) with A = M + at H = V diag(eigenvalues) W, W = V^-1.
 
-    One ``eig`` of A, its eigenvalues in (real, imag) order. The spectrum
-    is simple when every gap exceeds 10x the clustering threshold.
+    n and ``which`` are checked before one ``eig`` of A, its eigenvalues in
+    (real, imag) order. The spectrum is simple when every gap exceeds 10x
+    the clustering threshold.
     """
+    if n < 0:
+        raise ValueError("derivative order must be nonnegative")
     A, Hm = _line_point(M, H, at)
+    if not 0 <= which < len(A):
+        raise ValueError(f"eigenvalue index {which} out of range")
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # a SpectralError, with numpy's message
@@ -240,8 +245,6 @@ def _simple_spectrum_frame(M, H, which: int, at):
             f"perturbation series needs a simple spectrum: eigenvalue gap {gap:.3e} is "
             f"within 10x of the clustering threshold {threshold:.3e}"
         )
-    if not 0 <= which < w.size:
-        raise ValueError(f"eigenvalue index {which} out of range")
     return w[order], V[:, order], np.linalg.inv(V)[order], Hm
 
 
@@ -252,27 +255,32 @@ def projector_derivative(M, H, which: int, n: int, at: float = 0.0) -> np.ndarra
     (real, imag) order. Requires a simple spectrum. The order-n term
     is n! sum over (n+1)-tuples of eigenvalue indices of
     u(lam_{k_0}, ..., lam_{k_n}) P_{k_0} H P_{k_1} H ... H P_{k_n}, with
-    P_k = v_k w_k the rank-one projectors. It is summed in the
-    eigenbasis: n! V K W, where K[k_0, k_n] folds the kernel values over
-    the middle indices against G = W H V, one consecutive pair at a time.
+    u = :func:`u_function` and P_k = v_k w_k the rank-one projectors,
+    summed by the recursion of :func:`_projector_series`.
     """
-    lams, V, W, Hm = _simple_spectrum_frame(M, H, which, at)
-    return _projector_series(lams, V, W, Hm, which, n)
+    return _projector_series(*_simple_spectrum_frame(M, H, which, n, at), which, n)
 
 
 def _projector_series(lams, V, W, Hm, which: int, n: int) -> np.ndarray:
-    """The order-n projector derivative from a simple-spectrum frame."""
-    axes = [lams.reshape((-1,) + (1,) * (n - l)) for l in range(n + 1)]
-    K = u_function(lams[which], n)(*axes)  # K[k_0, ..., k_n]
-    if n == 0:
-        K = np.diag(K)
-    else:
-        G = W @ Hm @ V
-        K = K * G.reshape(G.shape + (1,) * (n - 1))
-        for _ in range(n - 1):
-            # sum out k_1 against G[k_1, k_2]; k_0 stays in front
-            K = np.einsum("abc...,bc->ac...", K, G)
-    return math.factorial(n) * (V @ K @ W)
+    """n! V X_n W from a simple-spectrum frame, k = ``which``.
+
+    X_j is block (0, j) of the spectral projector at lam_k of
+    T = I (x) diag(lams) + N (x) G, G = W H V (Kato, *Perturbation Theory
+    for Linear Operators*, ch. II), and X_0 = e_k e_k^T. chi T = T chi
+    gives X_j off the diagonal, chi^2 = chi on it.
+    """
+    G = W @ Hm @ V
+    gaps = lams[:, None] - lams + np.eye(lams.size)  # its diagonal is overwritten
+    X = [np.zeros_like(G)]
+    X[0][which, which] = 1
+    for j in range(1, n + 1):
+        Xj = (X[-1] @ G - G @ X[-1]) / gaps
+        # the diagonal of S_j = sum_{0<a<j} X_a X_{j-a}, negated at k
+        s = sum((np.einsum("il,li->i", X[a], X[j - a]) for a in range(1, j)), np.zeros(len(G)))
+        s[which] = -s[which]
+        np.fill_diagonal(Xj, s)
+        X.append(Xj)
+    return math.factorial(n) * (V @ X[n] @ W)
 
 
 def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
@@ -282,9 +290,9 @@ def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
     spectrum. Order n >= 1 is the trace of the order
     n-1 projector derivative against H:
     (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
-    Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H).
+    Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H), by :func:`_projector_series`.
     """
-    return _eigenvalue_series(*_simple_spectrum_frame(M, H, which, at), which, n)
+    return _eigenvalue_series(*_simple_spectrum_frame(M, H, which, n, at), which, n)
 
 
 def _eigenvalue_series(lams, V, W, Hm, which: int, n: int) -> complex:

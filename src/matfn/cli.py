@@ -179,7 +179,7 @@ def _cmd_projderiv(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     which = _slot_index(args.eigen, len(M), "eigen")
-    frame = calc._simple_spectrum_frame(M, H, which, args.at)  # one eig for both series
+    frame = calc._simple_spectrum_frame(M, H, which, args.order, args.at)  # one eig, both series
     lam = calc._eigenvalue_series(*frame, which, args.order)
     proj = calc._projector_series(*frame, which, args.order)
     payload = {

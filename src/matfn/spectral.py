@@ -10,6 +10,7 @@ that read them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -169,21 +170,14 @@ def merge_clusters(values, threshold: float) -> list[list[int]]:
     restarts, until no pair is that close.
     """
     groups = [[i] for i in range(len(values))]
-    cents = [sum(values[i] for i in g) / len(g) for g in groups]
-    merged = True
-    while merged and len(groups) > 1:
-        merged = False
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                if abs(cents[a] - cents[b]) <= threshold:
-                    groups[a].extend(groups.pop(b))
-                    del cents[b]
-                    cents[a] = sum(values[i] for i in groups[a]) / len(groups[a])
-                    merged = True
-                    break
-            if merged:
+    while True:
+        cents = [sum(values[i] for i in g) / len(g) for g in groups]
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if abs(cents[a] - cents[b]) <= threshold:
+                groups[a].extend(groups.pop(b))
                 break
-    return groups
+        else:
+            return groups
 
 
 def cluster_threshold(A, tol: float = DEFAULT_CLUSTER_TOL) -> float:
