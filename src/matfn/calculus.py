@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldDomainError, SpectralError
-from .funcalc import _padded_nodes, f_otimes
+from .errors import FieldDomainError, MatfnError, SpectralError
+from .funcalc import _padded_nodes, _slot_matrices, f_otimes
 from .interp import _leja
 from .scalarfield import ProjKernel, ScalarField, SlotDividedDifference, divided_difference_matrix
-from .spectral import _analyze_all, analyze, as_slot_matrices, as_square_matrix, cluster_threshold
+from .spectral import _analyze_all, analyze, as_square_matrix, cluster_threshold
 from .tensor import OperatorTensor, contract_adjacent_through
 
 
@@ -110,9 +110,7 @@ def frechet_derivative(f: ScalarField, mats, slot: int, H) -> OperatorTensor:
     slot, with the doubled slot contracted through H. The result has the
     same slots as the original tensor.
     """
-    arrs = as_slot_matrices(mats)
-    if f.arity != len(arrs):
-        raise ValueError(f"field of arity {f.arity} applied to {len(arrs)} matrices")
+    arrs = _slot_matrices(f, mats)
     if not 0 <= slot < f.arity:
         raise ValueError(f"slot {slot} out of range for arity {f.arity}")
     Hm = as_square_matrix(H, "direction")
@@ -132,9 +130,9 @@ def nth_derivative_curve(f: ScalarField, M, H, n: int, at: float = 0.0) -> np.nd
     The same value as the paper's route, the extension of the n-th
     divided-difference field of f at n + 1 copies of A = M + at H with
     every adjacent pair of slots contracted through H, which is not formed.
+    Any order n >= 0; a derivative beyond the float range is a MatfnError.
     """
-    row = _block_row(f, M, H, n, at)  # checks n before n! is taken
-    return math.factorial(n) * row[n]
+    return _derivative(_block_row(f, M, H, n, at)[n], n)
 
 
 def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
@@ -143,8 +141,28 @@ def trace_derivative(f: ScalarField, M, H, n: int, at: float = 0.0) -> complex:
     The curve's arithmetic; ``verify``'s oracle for it is the paper's
     route, the extension of f[x_1, ..., x_n, x_n] closed by the trace.
     """
-    row = _block_row(f, M, H, n, at)
-    return math.factorial(n) * complex(np.trace(row[n]))
+    return complex(_derivative(np.trace(_block_row(f, M, H, n, at)[n]), n))
+
+
+def _derivative(x, n: int, order: int | None = None) -> np.ndarray:
+    """n! x as a complex array: the order-n derivative whose Taylor coefficients are x.
+
+    n! = m 2^e, m in [1, 2) rounded once, so m ldexp(x, e) rounds as float(n!) x does
+    for n <= 170, and no float of n! is formed at any order. A non-finite result
+    raises :class:`MatfnError` naming ``order`` (default n), the order asked for.
+    """
+    fact, y = math.factorial(n), np.array(x, dtype=complex)
+    e, parts = fact.bit_length() - 1, y.reshape(-1).view(float)  # y's real and imaginary parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.ldexp(parts, e, out=parts)
+        y *= fact / (1 << e)
+    return _finite(y, n if order is None else order)
+
+
+def _finite(value, order: int):
+    if not np.isfinite(value).all():
+        raise MatfnError(f"the order-{order} derivative is not finite: beyond the float range")
+    return value
 
 
 def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
@@ -251,52 +269,51 @@ def _simple_spectrum_frame(M, H, which: int, n: int, at):
 def projector_derivative(M, H, which: int, n: int, at: float = 0.0) -> np.ndarray:
     """d^n/dz^n of the spectral projector of the ``which``-th eigenvalue.
 
-    Taken along M + zH at z = ``at``; eigenvalues are indexed in
-    (real, imag) order. Requires a simple spectrum. The order-n term
-    is n! sum over (n+1)-tuples of eigenvalue indices of
-    u(lam_{k_0}, ..., lam_{k_n}) P_{k_0} H P_{k_1} H ... H P_{k_n}, with
-    u = :func:`u_function` and P_k = v_k w_k the rank-one projectors,
-    summed by the recursion of :func:`_projector_series`.
+    Taken along M + zH at z = ``at``; eigenvalues are indexed in (real, imag) order.
+    Requires a simple spectrum. The order-n term is n! sum over (n+1)-tuples of
+    eigenvalue indices of u(lam_{k_0}, ..., lam_{k_n}) P_{k_0} H P_{k_1} H ... H P_{k_n},
+    with u = :func:`u_function` and P_k = v_k w_k the rank-one projectors, summed by the
+    recursion of :func:`_perturbation_series`; one beyond the float range is a MatfnError.
     """
-    return _projector_series(*_simple_spectrum_frame(M, H, which, n, at), which, n)
+    return _perturbation_series(M, H, which, n, at, eigenvalue=False)[1]
 
 
-def _projector_series(lams, V, W, Hm, which: int, n: int) -> np.ndarray:
-    """n! V X_n W from a simple-spectrum frame, k = ``which``.
+def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
+    """d^n/dz^n of the ``which``-th eigenvalue along M + zH at z = ``at``.
 
-    X_j is block (0, j) of the spectral projector at lam_k of
-    T = I (x) diag(lams) + N (x) G, G = W H V (Kato, *Perturbation Theory
-    for Linear Operators*, ch. II), and X_0 = e_k e_k^T. chi T = T chi
-    gives X_j off the diagonal, chi^2 = chi on it.
+    Eigenvalues are indexed in (real, imag) order; requires a simple spectrum.
+    Order n >= 1 is the trace of the order n-1 projector derivative against H:
+    (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
+    Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H), by :func:`_perturbation_series`;
+    one beyond the float range is a MatfnError.
     """
-    G = W @ Hm @ V
-    gaps = lams[:, None] - lams + np.eye(lams.size)  # its diagonal is overwritten
-    X = [np.zeros_like(G)]
+    return _perturbation_series(M, H, which, n, at, projector=False)[0]
+
+
+def _perturbation_series(M, H, which: int, n: int, at, eigenvalue=True, projector=True):
+    """The order-n (eigenvalue, projector) derivatives from one frame and one recursion.
+
+    A part not asked for is None and costs nothing. With G = W H V, X_j is
+    block (0, j) of the spectral projector at lam_k, k = ``which``, of
+    T = I (x) diag(lams) + N (x) G (Kato, *Perturbation Theory for Linear
+    Operators*, ch. II), X_0 = e_k e_k^T: chi T = T chi gives X_j off the
+    diagonal, chi^2 = chi on it. The projector's is n! V X_n W, the
+    eigenvalue's the trace of (n-1)! V X_{n-1} W H.
+    """
+    lams, V, W, Hm = _simple_spectrum_frame(M, H, which, n, at)
+    X, top = [np.zeros((lams.size,) * 2, dtype=complex)], n if projector else n - 1
     X[0][which, which] = 1
-    for j in range(1, n + 1):
+    if top > 0:
+        G = W @ Hm @ V
+        gaps = lams[:, None] - lams + np.eye(lams.size)  # its diagonal is overwritten
+    for j in range(1, top + 1):
         Xj = (X[-1] @ G - G @ X[-1]) / gaps
         # the diagonal of S_j = sum_{0<a<j} X_a X_{j-a}, negated at k
         s = sum((np.einsum("il,li->i", X[a], X[j - a]) for a in range(1, j)), np.zeros(len(G)))
         s[which] = -s[which]
         np.fill_diagonal(Xj, s)
         X.append(Xj)
-    return math.factorial(n) * (V @ X[n] @ W)
-
-
-def eigenvalue_derivative(M, H, which: int, n: int, at: float = 0.0) -> complex:
-    """d^n/dz^n of the ``which``-th eigenvalue along M + zH at z = ``at``.
-
-    Eigenvalues are indexed in (real, imag) order; requires a simple
-    spectrum. Order n >= 1 is the trace of the order
-    n-1 projector derivative against H:
-    (n-1)! sum over n-tuples of u(lam_{k_0}, ..., lam_{k_{n-1}})
-    Tr(P_{k_0} H P_{k_1} H ... P_{k_{n-1}} H), by :func:`_projector_series`.
-    """
-    return _eigenvalue_series(*_simple_spectrum_frame(M, H, which, n, at), which, n)
-
-
-def _eigenvalue_series(lams, V, W, Hm, which: int, n: int) -> complex:
-    """The order-n eigenvalue derivative from a simple-spectrum frame."""
-    if n == 0:
-        return complex(lams[which])
-    return complex(np.trace(_projector_series(lams, V, W, Hm, which, n - 1) @ Hm))
+    lam = complex(lams[which]) if eigenvalue and n == 0 else None
+    if eigenvalue and n > 0:
+        lam = complex(_finite(np.trace(_derivative(V @ X[n - 1] @ W, n - 1, n) @ Hm), n))
+    return lam, _derivative(V @ X[n] @ W, n) if projector else None

@@ -5,10 +5,10 @@ the x1, x2, ... variable names in field expressions; the library itself
 counts from 0. JSON results go to stdout, notes and errors to stderr.
 
 Exit codes: 0 success, 1 bad input (unparsable field, malformed file,
-out-of-range slot), 2 numerical failure (clustering, interpolation,
-domain trouble, a failed numpy.linalg routine, an allocation beyond
-the memory available, or a RuntimeWarning that ``-W error`` turned into
-an exception), 3 verification suite failure. The package's
+out-of-range slot), 2 numerical failure (clustering, interpolation, domain
+trouble, a derivative beyond the float range, a failed numpy.linalg routine,
+an allocation beyond the memory available, or a RuntimeWarning that
+``-W error`` turned into an exception), 3 verification suite failure. The package's
 warnings go to stderr as one ``matfn: warning:`` line each, before the
 one-line error, which is always the last line.
 """
@@ -179,9 +179,7 @@ def _cmd_projderiv(args) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     which = _slot_index(args.eigen, len(M), "eigen")
-    frame = calc._simple_spectrum_frame(M, H, which, args.order, args.at)  # one eig, both series
-    lam = calc._eigenvalue_series(*frame, which, args.order)
-    proj = calc._projector_series(*frame, which, args.order)
+    lam, proj = calc._perturbation_series(M, H, which, args.order, args.at)  # one eig and recursion
     payload = {
         "eigen": args.eigen,
         "order": args.order,

@@ -283,22 +283,24 @@ def _sandwich(T: OperatorTensor, B: np.ndarray) -> np.ndarray:
 def conjugate_slots(T: OperatorTensor, mats) -> OperatorTensor:
     """A_l on the up and A_l^{-1} on the down index of slot l: M_l -> A_l M_l A_l^{-1}.
 
-    A condition of A_l above 1e12 warns; singular A_l raises."""
+    A condition of A_l above 1e12 warns; a singular A_l raises, before any warning."""
     arrs = [as_square_matrix(A, f"slot {l} conjugator") for l, A in enumerate(mats)]
     if tuple(len(A) for A in arrs) != T.slot_dims:
         raise ValueError(f"conjugators of dims {[len(A) for A in arrs]} "
                          f"for slots of dims {T.slot_dims}")
+    invs = []
+    for l, A in enumerate(arrs):  # every slot is inverted before any condition warns
+        try:
+            invs.append(np.linalg.inv(A))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"conjugator for slot {l} is singular") from exc
     ops, subs, fresh = T._parts(2 * T.k)
     out = []
-    for l, A in enumerate(arrs):
+    for l, (A, Ainv) in enumerate(zip(arrs, invs)):
         kappa = float(np.linalg.cond(A))
         if not np.isfinite(kappa) or kappa > 1e12:
             warnings.warn(f"conjugator for slot {l} has condition {kappa:.3e}", RuntimeWarning,
                           stacklevel=2)
-        try:
-            Ainv = np.linalg.inv(A)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"conjugator for slot {l} is singular") from exc
         (up, down), new_up, new_down = T._out[l], fresh[2 * l], fresh[2 * l + 1]
         ops += (A.copy(), Ainv)
         subs += (new_up + up, down + new_down)

@@ -57,17 +57,10 @@ class CheckResult:
 
 def _separated_points(rng, count, min_gap=0.4, real=False, box=2.0):
     for _ in range(200):
-        if real:
-            pts = box * (2 * rng.random(count) - 1)
-            pts = pts.astype(complex)
-        else:
-            pts = box * (2 * rng.random(count) - 1) + 1j * (2 * rng.random(count) - 1)
-        ok = True
-        for a, b in itertools.combinations(pts, 2):
-            if abs(a - b) < min_gap:
-                ok = False
-                break
-        if ok:
+        pts = box * (2 * rng.random(count) - 1)
+        if not real:
+            pts = pts + 1j * (2 * rng.random(count) - 1)
+        if all(abs(a - b) >= min_gap for a, b in itertools.combinations(pts, 2)):
             return [complex(p) for p in pts]
     raise RuntimeError("could not draw separated points")
 
@@ -87,11 +80,8 @@ def random_jordan_blocks(rng, *, max_dim=4, max_block=3):
     """Block list for a random Jordan matrix, eigenvalues well separated."""
     dim = int(rng.integers(2, max_dim + 1))
     sizes = []
-    left = dim
-    while left > 0:
-        s = int(rng.integers(1, min(max_block, left) + 1))
-        sizes.append(s)
-        left -= s
+    while sum(sizes) < dim:
+        sizes.append(int(rng.integers(1, min(max_block, dim - sum(sizes)) + 1)))
     lams = _separated_points(rng, len(sizes), min_gap=0.5)
     return list(zip(lams, sizes))
 
@@ -271,9 +261,7 @@ def _compose_instance(rng, r, defective):
         2: [x1 * x2, x1 + x2, x1**2 * x2 - x2 + 1, 1 / (x1 + x2 + 5)],
     }
     for _ in range(60):
-        inners = []
-        groups = []
-        ok = True
+        inners, groups = [], []
         for q in range(r):
             kq = 1 + int(rng.integers(2))
             fq = _draw(rng, inner_pools[kq])
@@ -287,17 +275,12 @@ def _compose_instance(rng, r, defective):
             spectra = [analyze(M) for M in grp]
             derived = aops.derived_spectrum(fq, spectra)
             vals = derived.values
-            if max(abs(v) for v in vals) > 3.0:
-                ok = False
-                break
-            if any(
-                abs(a - b) < 0.05 for a, b in itertools.combinations(vals, 2)
-            ):
-                ok = False
+            if max(abs(v) for v in vals) > 3.0 or any(
+                    abs(a - b) < 0.05 for a, b in itertools.combinations(vals, 2)):
                 break
             inners.append(fq)
             groups.append(grp)
-        if ok:
+        else:
             return inners, groups
     raise RuntimeError("could not draw a well-separated composition instance")
 

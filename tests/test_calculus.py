@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import matfn.spectral as spectral
 import matfn.tensor as tensor
 from matfn import (
     FieldDomainError,
+    MatfnError,
     SpectralError,
     divided_difference,
     divided_difference_field,
@@ -701,3 +704,67 @@ def test_cyclic_sum_of_doubled_nodes():
     lhs = divided_difference_field(fprime, n - 1)(*pts)
     rhs = sum(doubled_node_difference_field(f, n, kk)(*pts) for kk in range(n))
     assert lhs == pytest.approx(rhs)
+
+
+def test_the_factorial_step_rounds_as_the_float_factorial():
+    # n! x bit for bit wherever float(n!) exists, signed zeros and subnormals included
+    r = np.random.default_rng(17)
+    for n in range(171):
+        for scale in (1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e150):
+            x = scale * (r.normal(size=(3, 4)) + 1j * r.normal(size=(3, 4)))
+            x[0, :3] = [complex(-0.0, 1.0), complex(-0.0, -1.0), complex(-0.0, -0.0)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = math.factorial(n) * x
+            if not np.isfinite(want).all():
+                continue
+            assert calculus._derivative(x, n).tobytes() == want.tobytes(), (n, scale)
+            z = complex(x[1, 1])
+            assert repr(complex(calculus._derivative(z, n))) == repr(math.factorial(n) * z)
+
+
+def test_the_factorial_step_names_the_order_of_a_non_finite_derivative():
+    want = float(math.factorial(200) * Fraction(1e-300))  # 7.9e74
+    assert calculus._derivative(np.full(2, 1e-300), 200) == pytest.approx([want] * 2, rel=1e-15)
+    for x, n in ((np.ones(2), 171), (np.array([1e308, 1.0]), 3)):
+        with pytest.raises(MatfnError, match=f"the order-{n} derivative is not finite"):
+            calculus._derivative(x, n)
+    with pytest.raises(MatfnError, match="the order-160 derivative is not finite"):
+        eigenvalue_derivative(np.diag([1.0, 2.0]), [[0.0, 30.0], [40.0, 0.0]], 1, 160)
+    # a finite first projector derivative whose trace against H overflows
+    M, H = np.diag([0.0, 1e308]), np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.isfinite(projector_derivative(M, H, 0, 1)).all()
+        with pytest.raises(MatfnError, match="the order-2 derivative is not finite"):
+            eigenvalue_derivative(M, H, 0, 2)
+
+
+@pytest.mark.parametrize("n", [171, 200])
+def test_derivatives_beyond_order_170_match_closed_forms(n):
+    # n! overflows a float from n = 171, these derivatives do not
+    fact, f = math.factorial(n), parse_field("1/(x1+5)")
+    # along the commuting line diag(m + z h): d^n/dz^n 1/(x+5) = (-1)^n n! h^n / (m+5)^(n+1)
+    m, h = [1.0, 2.0, -0.5], [0.5, -0.25, 0.375]
+    M, H = np.diag(m), np.diag(h)
+    want = np.array([float((-1) ** n * fact * Fraction(b) ** n / Fraction(a + 5) ** (n + 1))
+                     for a, b in zip(m, h)])
+    curve = nth_derivative_curve(f, M, H, n)
+    assert np.abs(curve - np.diag(want)).max() <= 1e-9 * np.abs(want).max()
+    assert abs(trace_derivative(f, M, H, n) - want.sum()) <= 1e-9 * abs(want.sum())
+    # there no projector moves and every eigenvalue is linear in z
+    assert not projector_derivative(M, H, 1, n).any()
+    assert eigenvalue_derivative(M, H, 1, n) == 0
+    # A(z) = [[-1, sz], [sz, 1]]: lam(z) = sqrt(1 + s^2 z^2), P(z) = (I + A(z) / lam(z)) / 2
+    s = Fraction(1, 10)
+
+    def taylor(p, j):  # the z^j coefficient of (1 + s^2 z^2)^p
+        return 0 if j % 2 else math.prod(p - i for i in range(j // 2)) / math.factorial(j // 2) * s**j
+
+    A, Hs = np.diag([-1.0, 1.0]), float(s) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    half = Fraction(1, 2)
+    diag, off = fact * half * taylor(-half, n), fact * half * s * taylor(-half, n - 1)
+    P = np.array([[-float(diag), float(off)], [float(off), float(diag)]])
+    got = projector_derivative(A, Hs, 1, n)
+    assert np.abs(got - P).max() <= 1e-12 * np.abs(P).max()
+    lam = float(fact * taylor(half, n))
+    assert abs(eigenvalue_derivative(A, Hs, 1, n) - lam) <= 1e-12 * max(abs(lam), 1.0)

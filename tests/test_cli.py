@@ -181,6 +181,62 @@ def test_projderiv_payload(tmp_path, capsys):
     assert np.trace(P1) == pytest.approx(0.0, abs=1e-9)
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_REPRO_M = [[1.0, 0.3], [0.0, 2.0]]
+_REPRO_H = np.array([[0.1, 0.2], [0.3, 0.4]])
+
+
+def test_curve_beyond_order_170_prints_finite_json(tmp_path, capsys):
+    # 171! is beyond the float range, the derivative (about 1e118) is not
+    m = write_matrix(tmp_path, "m.json", _REPRO_M)
+    h = write_matrix(tmp_path, "h.json", _REPRO_H)
+    argv = ["curve", "--func", "1/(x1+5)", "--mat", m, "--dir", h, "--order", "171"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    R = fileio.matrix_from_obj(_strict_json(out))
+    assert np.isfinite(R).all() and np.abs(R).max() > 1e100
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_projderiv_beyond_the_float_range_exit_2(tmp_path, capsys, action):
+    # the order-160 derivatives overflow: one line naming the order, with or without -W error
+    m = write_matrix(tmp_path, "m.json", _REPRO_M)
+    h = write_matrix(tmp_path, "h.json", 100 * _REPRO_H)
+    argv = ["projderiv", "--mat", m, "--dir", h, "--eigen", "1", "--order", "160"]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("matfn: numerical failure: the order-160 derivative is not finite")
+    assert len(err.splitlines()) == 1
+
+
+def test_projderiv_runs_the_recursion_once(tmp_path, capsys, monkeypatch):
+    # both series of order n read one recursion of n steps, one diagonal fill each
+    steps = []
+    fill = np.fill_diagonal
+
+    def counted(a, val, wrap=False):
+        steps.append(a.shape)
+        return fill(a, val, wrap)
+
+    monkeypatch.setattr(np, "fill_diagonal", counted)
+    m = write_matrix(tmp_path, "m.json", [[1.0, 0.5, 0.0], [0.0, 3.0, 0.2], [0.1, 0.0, -1.0]])
+    h = write_matrix(tmp_path, "h.json", [[0.2, 1.0, 0.0], [-0.7, 0.4, 0.3], [0.0, 0.5, 0.1]])
+    argv = ["projderiv", "--mat", m, "--dir", h, "--eigen", "2", "--order", "4"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert steps == [(3, 3)] * 4
+    payload = json.loads(out)
+    assert payload["order"] == 4 and payload["projector_derivative"]["dim"] == 3
+
+
 def test_projderiv_decomposes_once(tmp_path, capsys, monkeypatch):
     # the eigenvalue and the projector series read one eig of M + at H
     calls = []

@@ -1,6 +1,7 @@
 """Operator tensors: layout, pairing contractions, conjugation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,10 +251,24 @@ def test_conjugate_slots_covariance():
 
 
 def test_conjugate_slots_rejects_singular():
+    # a singular conjugator raises before any condition number warns
     T = random_tensor([2])
-    with pytest.warns(RuntimeWarning, match="condition"):
-        with pytest.raises(ValueError):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="slot 0 is singular"):
             conjugate_slots(T, [np.zeros((2, 2))])
+
+
+def test_conjugate_slots_inverts_every_slot_before_warning():
+    T = tensor_product([np.eye(2), np.eye(2)])
+    ill = np.array([[1.0, 1.0], [0.0, 1e-13]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="slot 1 is singular"):
+            conjugate_slots(T, [ill, np.zeros((2, 2))])
+    with pytest.warns(RuntimeWarning, match="conjugator for slot 0 has condition"):
+        got = conjugate_slots(T, [ill, np.eye(2)])
+    assert got.slot_dims == (2, 2)
 
 
 def test_algebra_of_add_and_scale():
