@@ -303,17 +303,20 @@ def _perturbation_series(M, H, which: int, n: int, at, eigenvalue=True, projecto
     lams, V, W, Hm = _simple_spectrum_frame(M, H, which, n, at)
     X, top = [np.zeros((lams.size,) * 2, dtype=complex)], n if projector else n - 1
     X[0][which, which] = 1
-    if top > 0:
-        G = W @ Hm @ V
-        gaps = lams[:, None] - lams + np.eye(lams.size)  # its diagonal is overwritten
-    for j in range(1, top + 1):
-        Xj = (X[-1] @ G - G @ X[-1]) / gaps
-        # the diagonal of S_j = sum_{0<a<j} X_a X_{j-a}, negated at k
-        s = sum((np.einsum("il,li->i", X[a], X[j - a]) for a in range(1, j)), np.zeros(len(G)))
-        s[which] = -s[which]
-        np.fill_diagonal(Xj, s)
-        X.append(Xj)
-    lam = complex(lams[which]) if eigenvalue and n == 0 else None
-    if eigenvalue and n > 0:
-        lam = complex(_finite(np.trace(_derivative(V @ X[n - 1] @ W, n - 1, n) @ Hm), n))
-    return lam, _derivative(V @ X[n] @ W, n) if projector else None
+    # what leaves the float range is inf or NaN here, and a MatfnError from _finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if top > 0:
+            G = W @ Hm @ V
+            gaps = lams[:, None] - lams + np.eye(lams.size)  # its diagonal is overwritten
+        for j in range(1, top + 1):
+            Xj = (X[-1] @ G - G @ X[-1]) / gaps
+            # the diagonal of S_j = sum_{0<a<j} X_a X_{j-a}, negated at k
+            s = sum((np.einsum("il,li->i", X[a], X[j - a]) for a in range(1, j)),
+                    np.zeros(len(G)))
+            s[which] = -s[which]
+            np.fill_diagonal(Xj, s)
+            X.append(Xj)
+        lam = complex(lams[which]) if eigenvalue and n == 0 else None
+        if eigenvalue and n > 0:
+            lam = complex(_finite(np.trace(_derivative(V @ X[n - 1] @ W, n - 1, n) @ Hm), n))
+        return lam, _derivative(V @ X[n] @ W, n) if projector else None

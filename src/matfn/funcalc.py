@@ -10,13 +10,16 @@ eigenvalues, its order the block's size plus a Taylor pad) and evaluate
 which is computed in P's Newton form, a product (M_l - z I) per centre z
 of each slot's basis in place of each power. The value does not depend
 on which matching polynomial is used, which is what the
-independence-of-interpolant tests exercise. Two more routes compute the
-same tensor: an eigenbasis sum for diagonalizable arguments and a closed
-form for explicit Jordan matrices; they serve as mutual cross-checks.
+independence-of-interpolant tests exercise. Normal arguments skip P:
+their extension is a sum over a unitary eigenbasis of point values of f.
+Two more routes compute the same tensor: an eigenbasis sum for
+diagonalizable arguments and a closed form for explicit Jordan matrices;
+they serve as mutual cross-checks.
 """
 
 from __future__ import annotations
 
+import math
 import string
 
 import numpy as np
@@ -25,8 +28,9 @@ from .errors import FieldDomainError, NotDiagonalizableError, SpectralError
 from .interp import hermite_basis, interpolate
 from .scalarfield import ScalarField, derivative_grid
 # ``analyze`` stays bound for bench/tracer.py, which rebinds imported names
-from .spectral import SpectralData, _analyze_all, analyze, as_slot_matrices  # noqa: F401
-from .tensor import OperatorTensor, contract_pair, poly_tensor_eval
+from .spectral import (SpectralData, _analyze_all, _binary_exponent, analyze,  # noqa: F401
+                       as_slot_matrices)
+from .tensor import OperatorTensor, _network, _pairs, contract_pair, poly_tensor_eval
 
 _LETTERS = string.ascii_letters
 #: The largest Taylor pad of a block (:func:`_padded_nodes`): radius rho at distance R
@@ -50,8 +54,13 @@ def f_otimes(
     spectra: list[SpectralData] | None = None,
     extra_multiplicity: int = 0,
 ) -> OperatorTensor:
-    """The tensor extension of ``f`` at ``mats`` via interpolation.
+    """The tensor extension of ``f`` at ``mats``.
 
+    With neither ``spectra`` nor a pad given and every slot normal, it is
+    the eigenbasis sum of :func:`_unitary_extension`: f at the eigenvalues
+    and each slot's unitary frame, with no grid, basis or Newton stack. A
+    field that is evaluation-only, or has no Taylor pad near a cluster,
+    may then return where interpolation refuses. Otherwise it interpolates.
     The grid of each slot has one node per block of its spectrum
     (:attr:`~matfn.spectral.SpectralData.blocks`), at the block's centre,
     with the order s + p for a block of size s: p is the Taylor pad of
@@ -65,15 +74,18 @@ def f_otimes(
     invariance tests rely on that knob.
     """
     arrs = _slot_matrices(f, mats)
+    pad = int(extra_multiplicity)
+    if pad < 0:
+        raise ValueError("extra_multiplicity must be nonnegative")
     if spectra is None:
+        unitary = None if pad else _unitary_extension(f, arrs)
+        if unitary is not None:
+            return unitary
         data = list(_analyze_all(arrs))
     else:
         data = list(spectra)
         if len(data) != len(arrs):
             raise ValueError(f"{len(arrs)} matrices but {len(data)} spectra given")
-    pad = int(extra_multiplicity)
-    if pad < 0:
-        raise ValueError("extra_multiplicity must be nonnegative")
     try:
         grid_nodes = _padded_nodes(f, [sd.blocks for sd in data], pad)
         G = derivative_grid(f, grid_nodes)
@@ -85,6 +97,57 @@ def f_otimes(
     keys = [repr(nodes) for nodes in grid_nodes]
     solved = {key: hermite_basis(nodes) for key, nodes in dict(zip(keys, grid_nodes)).items()}
     return poly_tensor_eval(interpolate(G, [solved[key] for key in keys]), arrs)
+
+
+def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
+    """The network (values, Q_l, Q_l^H) if every slot is normal, else None.
+
+    A normal M = Q diag(lam) Q^H has a unitary Q, and the extension is
+    sum_m f(lam_{m_1}, ..., lam_{m_k}) (x)_l q_{l m_l} q_{l m_l}^H: point values
+    of f only, with no node order, pad or transform D (Higham, *Functions of
+    Matrices*, 2008, sec. 4.5). Each distinct matrix A is scaled by 2^-e
+    (:func:`~matfn.spectral._binary_exponent`), exactly, to B, so no product
+    overflows, and is normal when ||B^H B - B B^H||_F <= 100 eps ||B||_F^2;
+    every test runs before any frame. Q is the QR factor of ``eig``'s
+    eigenvectors and lam ``eig``'s eigenvalues, and the frame stands when
+    ||BQ - Q diag(lam)||_F <= 100 eps sqrt(d) ||B||_F and 2^e lam is finite.
+    """
+    tol = 100 * np.finfo(float).eps
+    keys, scaled = [A.tobytes() for A in arrs], {}
+    for key, A in dict(zip(keys, arrs)).items():
+        e = _binary_exponent(A)
+        B = A * math.ldexp(1.0, -e)
+        if not np.linalg.norm(B.conj().T @ B - B @ B.conj().T) <= tol * np.vdot(B, B).real:
+            return None
+        scaled[key] = e, B
+    frames = {}
+    for key, (e, B) in scaled.items():
+        mu, V = np.linalg.eig(B)
+        Q = np.linalg.qr(V)[0]
+        with np.errstate(over="ignore"):
+            lam = np.ldexp(mu.view(float), e).view(complex)  # B's eigenvalues times 2^e
+        if not (np.linalg.norm(B @ Q - Q * mu) <= tol * math.sqrt(len(B)) * np.linalg.norm(B)
+                and np.isfinite(lam).all()):
+            return None
+        frames[key] = lam, Q
+    lams, Qs = zip(*(frames[key] for key in keys))
+    k = len(arrs)
+    try:
+        values = f(*(lam.reshape((-1,) + (1,) * (k - 1 - l)) for l, lam in enumerate(lams)))
+        if not np.isfinite(values).all():
+            raise FieldDomainError("a value at the eigenvalues is not finite")
+    except FieldDomainError as exc:
+        raise FieldDomainError(
+            f"field is not defined on the spectral grid of the arguments: {exc}"
+        ) from exc
+    if 3 * k > len(_LETTERS):  # more indices than einsum has letters: dense, as poly_tensor_eval
+        for Q in Qs:
+            values = np.tensordot(values, np.einsum("im,jm->mij", Q, Q.conj()), axes=(0, 0))
+        return OperatorTensor(values)
+    ms, pairs = _LETTERS[2 * k : 3 * k], _pairs(k)
+    subs = [ms] + [up + m for m, (up, _) in zip(ms, pairs)]
+    subs += [m + down for m, (_, down) in zip(ms, pairs)]
+    return _network([values, *Qs, *(Q.conj().T for Q in Qs)], subs, pairs)
 
 
 def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, int]]]:

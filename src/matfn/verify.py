@@ -150,8 +150,9 @@ def _resolvent_stack(A, H, n, s):
     X = R = np.linalg.inv(w[..., None, None] * np.eye(len(A)) - A)
     for _ in range(n):
         X = X @ H @ R
-    # n! dw / (2 pi i) is n! radius e dt / (2 pi): the trapezoid weights
-    return w, X * (math.factorial(n) * radius / _CONTOUR_POINTS * e)[..., None, None]
+    # n! dw / (2 pi i) is n! radius e dt / (2 pi): the trapezoid weights, n! radius
+    # rounded as float(n!) radius is at n <= 170 and a MatfnError where it overflows
+    return w, X * (calc._derivative(radius, n).real / _CONTOUR_POINTS * e)[..., None, None]
 
 
 def _frechet_contour(f, mats, slot, H, s):

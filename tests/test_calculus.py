@@ -730,13 +730,34 @@ def test_the_factorial_step_names_the_order_of_a_non_finite_derivative():
             calculus._derivative(x, n)
     with pytest.raises(MatfnError, match="the order-160 derivative is not finite"):
         eigenvalue_derivative(np.diag([1.0, 2.0]), [[0.0, 30.0], [40.0, 0.0]], 1, 160)
-    # a finite first projector derivative whose trace against H overflows
+
+
+def test_an_overflowing_perturbation_series_raises_without_a_warning():
+    # a finite first projector derivative whose trace against H overflows, and a
+    # recursion whose products leave the float range: a MatfnError, never a numpy warning
     M, H = np.diag([0.0, 1e308]), np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert np.isfinite(projector_derivative(M, H, 0, 1)).all()
         with pytest.raises(MatfnError, match="the order-2 derivative is not finite"):
             eigenvalue_derivative(M, H, 0, 2)
+        M, H = np.diag([0.0, 1.0]), np.array([[0.0, 1e308], [1e308, 0.0]])
+        for n in (2, 3):
+            for series in (projector_derivative, eigenvalue_derivative):
+                with pytest.raises(MatfnError, match=f"the order-{n} derivative is not finite"):
+                    series(M, H, 0, n)
+
+
+def test_the_contour_oracle_takes_orders_beyond_170():
+    # X_n = n! dw / (2 pi i) R (H R)^n, so X_171 = 171 X_170 H R on the same circles;
+    # 171! is beyond the float range, the terms are not
+    A, H = np.diag([0.0, 0.2]), np.array([[0.0, 0.01], [0.01, 0.0]])
+    w, X170 = _resolvent_stack(A, H, 170, 0.25)
+    w171, X171 = _resolvent_stack(A, H, 171, 0.25)
+    R = np.linalg.inv(w[..., None, None] * np.eye(2) - A)
+    want = 171 * X170 @ H @ R
+    assert np.array_equal(w171, w) and np.isfinite(X171).all()
+    assert np.linalg.norm(X171 - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("n", [171, 200])

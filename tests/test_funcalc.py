@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matfn.funcalc as funcalc
 import matfn.scalarfield as sf
 from matfn import (
     FieldDomainError,
@@ -33,6 +34,7 @@ from matfn import (
     trace_derivative,
 )
 from matfn.funcalc import PAD_CAP, _padded_nodes
+from matfn.interp import hermite_basis
 
 rng = np.random.default_rng(23)
 
@@ -155,7 +157,8 @@ def test_interp_route_accurate_on_normal_inputs(text, d):
     for _ in range(f.arity):
         Q, _ = np.linalg.qr(local.normal(size=(d, d)) + 1j * local.normal(size=(d, d)))
         mats.append(Q @ np.diag(lam) @ Q.conj().T)
-    got = f_otimes(f, mats).data
+    # given spectra keep these normal slots on the interpolation route
+    got = f_otimes(f, mats, spectra=[analyze(M) for M in mats]).data
     want = f_otimes_diagonalizable(f, mats).data
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -209,14 +212,15 @@ def test_spectra_override_loosens_the_spectral_decision():
 
 def test_small_matrix_keeps_its_spectrum():
     # 1e-11 * diag(1, 2): two clusters 1e-11 apart, far beyond the cluster
-    # threshold; the plain field takes f at each node and the difference
-    # quotient field the derivative at the merged centroid
+    # threshold; on the interpolation route (given spectra; M is normal) the plain
+    # field takes f at each node and the difference quotient field the derivative
+    # at the merged centroid
     lams = np.array([1e-11, 2e-11])
     M = np.diag(lams)
-    T = f_otimes(parse_field("exp(x1)"), [M])
+    T = f_otimes(parse_field("exp(x1)"), [M], spectra=[analyze(M)])
     assert np.max(np.abs(T.as_matrix() - np.diag(np.exp(lams)))) <= 1e-15
     dd = divided_difference_field(parse_field("exp(x1)"), 1)
-    U = f_otimes(dd, [M, M]).as_matrix()
+    U = f_otimes(dd, [M, M], spectra=[analyze(M)] * 2).as_matrix()
     a, b = np.meshgrid(lams, lams, indexing="ij")
     want = np.exp((a + b) / 2)  # exp[a, b] to within (b - a)^2 / 24
     assert np.max(np.abs(U - np.diag(want.ravel()))) <= 1e-15
@@ -524,10 +528,12 @@ def test_a_vanishing_taylor_coefficient_does_not_settle_the_pad(f, fn, diag):
     # each pair is one block of size 2 and radius 1e-3 at pi or 0, where the order-2
     # Taylor term of f vanishes but the order-3 term, about 1e-9 / 6 or 1e-9, does not:
     # a pad settled by the first small term would be off by that, 5e-8 relative or more
-    [block] = [b for b in analyze(np.diag(diag)).blocks if b[1] == 2]
+    # given spectra keep the diagonal input on the interpolation route
+    data = analyze(np.diag(diag))
+    [block] = [b for b in data.blocks if b[1] == 2]
     assert block[2] > 0
     want = np.diag(fn(np.array(diag)))
-    got = matrix_function(f, np.diag(diag))
+    got = f_otimes(f, [np.diag(diag)], spectra=[data]).as_matrix()
     assert _relative(got, want) <= _oracle_bound(len(diag), 1.0)
     # the tail past the chosen order is negligible, so a longer pad moves nothing
     longer = f_otimes(f, [np.diag(diag)], extra_multiplicity=2).as_matrix()
@@ -537,25 +543,45 @@ def test_a_vanishing_taylor_coefficient_does_not_settle_the_pad(f, fn, diag):
 def test_an_evaluation_only_field_needs_simple_nodes():
     # the grid gives a repeated eigenvalue its cluster's size, with no rank ladder, so a
     # field without derivatives is refused there even when the matrix is diagonalizable;
-    # the eigenbasis route and spectra with explicit minimal multiplicities still serve it
+    # the eigenbasis route and spectra with explicit minimal multiplicities still serve it.
+    # M = S diag(1, 1, 4) S^-1, S = I + e_1 e_3^T, is not normal
     f = sf.absval(parse_field("x1 - 2"))
-    M = np.diag([1.0, 1.0, 4.0])
+    M = np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
     with pytest.raises(FieldDomainError, match="not defined on the spectral grid"):
         f_otimes(f, [M])
-    want = np.diag([1.0, 1.0, 2.0])
+    want = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     assert np.array_equal(matrix_function(f, M, route="diag"), want)
     explicit = SpectralData((1 + 0j, 4 + 0j), (2, 1), (1, 1), 3)
     assert np.allclose(f_otimes(f, [M], spectra=[explicit]).as_matrix(), want, atol=1e-15)
 
 
+def test_an_evaluation_only_field_serves_a_normal_repeated_eigenvalue():
+    # at normal slots only point values of f enter, so no node order is asked for
+    f = sf.absval(parse_field("x1 - 2"))
+    M = np.diag([1.0, 1.0, 4.0])
+    assert np.array_equal(f_otimes(f, [M]).as_matrix(), np.diag([1.0, 1.0, 2.0]))
+
+
 def test_no_pad_up_to_the_cap_is_a_spectral_error():
     # two eigenvalues 1.7e-3 apart are one block of radius 8.5e-4 whose centre is
-    # 1.7e-3 from the pole: the Taylor terms fall by 1/2 per order, too slowly
-    M = np.diag([1 - 8.5e-4, 1 + 8.5e-4])
+    # 1.7e-3 from the pole: the Taylor terms fall by 1/2 per order, too slowly.
+    # M is upper triangular with a unit corner, not normal
+    a, b, c = 1 - 8.5e-4, 1 + 8.5e-4, 1.0017
+    M = np.array([[a, 1.0], [0.0, b]])
     f = parse_field("1/(x1 - 1.0017)")
     with pytest.raises(SpectralError, match=f"no Taylor pad up to {PAD_CAP}"):
         f_otimes(f, [M])
-    assert np.allclose(matrix_function(f, M, route="diag"), np.diag(1 / (np.diag(M) - 1.0017)))
+    # f(M) = [[f(a), f[a, b]], [0, f(b)]], f[a, b] = -1 / ((a - c)(b - c))
+    want = np.array([[1 / (a - c), -1 / ((a - c) * (b - c))], [0.0, 1 / (b - c)]])
+    assert _relative(matrix_function(f, M, route="diag"), want) <= 1e-12
+
+
+def test_a_normal_block_near_a_pole_needs_no_pad():
+    # the diagonal counterpart of the test above: f at each eigenvalue, with no pad
+    M = np.diag([1 - 8.5e-4, 1 + 8.5e-4])
+    f = parse_field("1/(x1 - 1.0017)")
+    want = np.diag(1 / (np.diag(M) - 1.0017))
+    assert _relative(f_otimes(f, [M]).as_matrix(), want) <= 1e-15
 
 
 def test_the_compute_path_runs_no_svd(monkeypatch):
@@ -586,3 +612,127 @@ def test_the_compute_path_runs_no_svd(monkeypatch):
         eigenvalue_derivative(normal, H, which, 2)
     with pytest.raises(AssertionError, match="svd"):
         analyze(normal).min_mult
+
+
+# ---------------------------------------------------------------------------
+# normal slots through a unitary eigenbasis
+#
+# The symmetric rows of the ROADMAP Baseline, which the Newton route missed by up to
+# 1.6e+31 at d >= 30, against oracles that take no eigenbasis of the input: inv, the
+# Laplacian's closed form, a trapezoid contour of inv, and inv of the Kronecker sum.
+
+
+def _goe(d, seed=0):
+    X = np.random.default_rng(seed).standard_normal((d, d))
+    return (X + X.T) / np.sqrt(8 * d)
+
+
+def _laplacian(d):
+    return 2 * np.eye(d) - np.eye(d, k=1) - np.eye(d, k=-1)
+
+
+_FIELDS = {"1/(x1+6)": lambda x: 1 / (x + 6), "exp(x1)": np.exp,
+           "log(x1+3)": lambda x: np.log(x + 3)}
+
+
+def _contour_of_inv(S, g, radius=2.0, points=128):
+    # (1/2 pi i) of g(z) (z - S)^-1 around |z| = radius, which holds the GOE spectra
+    # (in about [-1.1, 1.1]) and keeps 1 away from log(x1+3)'s branch point: the
+    # trapezoid error falls like (2/3)^points
+    z = radius * np.exp(2j * np.pi * np.arange(points) / points)
+    R = np.linalg.inv(z[:, None, None] * np.eye(len(S)) - S)
+    return np.tensordot(g(z) * z / points, R, axes=1)
+
+
+@pytest.mark.parametrize("text", list(_FIELDS))
+@pytest.mark.parametrize("d", [40, 60])
+def test_goe_one_slot_rows_are_accurate(d, text):
+    S = _goe(d)
+    assert np.abs(np.linalg.eigvalsh(S)).max() < 1.5
+    want = np.linalg.inv(S + 6 * np.eye(d)) if text == "1/(x1+6)" else _contour_of_inv(S, _FIELDS[text])
+    assert _relative(matrix_function(parse_field(text), S), want) <= 1e-13
+
+
+@pytest.mark.parametrize("text", list(_FIELDS))
+@pytest.mark.parametrize("d", [40, 60])
+def test_laplacian_one_slot_rows_are_accurate(d, text):
+    # eigenvectors sin(j k pi / (d + 1)) and eigenvalues 2 - 2 cos(k pi / (d + 1))
+    jk = np.outer(np.arange(1, d + 1), np.arange(1, d + 1)) * np.pi / (d + 1)
+    Q, lam = np.sqrt(2 / (d + 1)) * np.sin(jk), 2 - 2 * np.cos(jk[0])
+    want = Q @ np.diag(_FIELDS[text](lam)) @ Q.T
+    assert _relative(matrix_function(parse_field(text), _laplacian(d)), want) <= 1e-13
+
+
+def test_goe_two_slot_row_is_accurate():
+    # 1/(x1 + x2 + 7) at [S, S] in its matrix view is (S (x) I + I (x) S + 7 I)^-1
+    S, d = _goe(30), 30
+    T = f_otimes(parse_field("1/(x1+x2+7)"), [S, S])
+    want = np.linalg.inv(np.kron(S, np.eye(d)) + np.kron(np.eye(d), S) + 7 * np.eye(d * d))
+    assert _relative(T.as_matrix(), want) <= 1e-13
+
+
+def _counting_bases(monkeypatch):
+    calls = []
+
+    def counted(nodes):
+        calls.append(nodes)
+        return hermite_basis(nodes)
+
+    monkeypatch.setattr(funcalc, "hermite_basis", counted)
+    return calls
+
+
+def test_normal_slots_build_no_newton_basis(monkeypatch):
+    calls = _counting_bases(monkeypatch)
+    local = np.random.default_rng(60)
+    Q, _ = np.linalg.qr(local.normal(size=(4, 4)) + 1j * local.normal(size=(4, 4)))
+    normal = Q @ np.diag([0.5, 1.0 + 0.5j, -0.7, 2.0]) @ Q.conj().T
+    f = parse_field("exp(x1) / (x2 + 4)")
+    T = f_otimes(f, [normal, _goe(3)])
+    assert calls == []
+    assert _relative(T.data, f_otimes_diagonalizable(f, [normal, _goe(3)]).data) <= 1e-13
+
+
+def test_non_normal_slots_build_a_newton_basis(monkeypatch):
+    # the normality test refuses them before any slot's eigenvectors are taken
+    calls = _counting_bases(monkeypatch)
+    S = np.random.default_rng(61).normal(size=(3, 3))
+    jordan = jordan_matrix([(0.5, 2), (2.0, 1)])
+    conjugated = S @ np.diag([0.5, 1.0, 2.0]) @ np.linalg.inv(S)
+    f = parse_field("exp(x1 + x2)")
+
+    def eig(*args, **kwargs):
+        raise AssertionError("np.linalg.eig was called")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    for mats in ([jordan, jordan], [conjugated, conjugated], [np.diag([0.5, 1.0]), jordan]):
+        calls.clear()
+        f_otimes(f, mats)
+        assert calls
+
+
+def test_given_spectra_or_a_pad_keep_the_newton_route(monkeypatch):
+    calls = _counting_bases(monkeypatch)
+    M, f = _goe(4), parse_field("exp(x1)")
+    want = matrix_function(f, M)
+    assert calls == []
+    for kwargs in ({"spectra": [analyze(M)]}, {"extra_multiplicity": 1}):
+        calls.clear()
+        assert _relative(f_otimes(f, [M], **kwargs).as_matrix(), want) <= 1e-13
+        assert calls
+
+
+def test_huge_entries_are_scaled_before_the_normality_test(monkeypatch):
+    # 1e300 times a Jordan pair: its products overflow unscaled, where inf <= inf would
+    # pass it as normal; scaled by a power of two it is refused, with no warning
+    calls = _counting_bases(monkeypatch)
+    f = parse_field("x1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = 1e300 * jordan_matrix([(1.0, 2)])
+        assert np.array_equal(f_otimes(f, [huge]).as_matrix(), huge)
+        assert calls
+        calls.clear()
+        normal = 1e300 * np.diag([1.0, 2.0])
+        assert np.abs(f_otimes(f, [normal]).as_matrix() - normal).max() <= 1e-15 * 2e300
+        assert calls == []

@@ -9,6 +9,7 @@ import pytest
 from matfn import (
     MultiPoly,
     OperatorTensor,
+    analyze,
     apply_vectors,
     chain_contract,
     conjugate_slots,
@@ -375,9 +376,12 @@ def test_networks_beyond_einsums_letters():
     # conjugating 11 slots needs 55. Both fall back to the dense tensor.
     lams = np.linspace(0.5, 2.0, 18)
     f = parse_field("1/(" + " + ".join(f"x{l + 1}" for l in range(18)) + " + 1)", 18)
-    T = f_otimes(f, [[[lam]] for lam in lams])
-    assert T.slot_dims == (1,) * 18
-    assert trace_slot(T, 4).data.reshape(-1)[0] == pytest.approx(1 / (lams.sum() + 1), rel=1e-12)
+    # 1 x 1 slots are normal: the unitary route, and given spectra the Newton route
+    for T in (f_otimes(f, [[[lam]] for lam in lams]),
+              f_otimes(f, [[[lam]] for lam in lams], spectra=[analyze([[lam]]) for lam in lams])):
+        assert T.slot_dims == (1,) * 18
+        assert trace_slot(T, 4).data.reshape(-1)[0] == pytest.approx(1 / (lams.sum() + 1),
+                                                                     rel=1e-12)
     g = parse_field("exp(" + " + ".join(f"x{l + 1}" for l in range(11)) + ")", 11)
     S = f_otimes(g, [[[lam]] for lam in lams[:11]])
     C = conjugate_slots(S, [[[2.0]]] * 11)
