@@ -1,11 +1,10 @@
 """The antisymmetrizer and what the tensor extension does on it.
 
-Pairing the extension of a symmetric function against the antisymmetric
-projector turns sums over distinct eigenvalue index tuples into a single
-contraction, and restricting to the antisymmetric subspace diagonalizes
-the extension over increasing index combinations. Both rest on the
-orthonormal wedge basis B, whose projector is B B^H. The determinant
-expansion in power-sum traces drops out of the top exterior power.
+Pairing the extension of a symmetric function against the antisymmetric projector
+turns sums over distinct eigenvalue index tuples into one contraction, and restricting
+to the antisymmetric subspace diagonalizes the extension over increasing index
+combinations. Both rest on the orthonormal wedge basis B, whose projector is B B^H.
+Newton's identities take the determinant, the top exterior power, from the traces.
 """
 
 from __future__ import annotations
@@ -19,8 +18,10 @@ import numpy as np
 from .errors import MatfnError
 from .funcalc import f_otimes
 from .scalarfield import ScalarField
-from .spectral import _binary_exponent, analyze, as_square_matrix
+from .spectral import _binary_exponent, as_square_matrix
 from .tensor import OperatorTensor, _sandwich, from_matrix
+
+_DET_TOL = 1e-3  # the largest relative error bound under which det_from_traces returns
 
 
 def _perm_sign(perm) -> int:
@@ -72,9 +73,7 @@ def _wedge_block(f: ScalarField, A: np.ndarray, k: int):
     """
     if f.arity != k:
         raise ValueError(f"field arity {f.arity} does not match k = {k}")
-    sd = analyze(A)
-    T = f_otimes(f, [A] * k, spectra=[sd] * k)
-    return _sandwich(T, wedge_basis(A.shape[0], k))
+    return _sandwich(f_otimes(f, [A] * k), wedge_basis(A.shape[0], k))
 
 
 def distinct_tuple_sum(f: ScalarField, M, k: int) -> complex:
@@ -82,13 +81,13 @@ def distinct_tuple_sum(f: ScalarField, M, k: int) -> complex:
 
     Eigenvalues are counted with algebraic multiplicity and the indices,
     not the values, are pairwise distinct. Computed as k! times the full
-    pairing of the tensor extension at k copies of M with the
-    antisymmetric projector, which is k! tr(B^H T B) for the columns B of
-    :func:`wedge_basis`; 0 for k > dim.
+    pairing of the extension T at k copies of M with the antisymmetric
+    projector, which is k! tr(B^H T B) for the columns B of
+    :func:`wedge_basis`; 0 for k > dim. :func:`~matfn.funcalc.f_otimes`
+    routes T: a normal M takes its unitary eigenbasis, any other M the
+    interpolation route, its spectrum analysed once for all k slots.
     """
-    A = as_square_matrix(M)
-    W = _wedge_block(f, A, k)
-    return math.factorial(k) * complex(np.trace(W))
+    return math.factorial(k) * complex(np.trace(_wedge_block(f, as_square_matrix(M), k)))
 
 
 def wedge_restrict(f: ScalarField, M, k: int) -> np.ndarray:
@@ -106,54 +105,43 @@ def wedge_restrict(f: ScalarField, M, k: int) -> np.ndarray:
 
 
 def det_from_traces(M) -> complex:
-    """Determinant from the power-sum traces Tr M, Tr M^2, ..., Tr M^d.
+    """Determinant from the power-sum traces p_i = Tr M^i, i = 1, ..., d.
 
-    The expansion runs over multisets of cycle lengths: each exponent
-    vector (a_1, ..., a_d) with sum i a_i = d contributes
-    (-1)^(d - sum a_i) / prod(a_i! i^{a_i}) prod Tr(M^i)^{a_i}.
-    It runs on M times 2^-e, whose largest entry is below 1, and scales the
-    sum back by 2^(ed). Both steps are exact, so the scaling only turns an
-    overflow into a value or, for a determinant beyond the float range,
-    into a :class:`MatfnError`.
+    Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} p_i, e_0 = 1,
+    give det M = e_d in O(d^2) steps (Macdonald, ch. I sec. 2), on M times
+    2^-e, whose largest entry is below 1, scaled back by 2^(ed), exactly. A
+    running bound b_k on e_k's error comes along (Higham, *Accuracy and
+    Stability*, 2002, sec. 3.3): p_i is off by at most delta_i = gamma (alpha
+    sum_{0<j<i} ||M^j||_F ||M^(i-1-j)||_F + sum |diag M^i|), gamma = (d + 2)
+    eps, alpha >= || |M| ||_2, and d e_k / d p_i = (-1)^(i-1) e_{k-i} / i, so
+    b_k = sum_i (|e_{k-i}| + b_{k-i}) delta_i / i plus the step's rounding.
+    A :class:`MatfnError` refuses b_d above ``_DET_TOL`` times the first term
+    |e_{d-j}| t^j of det(M + tI) that the bounds keep from 0, t = max_i ((|p_i| -
+    delta_i) / d)^(1/i) / d <= rho(M) / d: j = 0 is |det M|, j > 0 keeps a
+    singular M's zero. So is a determinant beyond the float range.
     """
     A = as_square_matrix(M)
-    d = A.shape[0]
-    e = _binary_exponent(A)
-    A = A * math.ldexp(1.0, -e)
-    traces = []
-    P = np.eye(d, dtype=complex)
-    for _ in range(d):
-        P = P @ A
-        traces.append(complex(np.trace(P)))
-
-    total = 0j
-    for counts in _cycle_type_vectors(d):
-        weight = 1.0
-        power = 1.0 + 0j
-        parts = 0
-        for i, a in enumerate(counts, start=1):
-            weight *= math.factorial(a) * i**a
-            power *= traces[i - 1] ** a
-            parts += a
-        total += (-1) ** (d - parts) / weight * power
-    try:
-        return complex(math.ldexp(total.real, e * d), math.ldexp(total.imag, e * d))
-    except OverflowError:
-        raise MatfnError(
-            f"the determinant of the {d}x{d} matrix is beyond the float range"
-        ) from None
-
-
-def _cycle_type_vectors(d: int):
-    """All (a_1, ..., a_d) with sum i a_i = d."""
-
-    def rec(i, remaining):
-        if i > d:
-            if remaining == 0:
-                yield ()
-            return
-        for a in range(remaining // i + 1):
-            for rest in rec(i + 1, remaining - a * i):
-                yield (a,) + rest
-
-    yield from rec(1, d)
+    d, e = A.shape[0], _binary_exponent(A)
+    A, n = A * math.ldexp(1.0, -e), np.arange(1, d + 1)
+    gamma, absA = (d + 2) * np.finfo(float).eps, np.abs(A)
+    alpha = math.sqrt(absA.sum(axis=0).max(initial=0.0) * absA.sum(axis=1).max(initial=0.0))
+    p, delta, norms = np.empty(d, complex), np.empty(d), np.empty(d)
+    E, b, P = np.ones(d + 1, complex), np.zeros(d + 1), np.eye(d, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):  # p[i] = (-1)^i p_(i+1), delta[i] = delta_(i+1) / (i + 1)
+            norms[i], P = np.linalg.norm(P), P @ A
+            carried, diag = alpha * norms[1 : i + 1] @ norms[i::-1][1:], np.diagonal(P)
+            p[i], delta[i] = diag.sum() * (-1) ** i, gamma * (carried + abs(diag).sum()) / (i + 1)
+        for k in range(1, d + 1):
+            terms = E[k - 1 :: -1] * p[:k]
+            E[k] = terms.sum() / k
+            b[k] = (abs(E[k - 1 :: -1]) + b[k - 1 :: -1]) @ delta[:k] + gamma * abs(terms).sum() / k
+        t = (((abs(p) - n * delta).clip(0.0) / d) ** (1 / n)).max(initial=0.0) / d
+        certain = np.maximum(abs(E) - b, 0.0)[::-1] * t ** np.arange(d + 1)
+        det = complex(np.ldexp(E[d:].view(float), e * d).view(complex)[0])  # e_d times 2^(ed)
+    if not b[d] <= _DET_TOL * certain[certain > 0][:1].sum():
+        raise MatfnError(f"the determinant of the {d}x{d} matrix from its traces has an error "
+                         f"bound of {b[d]:.1e} at a value of {abs(E[d]):.1e}, past {_DET_TOL:g}")
+    if not np.isfinite(det):
+        raise MatfnError(f"the determinant of the {d}x{d} matrix is beyond the float range")
+    return det

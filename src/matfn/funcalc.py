@@ -81,7 +81,9 @@ def f_otimes(
         unitary = None if pad else _unitary_extension(f, arrs)
         if unitary is not None:
             return unitary
-        data = list(_analyze_all(arrs))
+        unique = {id(A): A for A in arrs}  # an object that fills several slots is analysed once
+        by_id = dict(zip(unique, _analyze_all(list(unique.values()))))
+        data = [by_id[id(A)] for A in arrs]
     else:
         data = list(spectra)
         if len(data) != len(arrs):

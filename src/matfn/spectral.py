@@ -78,7 +78,7 @@ def hs_norm(A) -> float:
 def _binary_exponent(A) -> int:
     """The e with A's largest entry in [2^(e-1), 2^e), at least -1000; 0 if A
     is 0 or not finite. Scaling by 2^-e is exact above the subnormal range."""
-    return max(math.frexp(float(np.max(np.abs(A), initial=0.0)))[1], -1000)
+    return max(math.frexp(float(np.abs(A).max(initial=0.0)))[1], -1000)
 
 
 class SpectralData:
@@ -308,7 +308,10 @@ def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
         for i, wi in zip(idx, w):
             eigs[i] = wi
     for A, w in zip(arrs, eigs):
-        w = (_eigvals(A) if w is None else w).tolist()  # Python complex: cheap scalar arithmetic
+        w = _eigvals(A) if w is None else w
+        if not np.isfinite(w).all():
+            raise SpectralError(f"the matrix has the non-finite eigenvalue {w[~np.isfinite(w)][0]}")
+        w = w.tolist()  # Python complex: cheap scalar arithmetic
         rows = _clusters(w, cluster_threshold(A, cluster_tol))
         data = SpectralData([c for c, _, _ in rows], [n for _, n, _ in rows], None, A.shape[0],
                             radii=[r for _, _, r in rows], matrix=A)

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 
+from .errors import MatfnError
 from .scalarfield import MultiPoly
 from .spectral import as_slot_matrices, as_square_matrix
 
@@ -23,25 +24,30 @@ _LETTERS = string.ascii_letters
 
 @functools.lru_cache(maxsize=1024)
 def _plan(spec: str, shapes: tuple) -> list:
-    """The pairwise steps of ``spec`` on operands of these shapes, as einsum calls."""
+    """The pairwise steps of ``spec`` on operands of these shapes, as einsum calls.
+
+    Plain "greedy" caps intermediates at the largest operand or output; where no pair
+    fits, numpy joins the rest in one loop over all their indices (0.24 s, not 0.12 ms,
+    for a wedge at k = 3, d = 5): hence a 2**22 floor, and a :class:`MatfnError` naming
+    the size of such a loop past it (minutes for a wedge at k = 3, d = 13)."""
     ins, out = spec.split("->")
     subs = ins.split(",")
     sizes = dict(zip("".join(subs), (n for shape in shapes for n in shape)))
-    # Plain "greedy" caps intermediates at the largest operand or output; when
-    # no pair fits, numpy contracts the rest in one loop over all indices
-    # (0.24 s, not 0.12 ms, for a wedge at k = 3, d = 5). Hence a 2**22 floor.
     limit = max([2**22, math.prod(sizes[c] for c in out)] + [math.prod(s) for s in shapes])
     views = [np.broadcast_to(np.complex128(0), shape) for shape in shapes]
     steps = []
     for inds in np.einsum_path(spec, *views, optimize=("greedy", limit))[0][1:]:
         inds = sorted(inds, reverse=True)
         taken = [subs.pop(i) for i in inds]
+        loop = math.prod(sizes[c] for c in set("".join(taken)))
+        if len(taken) > 2 and loop > limit:
+            raise MatfnError(f"contracting {spec} needs one loop over {loop:.3g} index "
+                             f"combinations: no pairwise step stays within {limit:.3g} entries")
         rest = "".join(subs) + out
         kept = "".join(dict.fromkeys(c for c in "".join(taken) if c in rest)) if subs else out
         subs.append(kept)
         # numpy's own loop beats its matmul route below about 8,000 multiply-adds
-        big = math.prod(sizes[c] for c in set("".join(taken))) > 8192
-        steps.append((inds, ",".join(taken) + "->" + kept, big))
+        steps.append((inds, ",".join(taken) + "->" + kept, loop > 8192))
     return steps
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from matfn import (
     wedge_basis,
     wedge_restrict,
 )
+from matfn.antisym import _DET_TOL
 from matfn.errors import MatfnError
 from matfn.funcalc import jordan_matrix
 
@@ -205,3 +207,121 @@ def test_det_from_traces_beyond_the_float_range():
     assert det_from_traces(np.diag([1e-100, 3e-100])) == pytest.approx(3e-200, rel=1e-15)
     with pytest.raises(MatfnError, match="beyond the float range"):
         det_from_traces(np.diag([1e200, 1e200]))
+
+
+# ------------------------------------------------- the paper's determinant
+
+
+def _cycle_type_vectors(d):
+    """All (a_1, ..., a_d) with sum i a_i = d."""
+
+    def rec(i, remaining):
+        if i > d:
+            if remaining == 0:
+                yield ()
+            return
+        for a in range(remaining // i + 1):
+            for rest in rec(i + 1, remaining - a * i):
+                yield (a,) + rest
+
+    yield from rec(1, d)
+
+
+def paper_det(M):
+    """The paper's expansion over cycle types: each (a_1, ..., a_d) with
+    sum i a_i = d contributes (-1)^(d - sum a_i) / prod(a_i! i^a_i) prod Tr(M^i)^a_i."""
+    d = len(M)
+    traces = [np.trace(np.linalg.matrix_power(M, i)) for i in range(1, d + 1)]
+    total = 0j
+    for counts in _cycle_type_vectors(d):
+        weight = math.prod(math.factorial(a) * i**a for i, a in enumerate(counts, start=1))
+        power = math.prod(traces[i - 1] ** a for i, a in enumerate(counts, start=1))
+        total += (-1) ** (d - sum(counts)) / weight * power
+    return total
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_newtons_identities_match_the_cycle_type_expansion(d):
+    r = np.random.default_rng(d)
+    M = (r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))) / math.sqrt(2 * d)
+    want = paper_det(M)
+    assert abs(det_from_traces(M) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def _goe(d, seed=0):
+    X = np.random.default_rng(seed).standard_normal((d, d))
+    return (X + X.T) / np.sqrt(8 * d)
+
+
+def _det_input(kind, d, seed):
+    r = np.random.default_rng(seed)
+    if kind == "goe+2I":
+        return _goe(d, seed) + 2 * np.eye(d)
+    if kind == "gaussian":
+        return r.standard_normal((d, d)) / np.sqrt(d)
+    return (r.standard_normal((d, d)) + 1j * r.standard_normal((d, d))) / np.sqrt(2 * d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 64, 100])
+@pytest.mark.parametrize("kind", ["goe+2I", "gaussian", "complex gaussian"])
+def test_det_from_traces_returns_only_within_the_threshold(kind, d):
+    # Newton's identities lose accuracy as d grows (1.2e+2 off at GOE 32 + 2I
+    # for the cycle sum, 3.1e+6 at d = 64 for the plain recurrence): every
+    # value returned is within the threshold of np.linalg.det, d <= 24 returns
+    # and d >= 64 is refused
+    for seed in range(3):
+        M = _det_input(kind, d, seed)
+        want = np.linalg.det(M)
+        try:
+            got = det_from_traces(M)
+        except MatfnError as exc:
+            assert d > 24 and "error bound" in str(exc), (seed, str(exc))
+            continue
+        assert d < 64 and abs(got - want) <= _DET_TOL * abs(want), seed
+
+
+@pytest.mark.parametrize("seed", [12, 16, 29, 30])
+def test_det_from_traces_refuses_far_from_normal(seed):
+    # eigenvalues in [0.5, 2] behind an eigenbasis of condition about 1e+6; the
+    # cycle sum read 1.4e-7 to 2.8e-6 off here, silently, and the bound reads
+    # 1.6e-2 to 0.8
+    r = np.random.default_rng(seed)
+    Q = np.eye(14) + 50 * r.standard_normal((14, 14))
+    M = Q @ np.diag(r.uniform(0.5, 2.0, 14)) @ np.linalg.inv(Q)
+    with pytest.raises(MatfnError, match="error bound"):
+        det_from_traces(M)
+
+
+def test_det_from_traces_at_d100_within_a_second():
+    M = np.random.default_rng(1).standard_normal((100, 100)) / 10
+    start = time.perf_counter()
+    with pytest.raises(MatfnError, match="error bound"):
+        det_from_traces(M)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_det_from_traces_keeps_the_zero_of_a_singular_matrix():
+    # the bound stands against the first term of det(S + tI) that is not 0,
+    # t at most rho(S) / d: e_4 t at rank 4 of 5, e_1 t^2 for ones((3, 3))
+    X = np.random.default_rng(2).standard_normal((5, 4))
+    S = X @ X.T
+    e4 = abs(np.poly(S)[-2])
+    assert abs(det_from_traces(S)) <= _DET_TOL * e4 * np.linalg.norm(S, 2) / 5
+    assert det_from_traces(np.ones((3, 3))) == 0
+    assert det_from_traces(np.zeros((0, 0))) == 1
+
+
+# ------------------------------------------------ normal input at d = 40
+
+
+def test_goe40_sums_match_their_eigenvalue_closed_forms():
+    # a normal slot takes the unitary eigenbasis; interpolation read 1.8e+15
+    # (distinct sum) and 2.8e+17 (restriction) off here
+    S, f = _goe(40), parse_field("exp(x1 + x2)")
+    lam = np.linalg.eigvalsh(S)
+    want = np.exp(lam).sum() ** 2 - np.exp(2 * lam).sum()
+    assert abs(distinct_tuple_sum(f, S, 2) - want) <= 1e-12 * abs(want)
+    i, j = np.triu_indices(40, 1)
+    pairs = np.sort(np.exp(lam[i] + lam[j]))
+    got = np.linalg.eigvalsh(wedge_restrict(f, S, 2))
+    assert np.max(np.abs(got - pairs)) <= 1e-12 * pairs.max()

@@ -736,3 +736,28 @@ def test_huge_entries_are_scaled_before_the_normality_test(monkeypatch):
         normal = 1e300 * np.diag([1.0, 2.0])
         assert np.abs(f_otimes(f, [normal]).as_matrix() - normal).max() <= 1e-15 * 2e300
         assert calls == []
+
+
+def test_a_matrix_filling_several_slots_is_analysed_once(monkeypatch):
+    # the stacked eigenvalue call counts its matrices; [A] * 3 is one matrix
+    A = np.triu(rng.normal(size=(4, 4))) + np.diag([0.0, 1.0, 2.0, 3.0])  # not normal
+    analysed, eigvals = [], np.linalg.eigvals
+
+    def spy(a):
+        analysed.append(np.asarray(a).reshape(-1, 4, 4).shape[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    f = parse_field("exp(x1 + x2 + x3)")
+    T = f_otimes(f, [A] * 3)
+    assert sum(analysed) == 1
+    B = A.copy()  # an equal but distinct object is its own analysis
+    assert np.allclose(f_otimes(f, [A, B, A]).data, T.data, rtol=1e-12, atol=1e-12)
+    assert sum(analysed) == 3
+
+
+def test_a_non_finite_eigenvalue_is_a_spectral_error():
+    # 3e308 leaves the float range; the padded grid met it as numpy's invalid
+    # value in a multiply
+    with pytest.raises(SpectralError, match=r"non-finite eigenvalue \(inf\+0j\)"):
+        f_otimes(parse_field("x1*0 + 1"), [1e308 * np.ones((3, 3))])

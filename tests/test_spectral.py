@@ -17,7 +17,8 @@ from matfn import (
     parse_field,
 )
 from matfn.funcalc import jordan_matrix
-from matfn.spectral import BLOCK_TOL, _analyze_all, _clusters, _rank_ladder, merge_clusters
+from matfn.spectral import (BLOCK_TOL, _analyze_all, _binary_exponent, _clusters, _rank_ladder,
+                            merge_clusters)
 
 
 def companion(coeffs):
@@ -461,3 +462,10 @@ def test_huge_and_tiny_entries_keep_their_spectrum():
     # the gap of 1e160 was within 10x of a clustering threshold of inf
     H = np.array([[3.0, 1.0], [1.0, 0.0]])
     assert eigenvalue_derivative(np.diag([1e160, 2e160]), H, 0, 1) == 3.0
+
+
+@pytest.mark.parametrize("A, e", [(np.zeros((2, 2)), 0), (np.full((2, 2), np.nan), 0),
+                                  (np.full((2, 2), np.inf), 0), (np.zeros((0, 0)), 0),
+                                  (np.array([[0.5, -3.0]]), 2), (np.array([[1e-320]]), -1000)])
+def test_binary_exponent(A, e):
+    assert _binary_exponent(A) == e

@@ -1,5 +1,6 @@
 """Operator tensors: layout, pairing contractions, conjugation."""
 
+import time
 import tracemalloc
 import warnings
 
@@ -24,6 +25,8 @@ from matfn import (
     trace_slot,
     transpose_slot,
 )
+from matfn.errors import MatfnError
+from matfn.tensor import _plan
 
 rng = np.random.default_rng(17)
 
@@ -387,3 +390,22 @@ def test_networks_beyond_einsums_letters():
     C = conjugate_slots(S, [[[2.0]]] * 11)
     assert C.data.reshape(-1)[0] == pytest.approx(np.exp(lams[:11].sum()), rel=1e-12)
     assert S._dense is not None  # the conjugation ran on the dense tensor
+
+
+# the sandwich B^H T B of a three-slot extension on the wedge basis at dimension d
+_WEDGE3 = "ghi,gab,hcd,ief,acej,bdfk->jk"
+
+
+def _wedge3_shapes(d):
+    return ((d,) * 3,) * 4 + ((d,) * 3 + (d * (d - 1) * (d - 2) // 6,),) * 2
+
+
+def test_plan_refuses_one_loop_over_all_indices():
+    assert all(len(inds) <= 2 for inds, _, _ in _plan(_WEDGE3, _wedge3_shapes(12)))
+    with pytest.raises(MatfnError, match="one loop over 5.13e\\+12 index combinations"):
+        _plan(_WEDGE3, _wedge3_shapes(13))
+    M = np.random.default_rng(1).standard_normal((13, 13)) / np.sqrt(13)
+    start = time.perf_counter()
+    with pytest.raises(MatfnError, match="one loop over"):
+        distinct_tuple_sum(parse_field("x1*x2*x3"), M, 3)
+    assert time.perf_counter() - start < 1.0
