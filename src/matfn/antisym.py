@@ -21,7 +21,7 @@ from .scalarfield import ScalarField
 from .spectral import _binary_exponent, as_square_matrix
 from .tensor import OperatorTensor, _sandwich, from_matrix
 
-_DET_TOL = 1e-3  # the largest relative error bound under which det_from_traces returns
+_DET_TOL = 1e-3  # det_from_traces refuses an error bound past this times its scale
 
 
 def _perm_sign(perm) -> int:
@@ -73,7 +73,8 @@ def _wedge_block(f: ScalarField, A: np.ndarray, k: int):
     """
     if f.arity != k:
         raise ValueError(f"field arity {f.arity} does not match k = {k}")
-    return _sandwich(f_otimes(f, [A] * k), wedge_basis(A.shape[0], k))
+    T = f_otimes(f, [A] * k)
+    return _sandwich(T, wedge_basis(A.shape[0], k))
 
 
 def distinct_tuple_sum(f: ScalarField, M, k: int) -> complex:
@@ -87,7 +88,9 @@ def distinct_tuple_sum(f: ScalarField, M, k: int) -> complex:
     routes T: a normal M takes its unitary eigenbasis, any other M the
     interpolation route, its spectrum analysed once for all k slots.
     """
-    return math.factorial(k) * complex(np.trace(_wedge_block(f, as_square_matrix(M), k)))
+    A = as_square_matrix(M)
+    W = _wedge_block(f, A, k)
+    return math.factorial(k) * complex(np.trace(W))
 
 
 def wedge_restrict(f: ScalarField, M, k: int) -> np.ndarray:
@@ -115,31 +118,46 @@ def det_from_traces(M) -> complex:
     sum_{0<j<i} ||M^j||_F ||M^(i-1-j)||_F + sum |diag M^i|), gamma = (d + 2)
     eps, alpha >= || |M| ||_2, and d e_k / d p_i = (-1)^(i-1) e_{k-i} / i, so
     b_k = sum_i (|e_{k-i}| + b_{k-i}) delta_i / i plus the step's rounding.
-    A :class:`MatfnError` refuses b_d above ``_DET_TOL`` times the first term
-    |e_{d-j}| t^j of det(M + tI) that the bounds keep from 0, t = max_i ((|p_i| -
-    delta_i) / d)^(1/i) / d <= rho(M) / d: j = 0 is |det M|, j > 0 keeps a
-    singular M's zero. So is a determinant beyond the float range.
+    A :class:`MatfnError` refuses b_d above ``_DET_TOL`` times a scale: the
+    first term |e_{d-j}| t^j of det(M + tI) that the bounds keep from 0, t =
+    max_i ((|p_i| - delta_i) / d)^(1/i) / d <= rho(M) / d. With j = 0 it is
+    |det M| and the bound is relative; with j > 0 M may be singular, and the
+    bound is absolute on that term's scale. Where no trace is kept from 0
+    (t = 0, as for a nilpotent M) the scale is alpha^d >= |det M|. A
+    determinant beyond the float range is refused too.
     """
     A = as_square_matrix(M)
-    d, e = A.shape[0], _binary_exponent(A)
-    A, n = A * math.ldexp(1.0, -e), np.arange(1, d + 1)
-    gamma, absA = (d + 2) * np.finfo(float).eps, np.abs(A)
+    d = A.shape[0]
+    e = _binary_exponent(A)
+    A = A * math.ldexp(1.0, -e)
+    n = np.arange(1, d + 1)
+    gamma = (d + 2) * np.finfo(float).eps
+    absA = np.abs(A)
     alpha = math.sqrt(absA.sum(axis=0).max(initial=0.0) * absA.sum(axis=1).max(initial=0.0))
-    p, delta, norms = np.empty(d, complex), np.empty(d), np.empty(d)
-    E, b, P = np.ones(d + 1, complex), np.zeros(d + 1), np.eye(d, dtype=complex)
+    p = np.empty(d, complex)  # p[i] = (-1)^i p_(i+1)
+    delta = np.empty(d)  # delta[i] = delta_(i+1) / (i + 1)
+    norms = np.empty(d)  # norms[i] = ||A^i||_F
+    P = np.eye(d, dtype=complex)
+    E = np.ones(d + 1, complex)
+    b = np.zeros(d + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(d):  # p[i] = (-1)^i p_(i+1), delta[i] = delta_(i+1) / (i + 1)
-            norms[i], P = np.linalg.norm(P), P @ A
-            carried, diag = alpha * norms[1 : i + 1] @ norms[i::-1][1:], np.diagonal(P)
-            p[i], delta[i] = diag.sum() * (-1) ** i, gamma * (carried + abs(diag).sum()) / (i + 1)
+        for i in range(d):
+            norms[i] = np.linalg.norm(P)
+            P = P @ A
+            diag = np.diagonal(P)
+            carried = alpha * norms[1 : i + 1] @ norms[i::-1][1:]
+            p[i] = diag.sum() * (-1) ** i
+            delta[i] = gamma * (carried + abs(diag).sum()) / (i + 1)
         for k in range(1, d + 1):
             terms = E[k - 1 :: -1] * p[:k]
             E[k] = terms.sum() / k
             b[k] = (abs(E[k - 1 :: -1]) + b[k - 1 :: -1]) @ delta[:k] + gamma * abs(terms).sum() / k
         t = (((abs(p) - n * delta).clip(0.0) / d) ** (1 / n)).max(initial=0.0) / d
         certain = np.maximum(abs(E) - b, 0.0)[::-1] * t ** np.arange(d + 1)
+        certain = certain[certain > 0]
+        scale = certain[0] if certain.size else np.float64(alpha) ** d
         det = complex(np.ldexp(E[d:].view(float), e * d).view(complex)[0])  # e_d times 2^(ed)
-    if not b[d] <= _DET_TOL * certain[certain > 0][:1].sum():
+    if not b[d] <= _DET_TOL * scale:
         raise MatfnError(f"the determinant of the {d}x{d} matrix from its traces has an error "
                          f"bound of {b[d]:.1e} at a value of {abs(E[d]):.1e}, past {_DET_TOL:g}")
     if not np.isfinite(det):

@@ -81,9 +81,9 @@ def f_otimes(
         unitary = None if pad else _unitary_extension(f, arrs)
         if unitary is not None:
             return unitary
-        unique = {id(A): A for A in arrs}  # an object that fills several slots is analysed once
-        by_id = dict(zip(unique, _analyze_all(list(unique.values()))))
-        data = [by_id[id(A)] for A in arrs]
+        arr_keys, distinct = _distinct(arrs)
+        by_key = dict(zip(distinct, _analyze_all(list(distinct.values()))))
+        data = [by_key[key] for key in arr_keys]
     else:
         data = list(spectra)
         if len(data) != len(arrs):
@@ -101,6 +101,12 @@ def f_otimes(
     return poly_tensor_eval(interpolate(G, [solved[key] for key in keys]), arrs)
 
 
+def _distinct(arrs):
+    """Each slot's key, and the distinct matrices by key: equal matrices share one."""
+    keys = [A.tobytes() for A in arrs]
+    return keys, dict(zip(keys, arrs))
+
+
 def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
     """The network (values, Q_l, Q_l^H) if every slot is normal, else None.
 
@@ -115,8 +121,9 @@ def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
     ||BQ - Q diag(lam)||_F <= 100 eps sqrt(d) ||B||_F and 2^e lam is finite.
     """
     tol = 100 * np.finfo(float).eps
-    keys, scaled = [A.tobytes() for A in arrs], {}
-    for key, A in dict(zip(keys, arrs)).items():
+    keys, distinct = _distinct(arrs)
+    scaled = {}
+    for key, A in distinct.items():
         e = _binary_exponent(A)
         B = A * math.ldexp(1.0, -e)
         if not np.linalg.norm(B.conj().T @ B - B @ B.conj().T) <= tol * np.vdot(B, B).real:

@@ -311,6 +311,15 @@ def test_det_from_traces_keeps_the_zero_of_a_singular_matrix():
     assert det_from_traces(np.zeros((0, 0))) == 1
 
 
+def test_det_from_traces_of_a_nilpotent_matrix_is_zero():
+    # every trace is 0, so no term of det(N + tI) is kept from 0 (t = 0) and
+    # the bound stands against alpha^d
+    strict = np.triu(np.random.default_rng(3).standard_normal((6, 6)), 1)
+    for N in ([[0.0, 1.0], [0.0, 0.0]], jordan_matrix([(0.0, 3)]), jordan_matrix([(0.0, 8)]),
+              strict):
+        assert det_from_traces(N) == 0
+
+
 # ------------------------------------------------ normal input at d = 40
 
 

@@ -157,6 +157,13 @@ def test_det_traces(tmp_path, capsys):
     assert fileio.scalar_from_obj(json.loads(out)) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_det_traces_of_a_nilpotent_matrix_exit_0(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", [[0.0, 1.0], [0.0, 0.0]])
+    code, out, err = run_cli(capsys, ["det-traces", "--mat", m])
+    assert (code, err) == (0, "")
+    assert fileio.scalar_from_obj(json.loads(out)) == 0
+
+
 def test_det_beyond_the_float_range_exit_2(tmp_path, capsys):
     m = write_matrix(tmp_path, "m.json", [[1e200, 0.0], [0.0, 1e200]])
     code, out, err = run_cli(capsys, ["det-traces", "--mat", m])

@@ -739,7 +739,8 @@ def test_huge_entries_are_scaled_before_the_normality_test(monkeypatch):
 
 
 def test_a_matrix_filling_several_slots_is_analysed_once(monkeypatch):
-    # the stacked eigenvalue call counts its matrices; [A] * 3 is one matrix
+    # the stacked eigenvalue call counts its matrices; [A] * 3 is one matrix,
+    # and so is an equal copy, as for the normality test
     A = np.triu(rng.normal(size=(4, 4))) + np.diag([0.0, 1.0, 2.0, 3.0])  # not normal
     analysed, eigvals = [], np.linalg.eigvals
 
@@ -751,9 +752,10 @@ def test_a_matrix_filling_several_slots_is_analysed_once(monkeypatch):
     f = parse_field("exp(x1 + x2 + x3)")
     T = f_otimes(f, [A] * 3)
     assert sum(analysed) == 1
-    B = A.copy()  # an equal but distinct object is its own analysis
-    assert np.allclose(f_otimes(f, [A, B, A]).data, T.data, rtol=1e-12, atol=1e-12)
-    assert sum(analysed) == 3
+    assert np.allclose(f_otimes(f, [A, A.copy(), A]).data, T.data, rtol=1e-12, atol=1e-12)
+    assert sum(analysed) == 2
+    f_otimes(f, [A, A + 1e-3, A])
+    assert sum(analysed) == 4
 
 
 def test_a_non_finite_eigenvalue_is_a_spectral_error():
