@@ -16,6 +16,8 @@ one-line error, which is always the last line.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import warnings
 
@@ -152,8 +154,8 @@ def _cmd_wedge(args) -> int:
         raise ValueError("--k must be at least 1")
     M = fileio.load_matrix(args.mat)
     f = parse_field(args.func, arity=args.k)
-    total = asym.distinct_tuple_sum(f, M, args.k)
     restricted = asym.wedge_restrict(f, M, args.k)
+    total = math.factorial(args.k) * complex(np.trace(restricted))  # distinct_tuple_sum's sum
     payload = {
         "k": args.k,
         "distinct_tuple_sum": fileio.scalar_to_obj(total),
@@ -207,7 +209,9 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: ``parse_args`` makes a fresh namespace per call."""
     parser = _Parser(
         prog="matfn",
         description="Functions of several variables applied to matrix tuples.",
@@ -275,8 +279,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on ``argv`` and return its exit code; the parser is built once."""
+    args = _build_parser().parse_args(argv)
     error = None
     with warnings.catch_warnings(record=True) as caught:
         try:

@@ -108,7 +108,7 @@ def _distinct(arrs):
 
 
 def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
-    """The network (values, Q_l, Q_l^H) if every slot is normal, else None.
+    """:func:`_eigenbasis_network` of (values, Q_l, Q_l^H) if every slot is normal, else None.
 
     A normal M = Q diag(lam) Q^H has a unitary Q, and the extension is
     sum_m f(lam_{m_1}, ..., lam_{m_k}) (x)_l q_{l m_l} q_{l m_l}^H: point values
@@ -140,23 +140,32 @@ def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
             return None
         frames[key] = lam, Q
     lams, Qs = zip(*(frames[key] for key in keys))
-    k = len(arrs)
     try:
-        values = f(*(lam.reshape((-1,) + (1,) * (k - 1 - l)) for l, lam in enumerate(lams)))
+        values = f(*np.ix_(*lams))  # the eigenvalues on broadcast axes, one per slot
         if not np.isfinite(values).all():
             raise FieldDomainError("a value at the eigenvalues is not finite")
     except FieldDomainError as exc:
         raise FieldDomainError(
             f"field is not defined on the spectral grid of the arguments: {exc}"
         ) from exc
-    if 3 * k > len(_LETTERS):  # more indices than einsum has letters: dense, as poly_tensor_eval
-        for Q in Qs:
-            values = np.tensordot(values, np.einsum("im,jm->mij", Q, Q.conj()), axes=(0, 0))
+    return _eigenbasis_network(values, Qs, [Q.conj().T for Q in Qs])
+
+
+def _eigenbasis_network(values, frames, inverses) -> OperatorTensor:
+    """sum_m values[m] (x)_l V_l[:, m_l] W_l[m_l, :] as the lazy network (values, V_l, W_l).
+
+    Its first ``.data`` contracts it along the path ``tensor._plan`` memoises per shape. With
+    more indices (3k) than einsum has letters, it is dense, built slot by slot.
+    """
+    k = len(frames)
+    if 3 * k > len(_LETTERS):
+        for V, W in zip(frames, inverses):
+            values = np.tensordot(values, np.einsum("im,mj->mij", V, W), axes=(0, 0))
         return OperatorTensor(values)
     ms, pairs = _LETTERS[2 * k : 3 * k], _pairs(k)
     subs = [ms] + [up + m for m, (up, _) in zip(ms, pairs)]
     subs += [m + down for m, (_, down) in zip(ms, pairs)]
-    return _network([values, *Qs, *(Q.conj().T for Q in Qs)], subs, pairs)
+    return _network([values, *frames, *inverses], subs, pairs)
 
 
 def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, int]]]:
@@ -208,7 +217,9 @@ def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
     Every argument must be diagonalizable; defective input raises
     :class:`NotDiagonalizableError` (the interpolation route
     :func:`f_otimes` handles those). Because only point values of ``f``
-    enter, evaluation-only fields such as ``abs`` are usable here.
+    enter, evaluation-only fields such as ``abs`` are usable here. One ``eig``
+    and one ``inv`` per slot give the lazy network (values, V_l, V_l^-1) of
+    :func:`_eigenbasis_network`, evaluated on its first ``.data``.
     """
     arrs = _slot_matrices(f, mats)
     for l, sd in enumerate(_analyze_all(arrs)):
@@ -217,26 +228,10 @@ def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
                 f"slot {l} matrix has minimal multiplicities {sd.min_mult}; "
                 "use f_otimes, which handles defective matrices"
             )
-    eigs = []
-    vmats = []
-    wmats = []
-    for M in arrs:
-        w, V = np.linalg.eig(M)
-        eigs.append(w)
-        vmats.append(V)
-        wmats.append(np.linalg.inv(V))
-
-    k = len(arrs)
-    axes = [w.reshape((-1,) + (1,) * (k - 1 - l)) for l, w in enumerate(eigs)]
-    values = f(*axes)
-
-    # T[i1, j1, ..., ik, jk] = sum_m values[m] prod_l V_l[i_l, m_l] W_l[m_l, j_l]
-    m, i, j = _LETTERS[:k], _LETTERS[k : 2 * k], _LETTERS[2 * k : 3 * k]
-    inputs = [m] + [a + b for a, b in zip(i, m)] + [b + c for b, c in zip(m, j)]
-    out = "".join(a + c for a, c in zip(i, j))
-    spec = ",".join(inputs) + "->" + out
-    total = np.einsum(spec, values, *vmats, *wmats, optimize=True)
-    return OperatorTensor(total)
+    eigs, frames = zip(*(np.linalg.eig(M) for M in arrs))
+    inverses = [np.linalg.inv(V) for V in frames]
+    values = f(*np.ix_(*eigs))
+    return _eigenbasis_network(values, frames, inverses)
 
 
 def jordan_matrix(blocks) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from matfn import cli
-from matfn import fileio
+from matfn import fileio, parse_field
 from matfn import verify as verify_mod
 
 
@@ -148,6 +148,40 @@ def test_wedge_payload(tmp_path, capsys):
     assert fileio.scalar_from_obj(payload["distinct_tuple_sum"]) == pytest.approx(4.0, abs=1e-9)
     W = fileio.matrix_from_obj(payload["restricted"])
     assert np.allclose(W, [[2.0]], atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_wedge_takes_one_extension_and_keeps_the_two_call_bytes(tmp_path, capsys, monkeypatch, k):
+    from matfn import antisym as asym
+
+    M = np.random.default_rng(7).standard_normal((4, 4)) / 2
+    m = write_matrix(tmp_path, "m.json", M)
+    func = "exp(" + "+".join(f"x{i + 1}" for i in range(k)) + ")/(x1+3)"
+    f = parse_field(func, arity=k)
+    want = fileio.dumps({
+        "k": k,
+        "distinct_tuple_sum": fileio.scalar_to_obj(asym.distinct_tuple_sum(f, M, k)),
+        "restricted": fileio.matrix_to_obj(asym.wedge_restrict(f, M, k)),
+    })
+    calls, f_otimes = [], asym.f_otimes
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return f_otimes(*args, **kwargs)
+
+    monkeypatch.setattr(asym, "f_otimes", spy)
+    code, out, _ = run_cli(capsys, ["wedge", "--func", func, "--mat", m, "--k", str(k)])
+    assert code == 0
+    assert len(calls) == 1
+    assert out == want
+
+
+def test_wedge_k_above_the_dimension_exit_1(tmp_path, capsys):
+    m = write_matrix(tmp_path, "m.json", np.diag([1.0, 2.0]))
+    code, out, err = run_cli(capsys, ["wedge", "--func", "x1+x2+x3", "--mat", m, "--k", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "matfn: input error: k = 3 exceeds the dimension 2\n"
 
 
 def test_det_traces(tmp_path, capsys):
@@ -586,6 +620,40 @@ def test_verify_output_is_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, ["verify", "--suite", "contr", "--seed", "11"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    a = write_matrix(tmp_path, "a.json", [[1.0, 2.0], [0.0, 3.0]])
+    b = write_matrix(tmp_path, "b.json", np.diag([0.5, -1.0]))
+    argvs = [
+        ["eval", "--func", "exp(x1)*x2", "--mat", a, "--mat", b],
+        ["eval", "--func", "exp(x1)", "--mat", a],
+        ["eval", "--func", "x1"],  # no --mat: a usage error
+        ["verify", "--suite", "zero", "--trials", "2"],
+        ["verify", "--suite", "zero", "--trials", "2"],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    loaded = []
+    load_mats = cli._load_mats
+    monkeypatch.setattr(cli, "_load_mats", lambda paths: loaded.append(paths) or load_mats(paths))
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run(argv) for argv in argvs]
+    assert loaded == [[a, b], [a]]
+    assert [code for code, _, _ in cached] == [0, 0, 1, 0, 0]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert cached[3] == cached[4]
 
 
 def test_installed_entry_point(tmp_path):

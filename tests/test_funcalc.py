@@ -35,6 +35,7 @@ from matfn import (
 )
 from matfn.funcalc import PAD_CAP, _padded_nodes
 from matfn.interp import hermite_basis
+from matfn.tensor import _plan
 
 rng = np.random.default_rng(23)
 
@@ -167,6 +168,32 @@ def test_diag_route_refuses_defective_input():
     J = jordan_matrix([(1.0, 2)])
     with pytest.raises(NotDiagonalizableError):
         f_otimes_diagonalizable(parse_field("x1^2"), [J])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diag_route_is_the_eigenbasis_network_on_a_memoised_plan(k):
+    local = np.random.default_rng(60 + k)
+    dims = [3, 4, 2][:k]
+
+    def draw():
+        return [(np.eye(d) + 0.3 * local.normal(size=(d, d))) @ np.diag(local.normal(size=d))
+                @ np.linalg.inv(np.eye(d) + 0.3 * local.normal(size=(d, d))) for d in dims]
+
+    f = parse_field("exp(" + " + ".join(f"{i + 1}*x{i + 1}" for i in range(k)) + ")", arity=k)
+    mats = draw()
+    eigs, vecs = zip(*(np.linalg.eig(M) for M in mats))
+    values = f(*np.meshgrid(*eigs, indexing="ij"))
+    m, i, j = "abc"[:k], "ijk"[:k], "pqr"[:k]
+    spec = ",".join([m] + [a + b for a, b in zip(i, m)] + [b + c for b, c in zip(m, j)])
+    spec += "->" + "".join(a + c for a, c in zip(i, j))
+    want = np.einsum(spec, values, *vecs, *(np.linalg.inv(V) for V in vecs))
+    assert _relative(f_otimes_diagonalizable(f, mats).data, want) <= 1e-14
+    before = _plan.cache_info()
+    f_otimes_diagonalizable(f, draw()).data  # the same shapes: the memoised path, no search
+    after = _plan.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+    with pytest.raises(NotDiagonalizableError):
+        f_otimes_diagonalizable(f, [jordan_matrix([(0.5, 2)] + [(1.0, 1)] * (d - 2)) for d in dims])
 
 
 def test_eigenvector_action():
