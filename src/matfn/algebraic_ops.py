@@ -3,7 +3,9 @@
 Each checker builds both sides of an identity independently and returns
 the residual together with the scale it should be judged against, so
 callers pick their own tolerances. Nothing here short-circuits: the two
-routes stay separate so that agreement is evidence.
+routes stay separate so that agreement is evidence. Each extension
+takes the route :func:`~matfn.funcalc.f_otimes` chooses, except in the
+composition check, which is built on the derived spectrum.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ import numpy as np
 
 from .funcalc import _slot_matrices, f_otimes
 from .scalarfield import ScalarField, merge_variables, substitute_value, compose
-from .spectral import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_RANK_TOL,
-    SpectralData,
-    _analyze_all,
-    as_square_matrix,
-    hs_norm,
-    merge_clusters,
-)
+from .spectral import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SpectralData, _analyze_all,
+                       as_square_matrix, hs_norm, merge_clusters)
 from .tensor import OperatorTensor, contract_pair, trace_slot
 
 
@@ -47,10 +42,9 @@ def product_identity_check(f1: ScalarField, f2: ScalarField, mats) -> ProductChe
     if f1.arity != f2.arity:
         raise ValueError("both fields must have the same arity")
     arrs = _slot_matrices(f1, mats)
-    spectra = list(_analyze_all(arrs))
-    A = f_otimes(f1, arrs, spectra=spectra).as_matrix()
-    B = f_otimes(f2, arrs, spectra=spectra).as_matrix()
-    AB = f_otimes(f1 * f2, arrs, spectra=spectra).as_matrix()
+    A = f_otimes(f1, arrs).as_matrix()
+    B = f_otimes(f2, arrs).as_matrix()
+    AB = f_otimes(f1 * f2, arrs).as_matrix()
     prod = A @ B
     return ProductCheck(
         product_residual=float(np.linalg.norm(prod - AB)),
@@ -142,7 +136,8 @@ def compose_identity_check(
     bounds (any grid at least as fine as the true one gives the same
     tensor). The right side extends g(f_1, ..., f_r) over all the
     original arguments at once. Both land in the same space after the
-    matrix view; the residual is the HS distance.
+    matrix view; the residual is the HS distance. Every extension passes
+    ``spectra=``: the derived spectrum is the construction under test.
     """
     if len(inner_fields) != g.arity:
         raise ValueError(f"outer arity {g.arity} but {len(inner_fields)} inner fields")
@@ -189,27 +184,23 @@ def contract_trace_theorem(f: ScalarField, mats, slot: int) -> TraceContractChec
     """Tracing one slot equals dropping it from the field.
 
     The reduced field is sum_m s_m f(..., lam_m, ...) over the traced
-    slot's spectrum, algebraic multiplicities as weights; the residual
-    compares the traced tensor against the reduced field's extension of
-    the remaining arguments.
+    slot's clustered spectrum (the one slot analysed here), algebraic
+    multiplicities as weights; the residual compares the traced tensor
+    against the reduced field's extension of the remaining arguments.
     """
     arrs = _slot_matrices(f, mats)
     if not 0 <= slot < len(arrs):
         raise ValueError(f"slot {slot} out of range")
     if len(arrs) < 2:
         raise ValueError("the trace reduction needs at least two slots")
-    spectra = list(_analyze_all(arrs))
-    T = f_otimes(f, arrs, spectra=spectra)
-    lhs = trace_slot(T, slot)
+    lhs = trace_slot(f_otimes(f, arrs), slot)
 
-    sd = spectra[slot]
+    [sd] = _analyze_all([arrs[slot]])
     reduced = None
     for lam, s in zip(sd.eigenvalues, sd.alg_mult):
         term = s * substitute_value(f, slot, lam)
         reduced = term if reduced is None else reduced + term
-    rest = arrs[:slot] + arrs[slot + 1 :]
-    rest_spectra = spectra[:slot] + spectra[slot + 1 :]
-    rhs = f_otimes(reduced, rest, spectra=rest_spectra)
+    rhs = f_otimes(reduced, arrs[:slot] + arrs[slot + 1 :])
 
     diff = lhs.data - rhs.data
     return TraceContractCheck(
@@ -247,19 +238,14 @@ def contract_equal_slots_theorem(
         raise ValueError("the kept slot must precede the dropped slot")
     if not np.array_equal(arrs[keep], arrs[drop]):
         raise ValueError("the contracted slots must hold the same matrix entrywise")
-    spectra = list(_analyze_all(arrs))
-    T = f_otimes(f, arrs, spectra=spectra)
+    T = f_otimes(f, arrs)
 
-    first = contract_pair(T, drop, keep)
-    second = contract_pair(T, keep, drop)
-    a = first.data if isinstance(first, OperatorTensor) else np.asarray(first)
-    b = second.data if isinstance(second, OperatorTensor) else np.asarray(second)
+    first = contract_pair(T, drop, keep)  # two distinct slots leave a tensor
+    a, b = first.data, contract_pair(T, keep, drop).data
     order_residual = float(np.linalg.norm(a - b))
 
     g = merge_variables(f, keep, drop)
-    rest = [M for l, M in enumerate(arrs) if l != drop]
-    rest_spectra = [sd for l, sd in enumerate(spectra) if l != drop]
-    rhs = f_otimes(g, rest, spectra=rest_spectra)
+    rhs = f_otimes(g, arrs[:drop] + arrs[drop + 1 :])
 
     reduced_residual = float(np.linalg.norm(a - rhs.data))
     return EqualSlotsCheck(
@@ -299,12 +285,8 @@ def commuting_swap_check(f: ScalarField, mats, p: int, q: int) -> SwapCheck:
             f"arguments do not commute: ||[M_p, M_q]|| = {comm_norm:.3e} "
             f"exceeds {DEFAULT_RANK_TOL:.1e} * {scale:.3e}"
         )
-    spectra = list(_analyze_all(arrs))
-    T = f_otimes(f, arrs, spectra=spectra)
-    first = contract_pair(T, q, p)
-    second = contract_pair(T, p, q)
-    a = first.data if isinstance(first, OperatorTensor) else np.asarray(first)
-    b = second.data if isinstance(second, OperatorTensor) else np.asarray(second)
+    T = f_otimes(f, arrs)
+    a, b = contract_pair(T, q, p).data, contract_pair(T, p, q).data
     return SwapCheck(
         residual=float(np.linalg.norm(a - b)),
         scale=float(max(np.linalg.norm(a), 1.0)),

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldDomainError, MatfnError, SpectralError
-from .funcalc import _padded_nodes, _slot_matrices, f_otimes
+from .funcalc import _on_spectral_grid, _padded_nodes, _slot_matrices, f_otimes
 from .interp import _leja
 from .scalarfield import ProjKernel, ScalarField, SlotDividedDifference, divided_difference_matrix
-from .spectral import _analyze_all, analyze, as_square_matrix, cluster_threshold
+from .spectral import _blocks, _eigenvalues, analyze, as_square_matrix, cluster_threshold
 from .tensor import OperatorTensor, contract_adjacent_through
 
 
@@ -170,30 +170,27 @@ def _block_row(f: ScalarField, M, H, n: int, at) -> np.ndarray:
 
     f(B) is block upper-triangular Toeplitz, so that row, an (n+1, d, d)
     stack, is all of it. f(B) is p(B), p = sum_i c_i prod_{j<i} (x - w_j)
-    the interpolant at A's blocks (:func:`~matfn.funcalc._padded_nodes`),
-    each node of order o taken (n + 1) o times: in rounds, round r taking in
-    Leja order each node whose count exceeds r, which spreads a node's
-    copies apart. The c_i are column 0 of f at the Opitz matrix of w.
-    Horner's step maps the row P to (A - w_i I) P_k + H P_(k-1) and adds
-    c_i I to block 0.
+    the interpolant at A's blocks (:func:`~matfn.spectral._blocks` of its
+    eigenvalues, no :class:`~matfn.spectral.SpectralData`) as
+    :func:`~matfn.funcalc._padded_nodes` pads them, each node of order o
+    taken (n + 1) o times: in rounds, round r taking in Leja order each
+    node whose count exceeds r, which spreads a node's copies apart. The
+    c_i are column 0 of f at the Opitz matrix of w. Horner's step maps the
+    row P to (A - w_i I) P_k + H P_(k-1) and adds c_i I to block 0.
     """
     if f.arity != 1:
         raise ValueError("needs a one-variable field")
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     A, Hm = _line_point(M, H, at)
-    [sd] = _analyze_all([A])
-    try:
-        [nodes] = _padded_nodes(f, [sd.blocks], 0)
+    [eigs] = _eigenvalues([A])
+    with _on_spectral_grid():
+        [nodes] = _padded_nodes(f, [_blocks(A, eigs)], 0)
         order, top = _leja(nodes), (n + 1) * max(o for _, o in nodes)
         w = np.array([nodes[m][0] for r in range(top) for m in order if (n + 1) * nodes[m][1] > r])
         c = divided_difference_matrix(f, w)[:, 0]
         if not np.isfinite(c).all():
             raise FieldDomainError(f"a divided difference over the nodes {nodes} is not finite")
-    except FieldDomainError as exc:
-        raise FieldDomainError(
-            f"field is not defined on the spectral grid of the arguments: {exc}"
-        ) from exc
     P = np.zeros((n + 1,) + A.shape, dtype=complex)
     P[0] = c[-1] * np.eye(len(A))
     for i in reversed(range(w.size - 1)):

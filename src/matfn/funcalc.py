@@ -19,8 +19,8 @@ they serve as mutual cross-checks.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import string
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .errors import FieldDomainError, NotDiagonalizableError, SpectralError
 from .interp import hermite_basis, interpolate
 from .scalarfield import ScalarField, derivative_grid
 # ``analyze`` stays bound for bench/tracer.py, which rebinds imported names
-from .spectral import (SpectralData, _analyze_all, _binary_exponent, analyze,  # noqa: F401
-                       as_slot_matrices)
-from .tensor import OperatorTensor, _network, _pairs, contract_pair, poly_tensor_eval
+from .spectral import (SpectralData, _analyze_all, _binary_exponent, _blocks,  # noqa: F401
+                       _eigenvalues, analyze, as_slot_matrices)
+from .tensor import OperatorTensor, _eigenbasis_network, contract_pair, poly_tensor_eval
 
-_LETTERS = string.ascii_letters
 #: The largest Taylor pad of a block (:func:`_padded_nodes`): radius rho at distance R
 #: from f's nearest singularity needs about log(eps) / log(rho / R); 32 covers rho / R <= 1/3.
 PAD_CAP = 32
@@ -45,6 +44,17 @@ def _slot_matrices(f: ScalarField, mats) -> list[np.ndarray]:
     if not arrs:
         raise ValueError("at least one matrix is required")
     return arrs
+
+
+@contextlib.contextmanager
+def _on_spectral_grid():
+    """Re-raise a :class:`FieldDomainError` as the field's failure on the arguments' grid."""
+    try:
+        yield
+    except FieldDomainError as exc:
+        raise FieldDomainError(
+            f"field is not defined on the spectral grid of the arguments: {exc}"
+        ) from exc
 
 
 def f_otimes(
@@ -60,18 +70,18 @@ def f_otimes(
     the eigenbasis sum of :func:`_unitary_extension`: f at the eigenvalues
     and each slot's unitary frame, with no grid, basis or Newton stack. A
     field that is evaluation-only, or has no Taylor pad near a cluster,
-    may then return where interpolation refuses. Otherwise it interpolates.
-    The grid of each slot has one node per block of its spectrum
-    (:attr:`~matfn.spectral.SpectralData.blocks`), at the block's centre,
-    with the order s + p for a block of size s: p is the Taylor pad of
-    :func:`_padded_nodes`, 0 at radius 0. No rank ladder runs.
-    ``spectra`` overrides the per-slot eigenvalue analysis; pass it when
-    the spectra are known exactly or are over-provisioned upper bounds
-    (matching on a finer grid still yields the same tensor, it only asks
-    more smoothness of ``f``): data built with an explicit ``min_mult``
-    takes those orders. ``extra_multiplicity`` pads every grid order,
-    which changes the interpolant but must not change the result; the
-    invariance tests rely on that knob.
+    may then return where interpolation refuses. Otherwise it interpolates:
+    each slot's grid has one node per block of its spectrum
+    (:func:`~matfn.spectral._blocks`, from each distinct matrix's
+    eigenvalues, with no :class:`SpectralData` or rank ladder), at the
+    block's centre, of order s + p for a block of size s: p is the Taylor
+    pad of :func:`_padded_nodes`, 0 at radius 0. No other code decides the
+    route. ``spectra`` says the caller chose the nodes, so the call
+    interpolates on their blocks: data built with an explicit ``min_mult``
+    takes those orders, and a finer grid than the true one gives the same
+    tensor, asking only more smoothness of ``f``. ``extra_multiplicity``
+    pads every grid order, which changes the interpolant but must not
+    change the result; the invariance tests rely on that knob.
     """
     arrs = _slot_matrices(f, mats)
     pad = int(extra_multiplicity)
@@ -82,19 +92,16 @@ def f_otimes(
         if unitary is not None:
             return unitary
         arr_keys, distinct = _distinct(arrs)
-        by_key = dict(zip(distinct, _analyze_all(list(distinct.values()))))
-        data = [by_key[key] for key in arr_keys]
+        uniq = list(distinct.values())
+        by_key = dict(zip(distinct, map(_blocks, uniq, _eigenvalues(uniq))))
+        blocks = [by_key[key] for key in arr_keys]
     else:
-        data = list(spectra)
-        if len(data) != len(arrs):
-            raise ValueError(f"{len(arrs)} matrices but {len(data)} spectra given")
-    try:
-        grid_nodes = _padded_nodes(f, [sd.blocks for sd in data], pad)
+        blocks = [sd.blocks for sd in spectra]
+        if len(blocks) != len(arrs):
+            raise ValueError(f"{len(arrs)} matrices but {len(blocks)} spectra given")
+    with _on_spectral_grid():
+        grid_nodes = _padded_nodes(f, blocks, pad)
         G = derivative_grid(f, grid_nodes)
-    except FieldDomainError as exc:
-        raise FieldDomainError(
-            f"field is not defined on the spectral grid of the arguments: {exc}"
-        ) from exc
     # one solve per distinct node list; repr, unlike ==, tells -0.0 from 0.0
     keys = [repr(nodes) for nodes in grid_nodes]
     solved = {key: hermite_basis(nodes) for key, nodes in dict(zip(keys, grid_nodes)).items()}
@@ -108,7 +115,7 @@ def _distinct(arrs):
 
 
 def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
-    """:func:`_eigenbasis_network` of (values, Q_l, Q_l^H) if every slot is normal, else None.
+    """The eigenbasis network of (values, Q_l, Q_l^H) if every slot is normal, else None.
 
     A normal M = Q diag(lam) Q^H has a unitary Q, and the extension is
     sum_m f(lam_{m_1}, ..., lam_{m_k}) (x)_l q_{l m_l} q_{l m_l}^H: point values
@@ -140,32 +147,16 @@ def _unitary_extension(f: ScalarField, arrs) -> OperatorTensor | None:
             return None
         frames[key] = lam, Q
     lams, Qs = zip(*(frames[key] for key in keys))
-    try:
-        values = f(*np.ix_(*lams))  # the eigenvalues on broadcast axes, one per slot
+    return _eigenbasis_network(_values_at(f, lams), Qs, [Q.conj().T for Q in Qs])
+
+
+def _values_at(f: ScalarField, lams) -> np.ndarray:
+    """f at the eigenvalues ``lams`` of each slot, on broadcast axes; a non-finite value refuses."""
+    with _on_spectral_grid():
+        values = f(*np.ix_(*lams))
         if not np.isfinite(values).all():
             raise FieldDomainError("a value at the eigenvalues is not finite")
-    except FieldDomainError as exc:
-        raise FieldDomainError(
-            f"field is not defined on the spectral grid of the arguments: {exc}"
-        ) from exc
-    return _eigenbasis_network(values, Qs, [Q.conj().T for Q in Qs])
-
-
-def _eigenbasis_network(values, frames, inverses) -> OperatorTensor:
-    """sum_m values[m] (x)_l V_l[:, m_l] W_l[m_l, :] as the lazy network (values, V_l, W_l).
-
-    Its first ``.data`` contracts it along the path ``tensor._plan`` memoises per shape. With
-    more indices (3k) than einsum has letters, it is dense, built slot by slot.
-    """
-    k = len(frames)
-    if 3 * k > len(_LETTERS):
-        for V, W in zip(frames, inverses):
-            values = np.tensordot(values, np.einsum("im,mj->mij", V, W), axes=(0, 0))
-        return OperatorTensor(values)
-    ms, pairs = _LETTERS[2 * k : 3 * k], _pairs(k)
-    subs = [ms] + [up + m for m, (up, _) in zip(ms, pairs)]
-    subs += [m + down for m, (_, down) in zip(ms, pairs)]
-    return _network([values, *frames, *inverses], subs, pairs)
+    return values
 
 
 def _padded_nodes(f: ScalarField, blocks, pad: int) -> list[list[tuple[complex, int]]]:
@@ -219,7 +210,9 @@ def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
     :func:`f_otimes` handles those). Because only point values of ``f``
     enter, evaluation-only fields such as ``abs`` are usable here. One ``eig``
     and one ``inv`` per slot give the lazy network (values, V_l, V_l^-1) of
-    :func:`_eigenbasis_network`, evaluated on its first ``.data``.
+    :func:`~matfn.tensor._eigenbasis_network`, evaluated on its first
+    ``.data``; a value of ``f`` that is not finite is a
+    :class:`FieldDomainError`, as on the unitary route.
     """
     arrs = _slot_matrices(f, mats)
     for l, sd in enumerate(_analyze_all(arrs)):
@@ -230,8 +223,7 @@ def f_otimes_diagonalizable(f: ScalarField, mats) -> OperatorTensor:
             )
     eigs, frames = zip(*(np.linalg.eig(M) for M in arrs))
     inverses = [np.linalg.inv(V) for V in frames]
-    values = f(*np.ix_(*eigs))
-    return _eigenbasis_network(values, frames, inverses)
+    return _eigenbasis_network(_values_at(f, eigs), frames, inverses)
 
 
 def jordan_matrix(blocks) -> np.ndarray:

@@ -93,15 +93,10 @@ class SpectralData:
     warnings and errors, on the first read of ``min_mult``.
 
     ``blocks`` holds the (centre, size, radius) of each node of the
-    tensor extension's grid, which reads nothing else: with an explicit
-    ``min_mult``, each eigenvalue at that size and radius 0; with a
-    ``matrix``, the groups of its computed eigenvalues within ``BLOCK_TOL``
-    times its scale of each other, clustered as the spectrum is clustered
-    (:func:`_clusters`): at their mean (the value itself if all are equal),
-    with their largest distance from it as radius, built on the first read.
-    So a defective eigenvalue that rounding split is one block again.
-    Equality and hash read ``min_mult``, so they run the ladder of such
-    data once.
+    tensor extension's grid: with an explicit ``min_mult``, each
+    eigenvalue at that size and radius 0; with a ``matrix``, :func:`_blocks`
+    of its computed eigenvalues, built on the first read. Equality and
+    hash read ``min_mult``, so they run the ladder of such data once.
     """
 
     def __init__(self, eigenvalues, alg_mult, min_mult, dim, *, radii=None, matrix=None):
@@ -125,9 +120,7 @@ class SpectralData:
     @property
     def blocks(self) -> tuple[tuple[complex, int, float], ...]:
         if self._blocks is None:
-            w = self._raw
-            scale = min(hs_norm(self._matrix), 10 * max(1.0, max(map(abs, w), default=0.0)))
-            self._blocks = tuple(_clusters(w, BLOCK_TOL * scale))
+            self._blocks = _blocks(self._matrix, self._raw)
         return self._blocks
 
     @property
@@ -183,13 +176,6 @@ def merge_clusters(values, threshold: float) -> list[list[int]]:
 def cluster_threshold(A, tol: float = DEFAULT_CLUSTER_TOL) -> float:
     """Distance within which eigenvalues of ``A`` are one: ``tol * ||A||_HS``."""
     return float(tol) * hs_norm(A)
-
-
-def _eigvals(A: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigenvalue iteration failed for a {A.shape} matrix: {exc}") from exc
 
 
 def _clusters(w, threshold: float) -> list[tuple[complex, int, float]]:
@@ -289,12 +275,12 @@ def _rank_ladder(A: np.ndarray, clusters) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
-    """Yield :func:`analyze` of each square complex array in ``arrs``, in order.
+def _eigenvalues(arrs):
+    """Yield the eigenvalues of each square complex array in ``arrs`` as a list of complex.
 
-    Matrices of one size share one ``eigvals`` call. A stacked call that
-    fails leaves its matrices to one call each, so a failure surfaces at
-    its own matrix.
+    Matrices of one size share one ``eigvals`` call. A stacked call that fails leaves its
+    matrices to one call each, so a failure, or a non-finite eigenvalue, is a
+    :class:`SpectralError` at its own matrix.
     """
     eigs = [None] * len(arrs)
     by_dim = {}
@@ -308,10 +294,33 @@ def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
         for i, wi in zip(idx, w):
             eigs[i] = wi
     for A, w in zip(arrs, eigs):
-        w = _eigvals(A) if w is None else w
+        try:
+            w = np.linalg.eigvals(A) if w is None else w
+        except np.linalg.LinAlgError as exc:
+            msg = f"eigenvalue iteration failed for a {A.shape} matrix: {exc}"
+            raise SpectralError(msg) from exc
         if not np.isfinite(w).all():
             raise SpectralError(f"the matrix has the non-finite eigenvalue {w[~np.isfinite(w)][0]}")
-        w = w.tolist()  # Python complex: cheap scalar arithmetic
+        yield w.tolist()
+
+
+def _blocks(A: np.ndarray, w) -> tuple[tuple[complex, int, float], ...]:
+    """The grid blocks of ``A`` from its eigenvalues ``w``, all the extension reads of them.
+
+    The groups of ``w`` within ``BLOCK_TOL`` times min(||A||_F, 10 max(1, rho(A))), clustered
+    as the spectrum is (:func:`_clusters`): a defective eigenvalue that rounding split is one
+    block again.
+    """
+    scale = min(hs_norm(A), 10 * max(1.0, max(map(abs, w), default=0.0)))
+    return tuple(_clusters(w, BLOCK_TOL * scale))
+
+
+def _analyze_all(arrs, cluster_tol=DEFAULT_CLUSTER_TOL):
+    """Yield :func:`analyze` of each square complex array in ``arrs``, in order.
+
+    Each matrix's :func:`_eigenvalues`, clustered at ``cluster_tol``, kept for :func:`_blocks`.
+    """
+    for A, w in zip(arrs, _eigenvalues(arrs)):
         rows = _clusters(w, cluster_threshold(A, cluster_tol))
         data = SpectralData([c for c, _, _ in rows], [n for _, n, _ in rows], None, A.shape[0],
                             radii=[r for _, _, r in rows], matrix=A)
@@ -332,8 +341,8 @@ def analyze(M, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralData:
     M - c I is at most the radius, a merged cluster always reads as an
     eigenvalue. A cluster whose ladder still exceeds its algebraic
     multiplicity raises :class:`SpectralError` on that read. The tensor
-    extension reads :attr:`SpectralData.blocks` instead, which needs no
-    ladder. This is the one-matrix case of :func:`_analyze_all`.
+    extension reads only blocks (:func:`_blocks`), which need no ladder.
+    This is the one-matrix case of :func:`_analyze_all`.
     """
     [data] = _analyze_all([as_square_matrix(M)], cluster_tol)
     return data

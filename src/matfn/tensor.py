@@ -208,6 +208,24 @@ def poly_tensor_eval(poly: MultiPoly, mats) -> OperatorTensor:
     return _network([C] + factors, subs, _pairs(k))
 
 
+def _eigenbasis_network(values, frames, inverses) -> OperatorTensor:
+    """sum_m values[m] (x)_l V_l[:, m_l] W_l[m_l, :] as the lazy network (values, V_l, W_l).
+
+    The eigenbasis routes' format: f at the eigenvalue tuples, each slot's frame and its
+    inverse, contracted on the first ``.data`` along the path :func:`_plan` memoises. With more
+    indices (3k) than einsum has letters, it is dense, built slot by slot.
+    """
+    k = len(frames)
+    if 3 * k > len(_LETTERS):
+        for V, W in zip(frames, inverses):
+            values = np.tensordot(values, np.einsum("im,mj->mij", V, W), axes=(0, 0))
+        return OperatorTensor(values)
+    ms, pairs = _LETTERS[2 * k : 3 * k], _pairs(k)
+    subs = [ms] + [up + m for m, (up, _) in zip(ms, pairs)]
+    subs += [m + down for m, (_, down) in zip(ms, pairs)]
+    return _network([values, *frames, *inverses], subs, pairs)
+
+
 def _check_slot(T: OperatorTensor, slot: int):
     if not 0 <= slot < T.k:
         raise ValueError(f"slot {slot} out of range for a {T.k}-slot tensor")

@@ -233,3 +233,52 @@ def test_checks_take_their_slots_as_f_otimes_does(monkeypatch):
             run([A, A, bad])
         with pytest.raises(ValueError, match="arity 3 applied to 2 matrices"):
             run([A, A])
+
+
+def _goe(d, seed):
+    X = np.random.default_rng(seed).standard_normal((d, d))
+    return (X + X.T) / np.sqrt(8 * d)
+
+
+def test_checks_at_goe40_match_their_closed_forms():
+    # symmetric slots take f_otimes's unitary eigenbasis; interpolating on the
+    # checkers' own spectra read 1.3e+20 (equal), 3.3e+10 (trace) and 1 (product)
+    # off, and the swap's two contractions 0.9 apart
+    d = 40
+    S, T = _goe(d, 0), _goe(d, 1)
+    lam, V = np.linalg.eigh(S)
+
+    def relative(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    equal = contract_equal_slots_theorem(parse_field("exp(x1+x2)"), [S, S], 0, 1)
+    assert relative(equal.contracted.data, (V * np.exp(2 * lam)) @ V.T) <= 1e-12
+    trace = contract_trace_theorem(parse_field("1/(x1+x2+7)"), [S, T], 0)
+    want = sum(np.linalg.inv((x + 7) * np.eye(d) + T) for x in lam)
+    assert relative(trace.contracted.data, want) <= 1e-12
+    product = product_identity_check(parse_field("exp(x1)"), parse_field("1/(x1+6)"), [S])
+    assert product.product_residual <= 1e-12 * product.scale
+    swap = commuting_swap_check(parse_field("x1*x2 + exp(x1-x2)"), [S, S @ S], 0, 1)
+    assert swap.residual <= 1e-12 * swap.scale
+
+
+def test_only_the_trace_check_analyses_a_slot(monkeypatch):
+    # f_otimes decides each extension's route; the trace check reads the
+    # traced slot's clusters for its reduced field, and no other slot's
+    import matfn.algebraic_ops as ops
+
+    analysed, analyze_all = [], ops._analyze_all
+
+    def spy(arrs):
+        analysed.append(len(arrs))
+        return analyze_all(arrs)
+
+    monkeypatch.setattr(ops, "_analyze_all", spy)
+    A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    f = parse_field("exp(x1) * x2")
+    product_identity_check(f, f, [A, B])
+    contract_equal_slots_theorem(f, [A, A], 0, 1)
+    commuting_swap_check(f, [A, A @ A], 0, 1)
+    assert analysed == []
+    contract_trace_theorem(f, [A, B], 1)
+    assert analysed == [1]

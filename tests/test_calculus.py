@@ -241,7 +241,7 @@ def test_a_chain_validates_once_and_builds_no_extension(name, monkeypatch):
     # one check per argument and one analysis; no extension is built, so no
     # OperatorTensor either
     M, H, at = _chain_case(name)
-    names, calls = [], {"_analyze_all": 0}
+    names, calls = [], {"_eigenvalues": 0}
     check = spectral.as_square_matrix
 
     def counting(A, name="matrix"):

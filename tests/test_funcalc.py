@@ -35,6 +35,7 @@ from matfn import (
 )
 from matfn.funcalc import PAD_CAP, _padded_nodes
 from matfn.interp import hermite_basis
+from matfn.spectral import BLOCK_TOL
 from matfn.tensor import _plan
 
 rng = np.random.default_rng(23)
@@ -228,11 +229,19 @@ def test_explicit_spectra_override():
 
 def test_spectra_override_loosens_the_spectral_decision():
     # the conjugated J3(1) of test_spectral splits by about 1e-5; a looser
-    # analysis passed through spectra= recovers the defective eigenvalue
+    # cluster_tol makes it one eigenvalue of index 3, but the grid groups the
+    # computed eigenvalues at BLOCK_TOL whatever cluster_tol is, so the tensor
+    # is the same bit for bit with either analysis or none
     own = np.random.default_rng(11)
     Q, _ = np.linalg.qr(own.normal(size=(3, 3)))
     M = Q @ jordan_matrix([(1.0, 3)]) @ Q.T
-    T = f_otimes(parse_field("exp(x1)"), [M], spectra=[analyze(M, cluster_tol=1e-4)])
+    loose, default = analyze(M, cluster_tol=1e-4), analyze(M)
+    assert loose.alg_mult == (3,) and loose.min_mult == (3,)
+    assert default.alg_mult == (1, 1, 1)  # its min_mult is not read: its ladder warns
+    f = parse_field("exp(x1)")
+    T = f_otimes(f, [M], spectra=[loose])
+    for other in (f_otimes(f, [M], spectra=[default]), f_otimes(f, [M])):
+        assert np.array_equal(other.data, T.data)
     expJ = np.e * np.array([[1.0, 1.0, 0.5], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
     assert np.max(np.abs(T.as_matrix() - Q @ expJ @ Q.T)) <= 1e-8
 
@@ -790,3 +799,44 @@ def test_a_non_finite_eigenvalue_is_a_spectral_error():
     # value in a multiply
     with pytest.raises(SpectralError, match=r"non-finite eigenvalue \(inf\+0j\)"):
         f_otimes(parse_field("x1*0 + 1"), [1e308 * np.ones((3, 3))])
+
+
+def test_the_diag_route_refuses_a_non_finite_value():
+    # exp(400)^2 leaves the float range; the oracle returned NaN entries
+    f, J = parse_field("exp(x1)*exp(x1)"), [[400.0, 1.0], [0.0, 1.0]]
+    message = "not defined on the spectral grid of the arguments: a value at the eigenvalues"
+    for call in (lambda: f_otimes_diagonalizable(f, [J]),
+                 lambda: matrix_function(f, J, route="diag"),
+                 lambda: f_otimes(f, [np.diag([400.0, 1.0])])):
+        with pytest.raises(FieldDomainError, match=message):
+            call()
+
+
+def test_the_extension_path_reads_only_blocks(monkeypatch):
+    # the interpolation route and the curve derivative group each distinct
+    # matrix's eigenvalues once, at the block threshold, and build no SpectralData
+    import matfn.spectral as spectral
+
+    own = np.random.default_rng(70)
+    A, B = (np.triu(own.normal(size=(4, 4))) + np.diag([0.0, 1.0, 2.0, 3.0]) for _ in range(2))
+    H = own.normal(size=(4, 4))
+    thresholds, clusters = [], spectral._clusters
+
+    def spy(w, threshold):
+        thresholds.append(threshold)
+        return clusters(w, threshold)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SpectralData was built")
+
+    def block_threshold(M):
+        rho = np.abs(np.linalg.eigvals(M)).max()
+        return pytest.approx(BLOCK_TOL * min(np.linalg.norm(M), 10 * max(1.0, rho)), rel=1e-12)
+
+    monkeypatch.setattr(spectral, "_clusters", spy)
+    monkeypatch.setattr(spectral.SpectralData, "__init__", refuse)
+    f_otimes(parse_field("exp(x1 + x2) / (x3 + 9)"), [A, B, A])
+    assert thresholds == [block_threshold(A), block_threshold(B)]
+    thresholds.clear()
+    nth_derivative_curve(parse_field("exp(x1)"), A, H, 2)
+    assert thresholds == [block_threshold(A)]
